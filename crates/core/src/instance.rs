@@ -121,7 +121,7 @@ pub struct InstanceBuilder {
     sessions: Vec<SessionSpec>,
     users: Vec<UserSpec>,
     budgets: Vec<Load>,
-    links: Vec<(ApId, UserId, Kbps, Option<SignalStrength>)>,
+    links: Vec<(ApId, UserId, Kbps, SignalStrength)>,
     supported_rates: Vec<Kbps>,
     rate_policy: RatePolicy,
 }
@@ -209,7 +209,7 @@ impl InstanceBuilder {
         if user.index() >= self.users.len() {
             return Err(InstanceError::UnknownUser(user));
         }
-        self.links.push((ap, user, rate, Some(signal)));
+        self.links.push((ap, user, rate, signal));
         Ok(self)
     }
 
@@ -219,101 +219,93 @@ impl InstanceBuilder {
     ///
     /// See [`InstanceError`]. Duplicate links keep the last declaration.
     pub fn build(self) -> Result<Instance, InstanceError> {
-        let n_aps = self.budgets.len();
-        let n_users = self.users.len();
-        let n_sessions = self.sessions.len();
-
-        let mut rates = self.supported_rates;
-        if rates.is_empty() {
-            return Err(InstanceError::NoSupportedRates);
-        }
-        rates.sort_unstable();
-        rates.dedup();
-
-        for (s, spec) in self.sessions.iter().enumerate() {
-            if spec.rate.0 == 0 {
-                return Err(InstanceError::ZeroSessionRate(SessionId(s as u32)));
-            }
-        }
-        for (a, b) in self.budgets.iter().enumerate() {
-            if b.is_negative() {
-                return Err(InstanceError::NegativeBudget(ApId(a as u32)));
-            }
-        }
-        for user in &self.users {
-            if user.session.index() >= n_sessions {
-                return Err(InstanceError::UnknownSession(user.session));
-            }
-        }
-        for &(ap, user, rate, _) in &self.links {
-            if rates.binary_search(&rate).is_err() {
-                return Err(InstanceError::UnsupportedLinkRate { ap, user, rate });
-            }
-        }
-
-        // CSR straight from the link list — O(L log L), never
-        // O(APs × users). Stable (ap, user, declaration-index) order means
-        // ascending ApId per user, ascending UserId per AP, and "last
-        // declaration wins" for duplicates, exactly as the former dense
-        // matrix produced.
-        type IndexedLink = (usize, (ApId, UserId, Kbps, Option<SignalStrength>));
-        let mut indexed: Vec<IndexedLink> = self.links.into_iter().enumerate().collect();
-        indexed.sort_unstable_by_key(|&(i, (a, u, _, _))| (a, u, i));
-
-        // Pass 1: exact post-dedup degrees.
-        let mut user_deg = vec![0u32; n_users];
-        let mut ap_deg = vec![0u32; n_aps];
-        let mut n_links = 0usize;
-        {
-            let mut it = indexed.iter().peekable();
-            while let Some(&(_, (a, u, _, _))) = it.next() {
-                if matches!(it.peek(), Some(&&(_, (a2, u2, _, _))) if a2 == a && u2 == u) {
+        // Declarations sorted user-major, then by AP. The sort is stable,
+        // so repeats of one link stay in declaration order and the last of
+        // each run is the one that wins. The rows then take the same
+        // streaming path as generated scenarios.
+        let mut links = self.links;
+        links.sort_by_key(|&(a, u, _, _)| (u, a));
+        let mut b = StreamingInstanceBuilder::new(
+            self.sessions,
+            self.budgets,
+            self.supported_rates,
+            self.rate_policy,
+        )?;
+        b.reserve(self.users.len(), links.len());
+        let mut rest = links.as_slice();
+        let mut row = Vec::new();
+        for (u, spec) in self.users.iter().enumerate() {
+            let len = rest.iter().take_while(|l| l.1.index() == u).count();
+            let (mine, tail) = rest.split_at(len);
+            rest = tail;
+            row.clear();
+            for (i, &(a, _, r, sig)) in mine.iter().enumerate() {
+                if mine.get(i + 1).is_some_and(|next| next.0 == a) {
                     continue; // a later declaration of the same link supersedes this one
                 }
-                user_deg[u.index()] += 1;
-                ap_deg[a.index()] += 1;
-                n_links += 1;
+                row.push((a, r, sig));
             }
+            b.push_user(spec.session, &row)?;
         }
-
-        // Pass 2: prefix sums, then fill through per-row write cursors.
-        // The AP-major scan visits each user's links in ascending ApId and
-        // each AP's users in ascending UserId, so both arenas come out
-        // sorted without another pass.
-        let user_off = prefix_sum(&user_deg);
-        let ap_off = prefix_sum(&ap_deg);
-        let mut user_cur: Vec<u32> = user_off[..n_users].to_vec();
-        let mut ap_cur: Vec<u32> = ap_off[..n_aps].to_vec();
-        let mut user_adj = vec![(ApId(0), Kbps(0)); n_links];
-        let mut user_sig = vec![NO_SIGNAL; n_links];
-        let mut ap_adj = vec![UserId(0); n_links];
-        let mut it = indexed.into_iter().peekable();
-        while let Some((_, (a, u, r, s))) = it.next() {
-            if matches!(it.peek(), Some(&(_, (a2, u2, _, _))) if a2 == a && u2 == u) {
-                continue;
-            }
-            let uc = user_cur[u.index()] as usize;
-            user_adj[uc] = (a, r);
-            user_sig[uc] = s.map_or(NO_SIGNAL, |sig| sig.0);
-            user_cur[u.index()] += 1;
-            let ac = ap_cur[a.index()] as usize;
-            ap_adj[ac] = u;
-            ap_cur[a.index()] += 1;
-        }
-
-        Ok(Instance {
-            sessions: self.sessions,
-            users: self.users,
-            budgets: self.budgets,
-            user_off,
-            user_adj,
-            user_sig,
-            ap_off,
-            ap_adj,
-            rates,
-            rate_policy: self.rate_policy,
-        })
+        Ok(b.finish())
     }
+}
+
+/// The header check every constructor runs first: a non-empty rate set
+/// (returned ascending and deduplicated), no zero-rate session and no
+/// negative budget.
+fn check_header(
+    sessions: &[SessionSpec],
+    budgets: &[Load],
+    supported_rates: impl IntoIterator<Item = Kbps>,
+) -> Result<Vec<Kbps>, InstanceError> {
+    let mut rates: Vec<Kbps> = supported_rates.into_iter().collect();
+    if rates.is_empty() {
+        return Err(InstanceError::NoSupportedRates);
+    }
+    rates.sort_unstable();
+    rates.dedup();
+    if let Some(s) = sessions.iter().position(|spec| spec.rate.0 == 0) {
+        return Err(InstanceError::ZeroSessionRate(SessionId(s as u32)));
+    }
+    if let Some(a) = budgets.iter().position(Load::is_negative) {
+        return Err(InstanceError::NegativeBudget(ApId(a as u32)));
+    }
+    Ok(rates)
+}
+
+/// The row check every constructor runs on each user: the requested
+/// session exists, and the candidate row names known APs at supported
+/// rates in strictly ascending [`ApId`] order (so no AP twice).
+fn check_row(
+    u: UserId,
+    session: SessionId,
+    row: impl IntoIterator<Item = (ApId, Kbps)>,
+    n_sessions: usize,
+    n_aps: usize,
+    rates: &[Kbps],
+) -> Result<(), InstanceError> {
+    if session.index() >= n_sessions {
+        return Err(InstanceError::UnknownSession(session));
+    }
+    let mut prev: Option<ApId> = None;
+    for (a, r) in row {
+        if a.index() >= n_aps {
+            return Err(InstanceError::UnknownAp(a));
+        }
+        if rates.binary_search(&r).is_err() {
+            return Err(InstanceError::UnsupportedLinkRate {
+                ap: a,
+                user: u,
+                rate: r,
+            });
+        }
+        if prev.is_some_and(|p| p >= a) {
+            return Err(InstanceError::UnsortedCandidates(u));
+        }
+        prev = Some(a);
+    }
+    Ok(())
 }
 
 /// Exclusive prefix sum with a trailing total: `degrees` of length `n`
@@ -329,11 +321,12 @@ fn prefix_sum(degrees: &[u32]) -> Vec<u32> {
     off
 }
 
-/// Chunk-friendly [`Instance`] constructor for streamed scenario
-/// generation: users arrive one at a time, in id order, each with its
-/// finished candidate-AP row, and go straight into the user-major CSR
-/// arena. Nothing proportional to the link count is buffered outside the
-/// arenas themselves — no per-link declaration list, no sort.
+/// Chunk-friendly [`Instance`] constructor: users arrive one at a time,
+/// in id order, each with its finished candidate-AP row, and go straight
+/// into the user-major CSR arena. Nothing proportional to the link count
+/// is buffered outside the arenas themselves — no per-link declaration
+/// list, no sort. Scenario generation streams through it, and
+/// [`InstanceBuilder::build`] feeds it its sorted declarations.
 ///
 /// The per-user rows must already be strictly ascending by [`ApId`]
 /// (spatial-grid queries return neighbors in ascending point order, so
@@ -356,7 +349,7 @@ impl StreamingInstanceBuilder {
     ///
     /// # Errors
     ///
-    /// The same up-front checks as [`InstanceBuilder::build`]:
+    /// The header checks every constructor shares:
     /// [`InstanceError::NoSupportedRates`],
     /// [`InstanceError::ZeroSessionRate`],
     /// [`InstanceError::NegativeBudget`].
@@ -366,22 +359,7 @@ impl StreamingInstanceBuilder {
         supported_rates: impl IntoIterator<Item = Kbps>,
         rate_policy: RatePolicy,
     ) -> Result<StreamingInstanceBuilder, InstanceError> {
-        let mut rates: Vec<Kbps> = supported_rates.into_iter().collect();
-        if rates.is_empty() {
-            return Err(InstanceError::NoSupportedRates);
-        }
-        rates.sort_unstable();
-        rates.dedup();
-        for (s, spec) in sessions.iter().enumerate() {
-            if spec.rate.0 == 0 {
-                return Err(InstanceError::ZeroSessionRate(SessionId(s as u32)));
-            }
-        }
-        for (a, b) in budgets.iter().enumerate() {
-            if b.is_negative() {
-                return Err(InstanceError::NegativeBudget(ApId(a as u32)));
-            }
-        }
+        let rates = check_header(&sessions, &budgets, supported_rates)?;
         Ok(StreamingInstanceBuilder {
             sessions,
             budgets,
@@ -418,26 +396,14 @@ impl StreamingInstanceBuilder {
         links: &[(ApId, Kbps, SignalStrength)],
     ) -> Result<UserId, InstanceError> {
         let u = UserId(self.users.len() as u32);
-        if session.index() >= self.sessions.len() {
-            return Err(InstanceError::UnknownSession(session));
-        }
-        let mut prev: Option<ApId> = None;
-        for &(a, r, _) in links {
-            if a.index() >= self.budgets.len() {
-                return Err(InstanceError::UnknownAp(a));
-            }
-            if self.rates.binary_search(&r).is_err() {
-                return Err(InstanceError::UnsupportedLinkRate {
-                    ap: a,
-                    user: u,
-                    rate: r,
-                });
-            }
-            if prev.is_some_and(|p| p >= a) {
-                return Err(InstanceError::UnsortedCandidates(u));
-            }
-            prev = Some(a);
-        }
+        check_row(
+            u,
+            session,
+            links.iter().map(|&(a, r, _)| (a, r)),
+            self.sessions.len(),
+            self.budgets.len(),
+            &self.rates,
+        )?;
         self.users.push(UserSpec { session });
         for &(a, r, sig) in links {
             self.user_adj.push((a, r));
@@ -735,10 +701,9 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// A description of the first structural violation: offset arrays that
-    /// do not line up, rows out of order, references out of range,
-    /// unsupported link rates, or the same checks
-    /// [`InstanceBuilder::build`] applies to sessions/budgets/rates.
+    /// A description of the first violation: offset arrays that do not
+    /// line up, or a failed header or row check — the same checks every
+    /// constructor runs (see [`InstanceError`]).
     #[allow(clippy::too_many_arguments)]
     pub fn from_csr(
         sessions: Vec<SessionSpec>,
@@ -747,34 +712,12 @@ impl Instance {
         user_off: Vec<u32>,
         user_adj: Vec<(ApId, Kbps)>,
         user_sig: Vec<i64>,
-        mut rates: Vec<Kbps>,
+        rates: Vec<Kbps>,
         rate_policy: RatePolicy,
     ) -> Result<Instance, String> {
         let n_aps = budgets.len();
         let n_users = users.len();
-        if rates.is_empty() {
-            return Err("no supported rates".into());
-        }
-        rates.sort_unstable();
-        rates.dedup();
-        for (s, spec) in sessions.iter().enumerate() {
-            if spec.rate.0 == 0 {
-                return Err(format!("session {s} has zero stream rate"));
-            }
-        }
-        for (a, b) in budgets.iter().enumerate() {
-            if b.is_negative() {
-                return Err(format!("AP {a} has a negative budget"));
-            }
-        }
-        for (u, spec) in users.iter().enumerate() {
-            if spec.session.index() >= sessions.len() {
-                return Err(format!(
-                    "user {u} requests unknown session {}",
-                    spec.session
-                ));
-            }
-        }
+        let rates = check_header(&sessions, &budgets, rates).map_err(|e| e.to_string())?;
         if user_off.len() != n_users + 1 {
             return Err(format!(
                 "user_off has {} entries for {n_users} users",
@@ -791,24 +734,20 @@ impl Instance {
                 user_adj.len()
             ));
         }
-        for u in 0..n_users {
+        for (u, spec) in users.iter().enumerate() {
             let (lo, hi) = (user_off[u] as usize, user_off[u + 1] as usize);
             if lo > hi || hi > user_adj.len() {
                 return Err(format!("user {u}: offsets {lo}..{hi} out of order"));
             }
-            let mut prev: Option<ApId> = None;
-            for &(a, r) in &user_adj[lo..hi] {
-                if a.index() >= n_aps {
-                    return Err(format!("user {u}: link to unknown AP {a}"));
-                }
-                if rates.binary_search(&r).is_err() {
-                    return Err(format!("user {u}: link rate {r} unsupported"));
-                }
-                if prev.is_some_and(|p| p >= a) {
-                    return Err(format!("user {u}: candidate APs not strictly ascending"));
-                }
-                prev = Some(a);
-            }
+            check_row(
+                UserId(u as u32),
+                spec.session,
+                user_adj[lo..hi].iter().copied(),
+                sessions.len(),
+                n_aps,
+                &rates,
+            )
+            .map_err(|e| format!("user {u}: {e}"))?;
         }
         let (ap_off, ap_adj) = transpose_csr(n_aps, &user_off, &user_adj);
         Ok(Instance {
@@ -1258,6 +1197,18 @@ mod tests {
         let inst = b.build().unwrap();
         assert_eq!(inst.n_links(), 1);
         assert_eq!(inst.link_rate(a, u), Some(mbps(6)));
+
+        // Every link declared up to three times, earlier declarations
+        // carrying other rates and signals, all in shuffled order: only
+        // the last declaration of each link survives.
+        let want = wire(&streamed(&sample_rows()));
+        for seed in 0..32 {
+            assert_eq!(
+                wire(&declared(&sample_rows(), seed, 3)),
+                want,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -1323,6 +1274,107 @@ mod tests {
             inst.reachable_users(ApId(0)),
             batch.reachable_users(ApId(0))
         );
+
+        // Any declaration order builds the instance the in-order rows do.
+        let want = streamed(&sample_rows());
+        for seed in 0..32 {
+            let inst = declared(&sample_rows(), seed, 1);
+            assert_eq!(wire(&inst), wire(&want), "seed {seed}");
+            for a in inst.aps() {
+                assert_eq!(inst.reachable_users(a), want.reachable_users(a));
+            }
+        }
+    }
+
+    type Row = (SessionId, Vec<(ApId, Kbps, SignalStrength)>);
+
+    /// Four users over three APs and two sessions, one with no links, as
+    /// [`StreamingInstanceBuilder::push_user`] takes them.
+    fn sample_rows() -> Vec<Row> {
+        let link = |a, m, s| (ApId(a), mbps(m), SignalStrength(s));
+        vec![
+            (SessionId(0), vec![link(0, 3, -30), link(2, 6, -10)]),
+            (SessionId(1), vec![]),
+            (SessionId(1), vec![link(1, 5, -20)]),
+            (
+                SessionId(0),
+                vec![link(0, 4, -25), link(1, 6, -5), link(2, 3, -40)],
+            ),
+        ]
+    }
+
+    const SAMPLE_RATES: [u32; 4] = [3, 4, 5, 6];
+
+    fn sample_header() -> (Vec<SessionSpec>, Vec<Load>) {
+        (
+            vec![SessionSpec { rate: mbps(1) }, SessionSpec { rate: mbps(2) }],
+            vec![Load::ONE; 3],
+        )
+    }
+
+    /// The rows pushed in order through the streaming builder.
+    fn streamed(rows: &[Row]) -> Instance {
+        let (sessions, budgets) = sample_header();
+        let mut sb = StreamingInstanceBuilder::new(
+            sessions,
+            budgets,
+            SAMPLE_RATES.map(mbps),
+            RatePolicy::MultiRate,
+        )
+        .unwrap();
+        for (session, links) in rows {
+            sb.push_user(*session, links).unwrap();
+        }
+        sb.finish()
+    }
+
+    /// The same rows declared link by link through [`InstanceBuilder`] in
+    /// a seeded shuffled order, each link declared between 1 and
+    /// `max_repeats` times; every declaration but the last of a link
+    /// carries a different rate and signal.
+    fn declared(rows: &[Row], seed: u64, max_repeats: u64) -> Instance {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut order: Vec<(usize, usize)> = Vec::new();
+        for (u, (_, links)) in rows.iter().enumerate() {
+            for i in 0..links.len() {
+                for _ in 0..rng.gen_range(1..=max_repeats) {
+                    order.push((u, i));
+                }
+            }
+        }
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let (sessions, budgets) = sample_header();
+        let mut b = InstanceBuilder::new();
+        b.supported_rates(SAMPLE_RATES.map(mbps));
+        for spec in sessions {
+            b.add_session(spec.rate);
+        }
+        for budget in budgets {
+            b.add_ap(budget);
+        }
+        for (session, _) in rows {
+            b.add_user(*session);
+        }
+        for (k, &(u, i)) in order.iter().enumerate() {
+            let (a, rate, signal) = rows[u].1[i];
+            let last = !order[k + 1..].contains(&(u, i));
+            let (rate, signal) = if last {
+                (rate, signal)
+            } else {
+                let other = SAMPLE_RATES.map(mbps).into_iter().find(|&r| r != rate);
+                (other.unwrap(), SignalStrength(signal.0 - 1 - k as i64))
+            };
+            b.link_with_signal(a, UserId(u as u32), rate, signal)
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    fn wire(inst: &Instance) -> String {
+        serde_json::to_string(inst).unwrap()
     }
 
     #[test]

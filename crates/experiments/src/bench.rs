@@ -715,7 +715,7 @@ fn scale_report_sized(n_aps: usize, n_users: usize, side_m: f64, quick: bool) ->
 
     // Stage 1: streaming generation — users flow straight into the CSR
     // builder; no dense per-user Vec<Vec<…>> rows ever exist.
-    let (generate_ms, scenario) = time_once(|| cfg.generate_streaming());
+    let (generate_ms, scenario) = time_once(|| cfg.generate());
     let inst = &scenario.instance;
 
     // Stage 2: the SSA baseline (strongest signal, no budgets).

@@ -359,7 +359,7 @@ pub fn generate_to_file(opts: &GenOptions, path: &Path) -> Result<(), CliError> 
         ..ScenarioConfig::paper_default()
     }
     .with_seed(opts.seed)
-    .try_generate_streaming()
+    .try_generate()
     .map_err(|e| CliError::Validation(format!("generation failed: {e}")))?;
     if is_mcb {
         mcast_topology::write_mcb(&scenario, path).map_err(CliError::IoDecode)?;
@@ -881,32 +881,97 @@ mod tests {
         assert!(err.contains("ap_positions"), "unexpected message: {err}");
     }
 
-    #[test]
-    fn out_of_range_session_reference_is_rejected() {
-        let sc = small_scenario();
-        let json = serde_json::to_string(&sc).unwrap();
-        // The sparse wire stores users as a bare array of session indices;
-        // point the first user at a session index that does not exist.
-        let needle = "\"users\":[";
-        let pos = json.find(needle).expect("wire format changed; update test");
-        let start = pos + needle.len();
-        let len = json[start..]
-            .find([',', ']'])
-            .expect("wire format changed; update test");
-        let patched = format!("{}99{}", &json[..start], &json[start + len..]);
-        let path = tmp("bad_session.json");
-        std::fs::write(&path, patched).unwrap();
+    /// Writes [`small_scenario`] as sparse JSON with `patch` applied to
+    /// its `instance` object, loads the file back and returns the error.
+    fn load_with_patched_instance(
+        name: &str,
+        patch: impl FnOnce(&mut Vec<(String, serde::Value)>),
+    ) -> CliError {
+        let json = serde_json::to_string(&small_scenario()).unwrap();
+        let mut v = serde_json::parse_value(&json).unwrap();
+        let serde::Value::Object(top) = &mut v else {
+            panic!("wire format changed; update test")
+        };
+        let Some((_, serde::Value::Object(inst))) = top.iter_mut().find(|(k, _)| k == "instance")
+        else {
+            panic!("wire format changed; update test")
+        };
+        patch(inst);
+        let path = tmp(name);
+        std::fs::write(&path, serde_json::to_string(&v).unwrap()).unwrap();
         let err = load_scenario(&path).unwrap_err();
-        // The dangling reference is caught while *resolving* the sparse
-        // wire (inside deserialization), so it classifies as a decode
-        // error — `validate_scenario` findings on a structurally sound
-        // scenario are the ones that classify as validation (exit 3).
-        assert_eq!(err.exit_code(), 4, "dangling wire reference is decode");
-        assert!(
-            err.to_string().contains("session s99"),
-            "unexpected message: {err}"
-        );
         let _ = std::fs::remove_file(path);
+        err
+    }
+
+    /// The array field `key` of a sparse-wire instance object.
+    fn array_field<'v>(
+        inst: &'v mut [(String, serde::Value)],
+        key: &str,
+    ) -> &'v mut Vec<serde::Value> {
+        match inst.iter_mut().find(|(k, _)| k == key) {
+            Some((_, serde::Value::Array(items))) => items,
+            _ => panic!("wire format changed; update test"),
+        }
+    }
+
+    #[test]
+    fn malformed_instance_file_is_rejected() {
+        use serde::{Serialize, Value};
+        // Each malformation breaks one rule the `Instance` constructor
+        // enforces. It is caught while *resolving* the sparse wire
+        // (inside deserialization), so it classifies as a decode error —
+        // `validate_scenario` findings on a structurally sound scenario
+        // are the ones that classify as validation (exit 3).
+        type Patch = Box<dyn FnOnce(&mut Vec<(String, Value)>)>;
+        let cases: Vec<(&str, Patch, &str)> = vec![
+            (
+                "bad_session.json",
+                // Point the first user at a session that does not exist.
+                Box::new(|inst| array_field(inst, "users")[0] = Value::Int(99)),
+                "session s99",
+            ),
+            (
+                "duplicate_ap.json",
+                // Give the first user its first candidate AP twice.
+                Box::new(|inst| {
+                    let links = array_field(inst, "links");
+                    links.insert(0, links[0].clone());
+                    for off in array_field(inst, "user_off").iter_mut().skip(1) {
+                        let Value::Int(o) = off else {
+                            panic!("wire format changed")
+                        };
+                        *o += 1;
+                    }
+                }),
+                "not strictly ascending",
+            ),
+            (
+                "negative_budget.json",
+                Box::new(|inst| {
+                    array_field(inst, "budgets")[0] = Load::new(-1, 2).serialize_value();
+                }),
+                "negative budget",
+            ),
+            (
+                "zero_session_rate.json",
+                Box::new(|inst| {
+                    array_field(inst, "sessions")[0] = mcast_core::SessionSpec {
+                        rate: mcast_core::Kbps(0),
+                    }
+                    .serialize_value();
+                }),
+                "zero stream rate",
+            ),
+        ];
+        for (name, patch, needle) in cases {
+            let err = load_with_patched_instance(name, patch);
+            assert_eq!(err.exit_code(), 4, "{name}: {err}");
+            assert!(
+                err.to_string().contains(needle),
+                "{name}: unexpected message: {err}"
+            );
+        }
     }
 }
 

@@ -63,6 +63,7 @@ proptest! {
     /// configured to fail). Reports capture the full observable history
     /// (changes, message counts, clock), so equality of reports is
     /// equality of event sequences.
+    #[test]
     fn none_plan_is_identity(
         seed in 0u64..500,
         fault_seed in 1u64..u64::MAX,
@@ -90,6 +91,7 @@ proptest! {
 
     /// Determinism: the same plan and seeds reproduce the identical
     /// report, fault epochs and all.
+    #[test]
     fn faulty_runs_are_deterministic(seed in 0u64..200, fault_seed in 0u64..1000) {
         let sc = scenario(10, 30, seed);
         let inst = &sc.instance;

@@ -144,31 +144,38 @@ pub fn write_mcb(scenario: &Scenario, path: &Path) -> Result<(), String> {
         _ => std::path::PathBuf::from("."),
     };
     fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "cannot create", &e))?;
+    // Per-process temp name, as `atomic_write` uses: two processes writing
+    // the same destination never rename away each other's temp file.
     let tmp = dir.join(format!(
-        ".{}.tmp",
+        ".{}.tmp.{}",
         path.file_name()
             .and_then(|n| n.to_str())
-            .unwrap_or("scenario.mcb")
+            .unwrap_or("scenario.mcb"),
+        std::process::id()
     ));
-    let file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)
-        .map_err(|e| io_err(&tmp, "cannot create", &e))?;
-    let mut w = BufWriter::with_capacity(1 << 20, file);
-    write_mcb_into(scenario, &mut w).map_err(|e| io_err(&tmp, "cannot write", &e))?;
-    let file = w
-        .into_inner()
-        .map_err(|e| io_err(&tmp, "cannot flush", &e.into_error()))?;
-    file.sync_all()
-        .map_err(|e| io_err(&tmp, "cannot sync", &e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| io_err(path, "cannot rename into", &e))?;
-    if let Ok(d) = File::open(&dir) {
+    let result = (|| {
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)
+            .map_err(|e| io_err(&tmp, "cannot create", &e))?;
+        let mut w = BufWriter::with_capacity(1 << 20, file);
+        write_mcb_into(scenario, &mut w).map_err(|e| io_err(&tmp, "cannot write", &e))?;
+        let file = w
+            .into_inner()
+            .map_err(|e| io_err(&tmp, "cannot flush", &e.into_error()))?;
+        file.sync_all()
+            .map_err(|e| io_err(&tmp, "cannot sync", &e))?;
+        drop(file);
+        fs::rename(&tmp, path).map_err(|e| io_err(path, "cannot rename into", &e))
+    })();
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    } else if let Ok(d) = File::open(&dir) {
         let _ = d.sync_all();
     }
-    Ok(())
+    result
 }
 
 fn write_mcb_into<W: Write>(scenario: &Scenario, w: &mut W) -> std::io::Result<()> {
@@ -637,6 +644,23 @@ mod tests {
             serde_json::to_string(&back).unwrap()
         );
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn failed_write_leaves_no_temp_file() {
+        // The destination is a non-empty directory, so the final rename
+        // fails after the temp file was fully written.
+        let dir = tmp("failed_write");
+        let dest = dir.join("scene.mcb");
+        std::fs::create_dir_all(dest.join("occupied")).unwrap();
+        assert!(write_mcb(&small(), &dest).is_err());
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

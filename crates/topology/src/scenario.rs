@@ -7,8 +7,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
 
 use mcast_core::{
-    Instance, InstanceBuilder, Kbps, Load, RatePolicy, RateTable, SessionId, SignalStrength,
-    StreamingInstanceBuilder,
+    ApId, Instance, InstanceBuilder, Kbps, Load, RatePolicy, RateTable, SessionId, SessionSpec,
+    SignalStrength, StreamingInstanceBuilder,
 };
 
 use crate::geometry::Point;
@@ -136,12 +136,32 @@ impl ScenarioConfig {
 
     /// Generates the scenario, or explains why the configuration is bad.
     ///
+    /// Each user's candidate row comes from one spatial-grid range query
+    /// and streams straight into the CSR arena
+    /// ([`StreamingInstanceBuilder`]); nothing proportional to the link
+    /// count is held outside the finished instance.
+    ///
     /// # Errors
     ///
     /// [`ScenarioError`] for non-positive dimensions / power scale, or
     /// when `require_coverage` cannot be met (no APs).
     pub fn try_generate(&self) -> Result<Scenario, ScenarioError> {
-        self.try_generate_impl(true)
+        let geo = self.sample_geometry(true)?;
+        let grid = geo.grid.as_ref().expect("the fast path builds the grid");
+        let instance = stream_instance(
+            self,
+            &geo.table,
+            grid,
+            geo.ap_positions.len(),
+            &geo.user_positions,
+            &geo.user_sessions,
+        );
+        Ok(Scenario {
+            instance,
+            ap_positions: geo.ap_positions,
+            user_positions: geo.user_positions,
+            config: self.clone(),
+        })
     }
 
     /// [`ScenarioConfig::generate`] via the original all-pairs scans
@@ -167,85 +187,13 @@ impl ScenarioConfig {
     /// [`ScenarioError`], exactly as [`ScenarioConfig::try_generate`] —
     /// the two paths accept and reject identical configurations.
     pub fn try_generate_reference(&self) -> Result<Scenario, ScenarioError> {
-        self.try_generate_impl(false)
-    }
-
-    /// [`ScenarioConfig::generate`] through the streaming pipeline: users
-    /// are emitted straight into the CSR arena builder
-    /// ([`StreamingInstanceBuilder`]) instead of being buffered in
-    /// AP-major link buckets and re-sorted. Field-for-field (and therefore
-    /// byte-for-byte on the wire) identical to [`ScenarioConfig::generate`]
-    /// — it consumes the RNG in the same order and issues the same grid
-    /// queries — while allocating only the final arenas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid, like
-    /// [`ScenarioConfig::generate`].
-    pub fn generate_streaming(&self) -> Scenario {
-        self.try_generate_streaming()
-            .expect("valid scenario config")
-    }
-
-    /// Fallible form of [`ScenarioConfig::generate_streaming`].
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError`], exactly as [`ScenarioConfig::try_generate`].
-    pub fn try_generate_streaming(&self) -> Result<Scenario, ScenarioError> {
-        let geo = self.sample_geometry(true)?;
-        let grid = geo.grid.as_ref().expect("streaming path builds the grid");
-        let sessions: Vec<mcast_core::SessionSpec> = (0..self.n_sessions)
-            .map(|s| mcast_core::SessionSpec {
-                rate: self
-                    .session_rates
-                    .as_ref()
-                    .map_or(self.session_rate, |rs| rs[s]),
-            })
-            .collect();
-        let mut b = StreamingInstanceBuilder::new(
-            sessions,
-            vec![self.budget; self.n_aps],
-            geo.table.rates(),
-            self.rate_policy,
-        )
-        .expect("generated sessions and budgets are valid");
-        // Links per user ≈ π·range² / area-per-AP; reserve that in one shot.
-        let range = geo.table.range_m();
-        let density = self.n_aps as f64 / (self.width_m * self.height_m);
-        let per_user = (std::f64::consts::PI * range * range * density).ceil() as usize;
-        b.reserve(self.n_users, self.n_users * per_user.clamp(1, 64));
-        let mut hits: Vec<(u32, f64)> = Vec::new();
-        let mut row: Vec<(mcast_core::ApId, Kbps, SignalStrength)> = Vec::new();
-        for (ui, up) in geo.user_positions.iter().enumerate() {
-            grid.neighbors_within_into(up, range, &mut hits);
-            row.clear();
-            for &(ai, d) in &hits {
-                if let Some(rate) = geo.table.rate_at(d) {
-                    let signal = SignalStrength(-(d * 1000.0).round() as i64);
-                    row.push((mcast_core::ApId(ai), rate, signal));
-                }
-            }
-            b.push_user(SessionId(geo.user_sessions[ui]), &row)
-                .expect("grid rows are sorted and reference valid ids");
-        }
-        Ok(Scenario {
-            instance: b.finish(),
-            ap_positions: geo.ap_positions,
-            user_positions: geo.user_positions,
-            config: self.clone(),
-        })
-    }
-
-    fn try_generate_impl(&self, use_grid: bool) -> Result<Scenario, ScenarioError> {
-        let geo = self.sample_geometry(use_grid)?;
-        let instance = instance_from(
+        let geo = self.sample_geometry(false)?;
+        let instance = all_pairs_instance(
             self,
             &geo.table,
             &geo.ap_positions,
             &geo.user_positions,
             &geo.user_sessions,
-            geo.grid.as_ref(),
         );
         Ok(Scenario {
             instance,
@@ -370,17 +318,72 @@ struct SampledGeometry {
 }
 
 /// Builds the combinatorial instance from explicit geometry and session
-/// choices (shared by generation and perturbation). When `grid` is given
-/// (an index over `ap_positions`), links come from per-user range queries
-/// — O(users × local APs); otherwise from the all-pairs reference loop.
-/// Both paths issue identical `link_with_signal` calls in identical order.
-fn instance_from(
+/// choices — the one construction path of generation and perturbation.
+/// `grid` indexes the `n_aps` AP positions; each user's range query
+/// returns its APs in ascending id order, which is exactly the row order
+/// [`StreamingInstanceBuilder::push_user`] requires. Distances come from
+/// the same `Point::distance` call the all-pairs reference makes, so
+/// rates and signals match it bit for bit.
+fn stream_instance(
+    config: &ScenarioConfig,
+    table: &RateTable,
+    grid: &SpatialGrid,
+    n_aps: usize,
+    user_positions: &[Point],
+    user_sessions: &[u32],
+) -> Instance {
+    let sessions: Vec<SessionSpec> = (0..config.n_sessions)
+        .map(|s| SessionSpec {
+            rate: config
+                .session_rates
+                .as_ref()
+                .map_or(config.session_rate, |rs| rs[s]),
+        })
+        .collect();
+    let mut b = StreamingInstanceBuilder::new(
+        sessions,
+        vec![config.budget; n_aps],
+        table.rates(),
+        config.rate_policy,
+    )
+    .expect("generated sessions and budgets are valid");
+    // Links per user ≈ π·range² / area-per-AP; reserve that in one shot.
+    let range = table.range_m();
+    let density = n_aps as f64 / (config.width_m * config.height_m);
+    let per_user = (std::f64::consts::PI * range * range * density).ceil() as usize;
+    b.reserve(
+        user_positions.len(),
+        user_positions.len() * per_user.clamp(1, 64),
+    );
+    let mut hits: Vec<(u32, f64)> = Vec::new();
+    let mut row: Vec<(ApId, Kbps, SignalStrength)> = Vec::new();
+    for (up, &session) in user_positions.iter().zip(user_sessions) {
+        grid.neighbors_within_into(up, range, &mut hits);
+        row.clear();
+        for &(ai, d) in &hits {
+            if let Some(rate) = table.rate_at(d) {
+                // Signal strength: negated distance in millimeters —
+                // monotone in proximity, integral for exact ordering.
+                let signal = SignalStrength(-(d * 1000.0).round() as i64);
+                row.push((ApId(ai), rate, signal));
+            }
+        }
+        b.push_user(SessionId(session), &row)
+            .expect("grid rows are sorted and reference valid ids");
+    }
+    b.finish()
+}
+
+/// The all-pairs reference construction behind
+/// [`ScenarioConfig::generate_reference`]: every AP–user distance is
+/// measured and the links are declared AP-major through
+/// [`InstanceBuilder`].
+fn all_pairs_instance(
     config: &ScenarioConfig,
     table: &RateTable,
     ap_positions: &[Point],
     user_positions: &[Point],
     user_sessions: &[u32],
-    grid: Option<&SpatialGrid>,
 ) -> Instance {
     let mut b = InstanceBuilder::new();
     b.supported_rates(table.rates());
@@ -401,47 +404,13 @@ fn instance_from(
         .iter()
         .map(|&s| b.add_user(sessions[s as usize]))
         .collect();
-    let range = table.range_m();
-    match grid {
-        Some(grid) => {
-            // Per-user range queries, bucketed by AP. Users are visited in
-            // ascending order and hit each AP at most once, so every bucket
-            // is ascending in user id, and draining buckets by ascending AP
-            // reproduces the exact AP-major call sequence of the reference
-            // loop below — no sort needed. Distances come from the same
-            // `Point::distance` with the same argument order, so rates and
-            // signals are bit-identical.
-            let mut by_ap: Vec<Vec<(u32, Kbps, SignalStrength)>> =
-                vec![Vec::new(); ap_positions.len()];
-            let mut hits: Vec<(u32, f64)> = Vec::new();
-            for (ui, up) in user_positions.iter().enumerate() {
-                grid.neighbors_within_into(up, range, &mut hits);
-                for &(ai, d) in &hits {
-                    if let Some(rate) = table.rate_at(d) {
-                        let signal = SignalStrength(-(d * 1000.0).round() as i64);
-                        by_ap[ai as usize].push((ui as u32, rate, signal));
-                    }
-                }
-            }
-            for (ai, bucket) in by_ap.into_iter().enumerate() {
-                for (ui, rate, signal) in bucket {
-                    b.link_with_signal(aps[ai], users[ui as usize], rate, signal)
-                        .expect("endpoints were just added");
-                }
-            }
-        }
-        None => {
-            for (ai, &a) in aps.iter().enumerate() {
-                for (ui, &u) in users.iter().enumerate() {
-                    let d = ap_positions[ai].distance(&user_positions[ui]);
-                    if let Some(rate) = table.rate_at(d) {
-                        // Signal strength: negated distance in millimeters —
-                        // monotone in proximity, integral for exact ordering.
-                        let signal = SignalStrength(-(d * 1000.0).round() as i64);
-                        b.link_with_signal(a, u, rate, signal)
-                            .expect("endpoints were just added");
-                    }
-                }
+    for (ai, &a) in aps.iter().enumerate() {
+        for (ui, &u) in users.iter().enumerate() {
+            let d = ap_positions[ai].distance(&user_positions[ui]);
+            if let Some(rate) = table.rate_at(d) {
+                let signal = SignalStrength(-(d * 1000.0).round() as i64);
+                b.link_with_signal(a, u, rate, signal)
+                    .expect("endpoints were just added");
             }
         }
     }
@@ -593,13 +562,13 @@ impl Scenario {
             .users()
             .map(|u| self.instance.user_session(u).0)
             .collect();
-        let instance = instance_from(
+        let instance = stream_instance(
             cfg,
             &table,
-            &self.ap_positions,
+            &grid,
+            self.ap_positions.len(),
             &user_positions,
             &user_sessions,
-            Some(&grid),
         );
         Scenario {
             instance,
@@ -610,11 +579,12 @@ impl Scenario {
     }
 }
 
-/// Structural validation of a deserialized [`Scenario`]: input that
-/// decodes (JSON or `.mcb`) can still carry NaN/infinite coordinates
-/// (hand-edited or truncated files), index lists that don't match the
-/// instance, out-of-range session references, duplicate candidate-AP
-/// ids, or degenerate budgets and rates. Every loader — both wire
+/// Structural validation of a deserialized [`Scenario`] — the part an
+/// [`Instance`] cannot vouch for. Every `Instance` constructor already
+/// rejects dangling session or AP references, duplicate candidate APs,
+/// negative budgets and zero session rates; what decodes can still carry
+/// NaN/infinite coordinates (hand-edited or truncated files) or position
+/// lists that don't match the instance. Every loader — both wire
 /// formats — funnels through this one helper.
 ///
 /// # Errors
@@ -651,38 +621,6 @@ pub fn validate_scenario(scenario: &Scenario) -> Result<(), String> {
                 "user {i} has a non-finite position ({}, {})",
                 p.x, p.y
             ));
-        }
-    }
-    for u in inst.users() {
-        let s = inst.user_session(u);
-        if s.index() >= inst.n_sessions() {
-            return Err(format!(
-                "user {} requests session {} but only {} sessions exist",
-                u.index(),
-                s.index(),
-                inst.n_sessions()
-            ));
-        }
-        let mut seen = std::collections::HashSet::new();
-        for &(a, _) in inst.candidate_aps(u) {
-            if !seen.insert(a) {
-                return Err(format!(
-                    "user {} lists AP {} twice among its candidates",
-                    u.index(),
-                    a.index()
-                ));
-            }
-        }
-    }
-    for a in inst.aps() {
-        let b = inst.budget(a).as_f64();
-        if !b.is_finite() || b < 0.0 {
-            return Err(format!("AP {} has an invalid budget {b}", a.index()));
-        }
-    }
-    for s in inst.sessions() {
-        if inst.session_rate(s).0 == 0 {
-            return Err(format!("session {} has a zero stream rate", s.index()));
         }
     }
     Ok(())
@@ -836,68 +774,6 @@ mod tests {
         }
         // Uniform choice over 200 draws: each session appears.
         assert!(counts.iter().all(|&c| c > 0), "counts {counts:?}");
-    }
-
-    #[test]
-    fn streaming_generation_is_byte_identical() {
-        // Plain, Zipf-skewed, power-scaled, and heterogeneous-rate
-        // configs: the streaming path must reproduce the batch path's
-        // scenario byte for byte on the wire.
-        let configs = vec![
-            small().with_seed(42),
-            ScenarioConfig {
-                popularity: SessionPopularity::Zipf { exponent: 1.1 },
-                ..small()
-            }
-            .with_seed(3),
-            ScenarioConfig {
-                power_scale: 1.4,
-                ..small()
-            }
-            .with_seed(8),
-            ScenarioConfig {
-                session_rates: Some(vec![
-                    Kbps::from_mbps(1),
-                    Kbps::from_mbps(2),
-                    Kbps::from_mbps(4),
-                ]),
-                ..small()
-            }
-            .with_seed(5),
-        ];
-        for cfg in configs {
-            let batch = cfg.generate();
-            let streamed = cfg.generate_streaming();
-            assert_eq!(
-                serde_json::to_string(&batch).unwrap(),
-                serde_json::to_string(&streamed).unwrap(),
-                "seed {}",
-                cfg.seed
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_rejects_what_generate_rejects() {
-        for bad in [
-            ScenarioConfig {
-                width_m: -1.0,
-                ..small()
-            },
-            ScenarioConfig {
-                n_sessions: 0,
-                ..small()
-            },
-            ScenarioConfig {
-                n_aps: 0,
-                ..small()
-            },
-        ] {
-            assert_eq!(
-                bad.try_generate_streaming().unwrap_err(),
-                bad.try_generate().unwrap_err()
-            );
-        }
     }
 
     #[test]

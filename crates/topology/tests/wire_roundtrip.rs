@@ -1,12 +1,12 @@
-//! Property tests for the three scenario wire formats and the two
-//! generation paths:
+//! Property tests for the three scenario wire formats and generation:
 //!
 //! * sparse JSON (the default wire) roundtrips a generated scenario;
 //! * legacy dense JSON (`to_legacy_dense_value`) parses back into the
 //!   byte-identical scenario — dense JSON ↔ CSR `Instance` is lossless;
 //! * `.mcb` (compact binary) roundtrips through a real file;
-//! * streaming generation produces byte-identical scenarios to the
-//!   batch path for arbitrary configs, and rejects the same configs.
+//! * grid generation is byte-identical to the all-pairs reference for
+//!   arbitrary configs (Zipf popularity, basic-only rates, per-session
+//!   rates, coverage off), and rejects the same configs.
 
 use proptest::prelude::*;
 
@@ -96,19 +96,17 @@ proptest! {
     }
 
     #[test]
-    fn streaming_generation_matches_batch(cfg in config()) {
-        let batch = cfg.try_generate();
-        let streamed = cfg.try_generate_streaming();
-        match (batch, streamed) {
-            (Ok(b), Ok(s)) => {
-                prop_assert_eq!(sparse_json(&s), sparse_json(&b), "streaming generation drifted");
+    fn generation_matches_all_pairs_reference(cfg in config()) {
+        match (cfg.try_generate(), cfg.try_generate_reference()) {
+            (Ok(fast), Ok(slow)) => {
+                prop_assert_eq!(sparse_json(&fast), sparse_json(&slow), "grid generation drifted");
             }
-            (Err(b), Err(s)) => prop_assert_eq!(format!("{s}"), format!("{b}")),
-            (b, s) => prop_assert!(
+            (Err(fast), Err(slow)) => prop_assert_eq!(fast, slow),
+            (fast, slow) => prop_assert!(
                 false,
-                "paths disagree on validity: batch {:?}, streaming {:?}",
-                b.is_ok(),
-                s.is_ok()
+                "paths disagree on validity: grid {:?}, reference {:?}",
+                fast.is_ok(),
+                slow.is_ok()
             ),
         }
     }
