@@ -196,43 +196,79 @@ impl Association {
         self.iter().collect()
     }
 
-    /// The members of AP `a` requesting session `s`.
-    pub fn members_of(&self, a: ApId, s: SessionId, inst: &Instance) -> Vec<UserId> {
-        self.by_user
-            .iter()
-            .enumerate()
-            .filter(|(u, &ap)| ap == a.0 && inst.user_session(UserId(*u as u32)) == s)
-            .map(|(u, _)| UserId(u as u32))
-            .collect()
-    }
-
     /// The rate AP `a` must use for session `s` — the minimum multicast
     /// rate over its members for `s` — or `None` if it serves no such member.
+    /// O(deg a): only the users `a` can reach are looked at, so a user
+    /// associated with `a` from out of range is not seen (see
+    /// [`validate`](Association::validate)).
     pub fn ap_session_rate(&self, a: ApId, s: SessionId, inst: &Instance) -> Option<Kbps> {
-        self.by_user
+        inst.reachable_users(a)
             .iter()
-            .enumerate()
-            .filter(|(u, &ap)| ap == a.0 && inst.user_session(UserId(*u as u32)) == s)
-            .map(|(u, _)| {
-                inst.multicast_rate_to(a, UserId(u as u32))
+            .filter(|&&u| self.by_user[u.index()] == a.0 && inst.user_session(u) == s)
+            .map(|&u| {
+                inst.multicast_rate_to(a, u)
                     .expect("associated user must be in range")
             })
             .min()
     }
 
-    /// The multicast load of AP `a` (Definition 1).
+    /// The multicast load of AP `a` (Definition 1). Like
+    /// [`ap_session_rate`](Association::ap_session_rate), it looks only at
+    /// the users `a` can reach.
     pub fn ap_load(&self, a: ApId, inst: &Instance) -> Load {
-        inst.sessions()
-            .filter_map(|s| {
-                self.ap_session_rate(a, s, inst)
-                    .map(|tx| Load::per_transmission(inst.session_rate(s), tx))
+        let mut served: Vec<(SessionId, Kbps)> = inst
+            .reachable_users(a)
+            .iter()
+            .filter(|&&u| self.by_user[u.index()] == a.0)
+            .map(|&u| {
+                let tx = inst
+                    .multicast_rate_to(a, u)
+                    .expect("associated user must be in range");
+                (inst.user_session(u), tx)
             })
+            .collect();
+        // Ascending (session, rate): the first entry of each session is
+        // its minimum member rate.
+        served.sort_unstable();
+        served.dedup_by_key(|&mut (s, _)| s);
+        served
+            .into_iter()
+            .map(|(s, tx)| Load::per_transmission(inst.session_rate(s), tx))
             .sum()
     }
 
-    /// All AP loads, indexable by `ApId::index`.
+    /// All AP loads, indexable by `ApId::index`, in one O(users) fold:
+    /// each associated user lowers the minimum rate of its (AP, session)
+    /// slot, then each AP sums `rate(s) / tx` over its sessions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an associated user is out of its AP's range.
     pub fn loads(&self, inst: &Instance) -> Vec<Load> {
-        inst.aps().map(|a| self.ap_load(a, inst)).collect()
+        let n_sessions = inst.n_sessions();
+        // Per (AP, session): the minimum member multicast rate, `None`
+        // for a slot without members.
+        let mut tx: Vec<Option<Kbps>> = vec![None; inst.n_aps() * n_sessions];
+        for (u, &a) in self.by_user.iter().enumerate() {
+            if a == NO_AP {
+                continue;
+            }
+            let u = UserId(u as u32);
+            let rate = inst
+                .multicast_rate_to(ApId(a), u)
+                .expect("associated user must be in range");
+            let slot = &mut tx[a as usize * n_sessions + inst.user_session(u).index()];
+            *slot = Some(slot.map_or(rate, |cur| cur.min(rate)));
+        }
+        inst.aps()
+            .map(|a| {
+                let row = &tx[a.index() * n_sessions..][..n_sessions];
+                inst.sessions()
+                    .zip(row)
+                    .filter_map(|(s, r)| r.map(|r| Load::per_transmission(inst.session_rate(s), r)))
+                    .sum()
+            })
+            .collect()
     }
 
     /// The total multicast load of the network.
@@ -267,8 +303,7 @@ impl Association {
                 }
             }
         }
-        for a in inst.aps() {
-            let load = self.ap_load(a, inst);
+        for (a, load) in inst.aps().zip(self.loads(inst)) {
             if load > inst.budget(a) {
                 return Err(AssocError::OverBudget {
                     ap: a,

@@ -27,6 +27,7 @@ use crate::ids::{ApId, UserId};
 use crate::instance::{Instance, SignalStrength};
 use crate::load::Load;
 use crate::partition::MoveRec;
+use crate::supervise::splitmix64;
 
 /// The local decision rule a user applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,18 +61,10 @@ impl DecisionOrder {
     pub fn order(self, n: usize) -> Vec<UserId> {
         let mut ids: Vec<UserId> = (0..n as u32).map(UserId).collect();
         if let DecisionOrder::Shuffled(seed) = self {
-            // A small self-contained Fisher-Yates on splitmix64 output, so
-            // the core crate needs no RNG dependency.
+            // Fisher-Yates on splitmix64 output.
             let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut next = move || {
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^ (z >> 31)
-            };
             for i in (1..ids.len()).rev() {
-                let j = (next() % (i as u64 + 1)) as usize;
+                let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
                 ids.swap(i, j);
             }
         }

@@ -92,5 +92,6 @@ pub use solution::{Objective, Solution, SolveError};
 pub use ssa::solve_ssa;
 pub use stats::InstanceStats;
 pub use supervise::{
-    ChaosOp, ChaosPlan, FailureKind, RecoveryReport, ReplyFate, SuperviseOptions, WorkerFailure,
+    splitmix64, ChaosOp, ChaosPlan, FailureKind, RecoveryReport, ReplyFate, SuperviseOptions,
+    WorkerFailure,
 };

@@ -39,7 +39,9 @@ pub struct Reduction {
 }
 
 impl Reduction {
-    /// Builds the covering instance (Theorem 1/3/5 construction).
+    /// Builds the covering instance (Theorem 1/3/5 construction) in
+    /// O(links × rates): each AP's row of reachable users is walked once
+    /// and bucketed by session.
     ///
     /// Duplicate sets — e.g. two rates reaching exactly the same members —
     /// are pruned, keeping the cheaper (higher-rate) one; this never
@@ -48,38 +50,48 @@ impl Reduction {
         let mut builder = SetSystemBuilder::<Load>::new(inst.n_users());
         builder.ensure_groups(inst.n_aps());
         let mut choices: Vec<Choice> = Vec::new();
+        let rates = inst.multicast_rates();
 
-        // Pre-group users by session for membership scans.
-        let mut by_session: Vec<Vec<UserId>> = vec![Vec::new(); inst.n_sessions()];
-        for u in inst.users() {
-            by_session[inst.user_session(u).index()].push(u);
-        }
+        // Scratch reused across APs: per session, the AP's reachable users
+        // of that session with the index of the highest multicast rate each
+        // decodes (ascending `UserId`); the sessions seen; and per rate
+        // index, how many users top out exactly there.
+        let mut buckets: Vec<Vec<(u32, usize)>> = vec![Vec::new(); inst.n_sessions()];
+        let mut seen: Vec<SessionId> = Vec::new();
+        let mut top_at: Vec<usize> = vec![0; rates.len()];
 
         for a in inst.aps() {
-            for s in inst.sessions() {
+            for &u in inst.reachable_users(a) {
+                let link = inst
+                    .multicast_rate_to(a, u)
+                    .expect("reachable users are in range");
+                let Some(top) = rates.partition_point(|&r| r <= link).checked_sub(1) else {
+                    continue;
+                };
+                let s = inst.user_session(u);
+                if buckets[s.index()].is_empty() {
+                    seen.push(s);
+                }
+                buckets[s.index()].push((u.0, top));
+            }
+            seen.sort_unstable();
+            for &s in &seen {
+                let bucket = &mut buckets[s.index()];
                 let stream = inst.session_rate(s);
-                let mut last_members: Option<Vec<u32>> = None;
+                top_at.fill(0);
+                for &(_, top) in bucket.iter() {
+                    top_at[top] += 1;
+                }
                 // Ascending rates: members shrink as the rate climbs, cost
-                // falls. Identical member sets at adjacent rates keep only
-                // the cheaper (later) one.
-                let mut pending: Vec<(Vec<u32>, Kbps)> = Vec::new();
-                for &r in inst.multicast_rates() {
-                    let members: Vec<u32> = by_session[s.index()]
-                        .iter()
-                        .filter(|&&u| inst.multicast_rate_to(a, u).is_some_and(|link| link >= r))
-                        .map(|u| u.0)
-                        .collect();
-                    if members.is_empty() {
+                // falls. The members at rate `k` are the users topping out
+                // at `k` or above, so they equal the members at the next
+                // rate exactly when nobody tops out at `k`; that set (or an
+                // empty one) is skipped, keeping only the cheaper one.
+                for (k, &r) in rates.iter().enumerate() {
+                    if top_at[k] == 0 {
                         continue;
                     }
-                    if last_members.as_ref() == Some(&members) {
-                        // Same coverage, strictly cheaper: replace.
-                        pending.pop();
-                    }
-                    last_members = Some(members.clone());
-                    pending.push((members, r));
-                }
-                for (members, r) in pending {
+                    let members = bucket.iter().filter(|&&(_, top)| top >= k).map(|&(u, _)| u);
                     builder
                         .push_set(members, Load::per_transmission(stream, r), a.0)
                         .expect("reduction sets are valid by construction");
@@ -89,7 +101,9 @@ impl Reduction {
                         tx_rate: r,
                     });
                 }
+                bucket.clear();
             }
+            seen.clear();
         }
 
         // `push_set` order and `choices` stay parallel; the builder assigns

@@ -151,7 +151,11 @@ pub struct ChaosPlan {
     fired: Vec<AtomicBool>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64: advances `state` and returns the next output. The one
+/// small deterministic generator behind seeded chaos plans, shuffled
+/// decision orders, IO fault plans and corpus mutation, so the core crate
+/// needs no RNG dependency.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

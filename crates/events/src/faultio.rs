@@ -26,7 +26,7 @@ use crate::event::Event;
 use crate::journal::JournalError;
 use crate::publish::{EventPublisher, SinkPressure};
 
-use crate::harden::splitmix64;
+use mcast_core::splitmix64;
 
 /// How a scripted write operation fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,6 +26,8 @@
 
 use std::path::Path;
 
+use mcast_core::splitmix64;
+
 /// What class of rule a decoder caught the input violating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeErrorKind {
@@ -183,17 +185,6 @@ pub fn check_declared_len(
         ));
     }
     Ok(())
-}
-
-/// splitmix64 — the same tiny deterministic generator the supervision
-/// chaos plan uses, re-exported here so fault plans and corpus mutation
-/// share one seeding idiom.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One corruption class the corpus mutator can apply.
