@@ -1,17 +1,16 @@
-//! Deterministic checkpoints for the partitioned distributed engine.
+//! Deterministic checkpoints for the distributed engine.
 //!
-//! Every K completed rounds the supervised coordinator snapshots the
-//! run's *complete* resumable state into a [`PartitionCheckpoint`]:
-//! the finished round, the global association, the cycle-detection
-//! history (in insertion order), and the decision trace so far. Nothing
-//! else is needed — per-tile [`TileLedger`](crate::partition) counts and
-//! ghost replicas are a pure function of the global association (exact
-//! rational `Load` arithmetic makes them history-independent), and the
-//! "RNG stream position" is the run's [`DecisionOrder`](crate::DecisionOrder)
-//! seed, which lives in the config and is re-expanded on resume. A resume
-//! therefore rebuilds every shard from the checkpointed association with
-//! an all-dirty worklist, which is outcome- and trace-neutral (a user
-//! whose neighborhood did not change re-decides "stay").
+//! Every K completed rounds a supervised run snapshots its *complete*
+//! resumable state into a [`RunCheckpoint`]: the finished round, the
+//! association, the cycle-detection history (in insertion order), and
+//! the decision trace so far. Nothing else is needed — the load ledger is
+//! a pure function of the association (exact rational `Load` arithmetic
+//! makes it history-independent), and the "RNG stream position" is the
+//! run's [`DecisionOrder`](crate::DecisionOrder) seed, which lives in the
+//! config and is re-expanded on resume. A resume therefore rebuilds the
+//! ledger from the checkpointed association with an all-dirty worklist,
+//! which is outcome- and trace-neutral (a user whose neighborhood did not
+//! change re-decides "stay").
 //!
 //! Serialization and framing live in `mcast-events` (crc32-framed JSONL,
 //! torn-tail truncation on load); this module only defines the state and
@@ -20,17 +19,17 @@
 use serde::{Deserialize, Serialize};
 
 use crate::assoc::Association;
-use crate::ids::{ApId, UserId};
+use crate::distributed::{check_in_range, MoveRec, RunError};
+use crate::ids::ApId;
 use crate::instance::Instance;
-use crate::partition::{MoveRec, PartitionError};
 
-/// Schema tag of serialized [`PartitionCheckpoint`]s.
+/// Schema tag of serialized [`RunCheckpoint`]s.
 pub const CHECKPOINT_SCHEMA: &str = "mcast-ckpt/v1";
 
-/// The complete resumable state of a partitioned run after `round`
+/// The complete resumable state of a distributed run after `round`
 /// completed rounds.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PartitionCheckpoint {
+pub struct RunCheckpoint {
     /// Format tag ([`CHECKPOINT_SCHEMA`]).
     pub schema: String,
     /// Completed (1-based) rounds; the resume starts at `round + 1`.
@@ -48,36 +47,26 @@ pub struct PartitionCheckpoint {
     pub traced: bool,
 }
 
-impl PartitionCheckpoint {
+impl RunCheckpoint {
     /// Validates the checkpoint against an instance: schema, sizes, and
     /// in-range associations (the same check a fresh run performs on its
     /// initial association).
-    pub fn validate(&self, inst: &Instance) -> Result<(), PartitionError> {
+    pub fn validate(&self, inst: &Instance) -> Result<(), RunError> {
         if self.schema != CHECKPOINT_SCHEMA {
-            return Err(PartitionError::BadCheckpoint("unknown checkpoint schema"));
+            return Err(RunError::BadCheckpoint("unknown checkpoint schema"));
         }
         if self.assoc.len() != inst.n_users() || self.seen.iter().any(|s| s.len() != inst.n_users())
         {
-            return Err(PartitionError::BadCheckpoint(
+            return Err(RunError::BadCheckpoint(
                 "checkpoint association length does not match the instance",
             ));
         }
         if self.seen.last() != Some(&self.assoc) {
-            return Err(PartitionError::BadCheckpoint(
+            return Err(RunError::BadCheckpoint(
                 "checkpoint history does not end at the checkpointed association",
             ));
         }
-        for (i, &ap) in self.assoc.iter().enumerate() {
-            if let Some(a) = ap {
-                if inst.multicast_rate_to(a, UserId(i as u32)).is_none() {
-                    return Err(PartitionError::InvalidInitialAssociation {
-                        user: UserId(i as u32),
-                        ap: a,
-                    });
-                }
-            }
-        }
-        Ok(())
+        check_in_range(inst, self.assoc.iter().copied())
     }
 
     /// The checkpointed association as an [`Association`].
@@ -100,16 +89,15 @@ impl std::error::Error for CheckpointError {}
 
 /// Where checkpoints go. `mcast-events` provides the crc32-framed file
 /// sink; tests use in-memory sinks. Implementations must be callable
-/// through a shared reference (the coordinator writes from inside a
-/// thread scope).
+/// through a shared reference.
 pub trait CheckpointSink {
     /// Durably appends a whole checkpoint frame.
-    fn save(&self, cp: &PartitionCheckpoint) -> Result<(), CheckpointError>;
+    fn save(&self, cp: &RunCheckpoint) -> Result<(), CheckpointError>;
 
     /// Chaos hook: persist a *torn* (partial) frame, as if the process
     /// died mid-write. Loaders must fall back to the previous whole
     /// frame. The default is a no-op (the tear loses the write entirely).
-    fn save_torn(&self, cp: &PartitionCheckpoint) -> Result<(), CheckpointError> {
+    fn save_torn(&self, cp: &RunCheckpoint) -> Result<(), CheckpointError> {
         let _ = cp;
         Ok(())
     }

@@ -19,15 +19,38 @@
 //! The message-level realization of these rules (probe/query/response
 //! timing, and the lock-based coordination of §8) lives in the `mcast-sim`
 //! crate; this module is the algorithmic core.
+//!
+//! # Parallel Simultaneous rounds
+//!
+//! In a Simultaneous round every user decides against the same
+//! round-start state, and nothing changes the ledger until every decision
+//! is in. [`run_distributed_parallel`] therefore splits a round's dirty
+//! users into fixed-size blocks and lets `workers` scoped threads decide
+//! them against the shared ledger, each with its own [`DecisionScratch`].
+//! The moves are applied in ascending block order, which is ascending
+//! user order — exactly the single-threaded order — so the outcome and
+//! the [`MoveRec`] trace are identical for every worker count. Serial
+//! rounds are one decision sequence in which each user sees every earlier
+//! move, so they stay on one thread.
+//!
+//! Supervision is what still applies without message passing: decide
+//! workers run under `catch_unwind` (a panicked worker's blocks are
+//! re-decided inline against the same ledger), checkpoints are written
+//! every K rounds through a [`CheckpointSink`], and a [`ChaosPlan`] can
+//! inject worker panics and torn checkpoint writes.
 
 use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use serde::{Deserialize, Serialize};
 
 use crate::assoc::{Association, LoadLedger};
+use crate::checkpoint::{CheckpointSink, RunCheckpoint, CHECKPOINT_SCHEMA};
 use crate::ids::{ApId, UserId};
 use crate::instance::{Instance, SignalStrength};
 use crate::load::Load;
-use crate::partition::MoveRec;
-use crate::supervise::splitmix64;
+use crate::supervise::{splitmix64, ChaosPlan, RecoveryReport, SuperviseOptions, WorkerFailure};
 
 /// The local decision rule a user applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,6 +159,72 @@ pub struct DistributedOutcome {
     /// converging — a live oscillation (only possible in
     /// [`ExecutionMode::Simultaneous`]).
     pub cycle_detected: bool,
+}
+
+/// One applied association change: the unit of decision traces and
+/// checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MoveRec {
+    /// The 1-based round the move was applied in.
+    pub round: u32,
+    /// Position of the deciding user in the round's decision sequence:
+    /// the index into the [`DecisionOrder`] permutation in `Serial` mode,
+    /// the raw user id in `Simultaneous` mode (which visits users in
+    /// ascending id). A trace is therefore sorted by `(round, pos)`.
+    pub pos: u32,
+    /// The user that moved.
+    pub user: UserId,
+    /// The AP it left (`None` for an initial join).
+    pub from: Option<ApId>,
+    /// The AP it joined.
+    pub to: ApId,
+}
+
+/// Why a parallel run or a resume could not start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// The initial association puts a user on an AP outside its range
+    /// (the single-threaded ledger panics on this; the parallel entry
+    /// points report it as a typed error).
+    InvalidInitialAssociation {
+        /// The misassociated user.
+        user: UserId,
+        /// The AP it cannot reach.
+        ap: ApId,
+    },
+    /// A resume checkpoint did not match the instance or schema.
+    BadCheckpoint(&'static str),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::InvalidInitialAssociation { user, ap } => {
+                write!(f, "initial association puts {user} out of range of {ap}")
+            }
+            RunError::BadCheckpoint(why) => write!(f, "bad checkpoint: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Checks that every associated user in `assoc` can reach its AP.
+pub(crate) fn check_in_range(
+    inst: &Instance,
+    assoc: impl IntoIterator<Item = Option<ApId>>,
+) -> Result<(), RunError> {
+    for (i, ap) in assoc.into_iter().enumerate() {
+        if let Some(a) = ap {
+            if inst.multicast_rate_to(a, UserId(i as u32)).is_none() {
+                return Err(RunError::InvalidInitialAssociation {
+                    user: UserId(i as u32),
+                    ap: a,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// What a deciding user knows about its neighborhood: either the exact
@@ -487,60 +576,171 @@ pub(crate) fn vector_improves(stay: &[Load], candidate: &[Load], hysteresis: Loa
 /// reach, so after a move `from → to` exactly the users in
 /// `reachable_users(from) ∪ reachable_users(to)` can decide differently —
 /// everyone else would repeat their previous "stay". Near convergence a
-/// round therefore costs O(moves × neighborhood), not O(n).
+/// round therefore costs O(moves × neighborhood), not O(n). A
+/// Simultaneous round decides against the live ledger — nothing mutates
+/// it until every decision is in — so no per-round snapshot is copied.
 pub fn run_distributed(
     inst: &Instance,
     config: &DistributedConfig,
     initial: Association,
 ) -> DistributedOutcome {
-    run_distributed_impl(inst, config, initial, None).0
+    let start = RunStart::fresh(initial, false);
+    continue_distributed(inst, config, start, 1, &SuperviseOptions::default()).outcome
 }
 
 /// [`run_distributed`] plus the full decision trace: one [`MoveRec`] per
-/// applied move, in application order. The partitioned engine's
-/// equivalence tests compare this trace against
-/// [`run_distributed_partitioned_traced`](crate::partition::run_distributed_partitioned_traced)
-/// to pin the *sequence* of decisions, not just the final state.
+/// applied move, in application order. The equivalence tests compare
+/// this trace against [`run_distributed_parallel`]'s to pin the
+/// *sequence* of decisions, not just the final state.
 pub fn run_distributed_traced(
     inst: &Instance,
     config: &DistributedConfig,
     initial: Association,
 ) -> (DistributedOutcome, Vec<MoveRec>) {
-    let (out, trace) = run_distributed_impl(inst, config, initial, Some(Vec::new()));
-    (out, trace.unwrap_or_default())
+    let start = RunStart::fresh(initial, true);
+    let run = continue_distributed(inst, config, start, 1, &SuperviseOptions::default());
+    (run.outcome, run.trace)
 }
 
-fn run_distributed_impl(
+/// Outcome of a supervised run: the distributed outcome, the decision
+/// trace, and what recovery had to happen along the way.
+#[derive(Debug, Clone)]
+pub struct SupervisedOutcome {
+    /// The distributed outcome — identical to [`run_distributed`]'s for
+    /// every worker count and chaos plan.
+    pub outcome: DistributedOutcome,
+    /// The decision trace sorted by `(round, pos)`; empty unless
+    /// [`SuperviseOptions::trace`] (or the resumed checkpoint's `traced`)
+    /// was set.
+    pub trace: Vec<MoveRec>,
+    /// Worker failures observed and checkpoints written.
+    pub recovery: RecoveryReport,
+}
+
+/// Runs a distributed algorithm with the Simultaneous decide phase split
+/// over `workers` scoped threads (`0` counts as `1`; Serial rounds always
+/// run on the calling thread). The outcome and trace are identical to
+/// [`run_distributed_traced`]'s for every worker count (see the
+/// [module docs](self)). Decide workers run under `catch_unwind`,
+/// checkpoints are written every [`SuperviseOptions::checkpoint_every`]
+/// rounds, and a [`ChaosPlan`] can inject worker panics and torn
+/// checkpoint writes; neither changes the outcome or the trace.
+///
+/// # Errors
+///
+/// [`RunError::InvalidInitialAssociation`] if `initial` puts a user on an
+/// AP out of its range (the single-threaded engine panics on the same
+/// input).
+///
+/// # Panics
+///
+/// Panics if `initial` has the wrong size.
+pub fn run_distributed_parallel(
     inst: &Instance,
     config: &DistributedConfig,
     initial: Association,
-    trace: Option<Vec<MoveRec>>,
-) -> (DistributedOutcome, Option<Vec<MoveRec>>) {
-    let mut seen: HashSet<Vec<Option<ApId>>> = HashSet::new();
-    seen.insert(initial.to_vec());
-    continue_distributed(inst, config, initial, 1, 0, seen, trace)
+    workers: usize,
+    opts: &SuperviseOptions<'_>,
+) -> Result<SupervisedOutcome, RunError> {
+    assert_eq!(initial.len(), inst.n_users(), "association size");
+    check_in_range(inst, initial.iter())?;
+    let start = RunStart::fresh(initial, opts.trace);
+    Ok(continue_distributed(inst, config, start, workers, opts))
 }
 
-/// Resumable core of [`run_distributed`]: runs rounds
-/// `start_round..=max_rounds` from `current`, carrying the move count,
-/// cycle-detection set, and (optional) trace prefix of the rounds already
-/// executed. With `start_round == 1`, zero moves, and `seen = {current}`
-/// this is exactly an uninterrupted run; the partitioned runtime's
-/// degrade-to-W=1 and checkpoint-restore paths enter here mid-run.
-/// Starting all-dirty is outcome- and trace-neutral: a user whose
-/// neighborhood did not change since its last decision re-decides "stay"
-/// and emits no move.
-pub(crate) fn continue_distributed(
+/// Resumes a run from a checkpoint: the ledger is rebuilt from the
+/// checkpointed association with an all-dirty worklist (outcome- and
+/// trace-neutral), and the finished run's outcome and trace are identical
+/// to the uninterrupted run's. The trace is continued iff the
+/// checkpointed run collected one (`cp.traced`).
+///
+/// # Errors
+///
+/// [`RunError`] if the checkpoint does not fit `inst` or its schema.
+pub fn resume_distributed_parallel(
     inst: &Instance,
     config: &DistributedConfig,
-    current: Association,
-    start_round: usize,
-    moves_so_far: usize,
-    mut seen: HashSet<Vec<Option<ApId>>>,
-    mut trace: Option<Vec<MoveRec>>,
-) -> (DistributedOutcome, Option<Vec<MoveRec>>) {
-    let mut ledger = LoadLedger::new(inst, current);
-    let mut moves = moves_so_far;
+    cp: &RunCheckpoint,
+    workers: usize,
+    opts: &SuperviseOptions<'_>,
+) -> Result<SupervisedOutcome, RunError> {
+    cp.validate(inst)?;
+    let trace = cp.traced.then(|| {
+        // `mcast-ckpt/v1` does not fix the order of a round's moves.
+        let mut t = cp.trace.clone();
+        t.sort_unstable_by_key(|r| (r.round, r.pos));
+        t
+    });
+    let start = RunStart {
+        association: cp.association(),
+        round: cp.round as usize + 1,
+        moves: cp.moves as usize,
+        history: cp.seen.clone(),
+        trace,
+    };
+    Ok(continue_distributed(inst, config, start, workers, opts))
+}
+
+/// Where a run starts: the association, the first round to run, and the
+/// carried move count, cycle-detection history (insertion order) and
+/// trace prefix (`None` when the run collects no trace).
+struct RunStart {
+    association: Association,
+    round: usize,
+    moves: usize,
+    history: Vec<Vec<Option<ApId>>>,
+    trace: Option<Vec<MoveRec>>,
+}
+
+impl RunStart {
+    fn fresh(association: Association, traced: bool) -> RunStart {
+        let history = vec![association.to_vec()];
+        RunStart {
+            association,
+            round: 1,
+            moves: 0,
+            history,
+            trace: traced.then(Vec::new),
+        }
+    }
+}
+
+/// Users per block of the parallel decide phase: the unit a worker
+/// claims, and the unit re-decided when a worker panics. Unit tests use
+/// tiny blocks so their small instances still spread over every worker.
+const BLOCK: usize = if cfg!(test) { 2 } else { 512 };
+
+/// Rounds with fewer dirty users than this decide on the calling thread:
+/// spawning workers would cost more than it saves.
+const INLINE_BELOW: usize = 2 * BLOCK;
+
+/// The one engine behind every entry point: runs rounds
+/// `start.round..=max_rounds` until convergence, cycle detection, or the
+/// round cap. With a fresh [`RunStart`] this is exactly an uninterrupted
+/// run; resume enters here mid-run. Starting all-dirty is outcome- and
+/// trace-neutral: a user whose neighborhood did not change since its last
+/// decision re-decides "stay" and emits no move.
+fn continue_distributed(
+    inst: &Instance,
+    config: &DistributedConfig,
+    start: RunStart,
+    workers: usize,
+    opts: &SuperviseOptions<'_>,
+) -> SupervisedOutcome {
+    let mut ledger = LoadLedger::new(inst, start.association);
+    let mut moves = start.moves;
+    let mut trace = start.trace;
+    let mut recovery = RecoveryReport::default();
+    let checkpoint = match (opts.checkpoint_every, opts.sink) {
+        (Some(k), Some(sink)) if k > 0 => Some((k, sink)),
+        _ => None,
+    };
+    // The insertion-ordered history is only needed for checkpoints.
+    let (mut seen, mut history): (HashSet<_>, _) = if checkpoint.is_some() {
+        (start.history.iter().cloned().collect(), start.history)
+    } else {
+        (start.history.into_iter().collect(), Vec::new())
+    };
 
     let order = config.order.order(inst.n_users());
     let mut scratch = DecisionScratch::default();
@@ -548,8 +748,10 @@ pub(crate) fn continue_distributed(
     // users dirty again. A mover re-dirties itself (it reaches both
     // endpoints), so oscillations are still observed.
     let mut dirty = vec![true; inst.n_users()];
+    let mut deciding: Vec<UserId> = Vec::new();
 
-    for round in start_round..=config.max_rounds {
+    let mut end = (config.max_rounds, false, false);
+    for round in start.round..=config.max_rounds {
         let mut changed = false;
         match config.mode {
             ExecutionMode::Serial => {
@@ -583,22 +785,21 @@ pub(crate) fn continue_distributed(
                 }
             }
             ExecutionMode::Simultaneous => {
-                let snapshot = ledger.clone();
-                let decisions: Vec<(UserId, ApId)> = inst
-                    .users()
-                    .filter(|u| std::mem::replace(&mut dirty[u.index()], false))
-                    .filter_map(|u| {
-                        local_decision_scratch(
-                            &snapshot,
-                            u,
-                            config.policy,
-                            config.respect_budget,
-                            config.hysteresis,
-                            &mut scratch,
-                        )
-                        .map(|a| (u, a))
-                    })
-                    .collect();
+                deciding.clear();
+                deciding.extend(
+                    inst.users()
+                        .filter(|u| std::mem::replace(&mut dirty[u.index()], false)),
+                );
+                let decisions = decide_simultaneous(
+                    &ledger,
+                    config,
+                    &deciding,
+                    workers,
+                    round as u32,
+                    opts.chaos,
+                    &mut scratch,
+                    &mut recovery.failures,
+                );
                 for (u, a) in decisions {
                     let from = ledger.ap_of(u);
                     ledger.reassociate(u, a);
@@ -619,42 +820,164 @@ pub(crate) fn continue_distributed(
         }
 
         if !changed {
-            return (
-                DistributedOutcome {
-                    association: ledger.into_association(),
-                    rounds: round,
-                    moves,
-                    converged: true,
-                    cycle_detected: false,
-                },
-                trace,
-            );
+            end = (round, true, false);
+            break;
         }
         if !seen.insert(ledger.association().to_vec()) {
             // State repeats: a live oscillation.
-            return (
-                DistributedOutcome {
-                    association: ledger.into_association(),
-                    rounds: round,
-                    moves,
-                    converged: false,
-                    cycle_detected: true,
-                },
-                trace,
-            );
+            end = (round, false, true);
+            break;
+        }
+        if let Some((k, sink)) = checkpoint {
+            history.push(ledger.association().to_vec());
+            if round % k == 0 {
+                write_checkpoint(
+                    sink,
+                    &RunCheckpoint {
+                        schema: CHECKPOINT_SCHEMA.to_string(),
+                        round: round as u32,
+                        moves: moves as u64,
+                        assoc: ledger.association().to_vec(),
+                        seen: history.clone(),
+                        trace: trace.clone().unwrap_or_default(),
+                        traced: trace.is_some(),
+                    },
+                    opts.chaos,
+                    &mut recovery,
+                );
+            }
         }
     }
 
-    (
-        DistributedOutcome {
+    let (rounds, converged, cycle_detected) = end;
+    SupervisedOutcome {
+        outcome: DistributedOutcome {
             association: ledger.into_association(),
-            rounds: config.max_rounds,
+            rounds,
             moves,
-            converged: false,
-            cycle_detected: false,
+            converged,
+            cycle_detected,
         },
-        trace,
-    )
+        trace: trace.unwrap_or_default(),
+        recovery,
+    }
+}
+
+/// Saves `cp` through `sink` — torn instead, if `chaos` says so — and
+/// counts the outcome in `recovery`.
+fn write_checkpoint(
+    sink: &dyn CheckpointSink,
+    cp: &RunCheckpoint,
+    chaos: Option<&ChaosPlan>,
+    recovery: &mut RecoveryReport,
+) {
+    let torn = chaos.is_some_and(|c| c.checkpoint_torn(cp.round));
+    let saved = if torn {
+        sink.save_torn(cp)
+    } else {
+        sink.save(cp)
+    };
+    match saved {
+        Ok(()) if !torn => recovery.checkpoints_written += 1,
+        Ok(()) => {}
+        Err(_) => recovery.checkpoint_errors += 1,
+    }
+}
+
+/// The Simultaneous decide phase: the moves `users` (ascending) make
+/// against `ledger`, in ascending user order.
+///
+/// The users are cut into [`BLOCK`]-sized blocks. Worker `w` decides
+/// block `w` first — so every worker that runs has work, and a chaos
+/// panic for `(w, round)` fires deterministically — then claims further
+/// blocks from a shared cursor. Worker 0 is the calling thread; the rest
+/// are scoped threads. A worker that panics loses every block it claimed;
+/// those blocks are re-decided inline against the same ledger and the
+/// panic is recorded in `failures`. Blocks merge in ascending order, so
+/// the result does not depend on `workers` or the schedule.
+#[allow(clippy::too_many_arguments)]
+fn decide_simultaneous(
+    ledger: &LoadLedger<'_>,
+    config: &DistributedConfig,
+    users: &[UserId],
+    workers: usize,
+    round: u32,
+    chaos: Option<&ChaosPlan>,
+    scratch: &mut DecisionScratch,
+    failures: &mut Vec<WorkerFailure>,
+) -> Vec<(UserId, ApId)> {
+    type Decided = Vec<(UserId, ApId)>;
+    let blocks: Vec<&[UserId]> = users.chunks(BLOCK).collect();
+    let n_workers = if users.len() < INLINE_BELOW {
+        1
+    } else {
+        workers.clamp(1, blocks.len())
+    };
+    let decide = |block: &[UserId], scratch: &mut DecisionScratch| -> Decided {
+        block
+            .iter()
+            .filter_map(|&u| {
+                local_decision_scratch(
+                    ledger,
+                    u,
+                    config.policy,
+                    config.respect_budget,
+                    config.hysteresis,
+                    scratch,
+                )
+                .map(|a| (u, a))
+            })
+            .collect()
+    };
+    let cursor = AtomicUsize::new(n_workers);
+    let work = |w: usize, scratch: &mut DecisionScratch| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut done: Vec<(usize, Decided)> = Vec::new();
+            let mut b = w;
+            while b < blocks.len() {
+                done.push((b, decide(blocks[b], scratch)));
+                if chaos.is_some_and(|c| c.panic_due(w as u32, round)) {
+                    panic!("chaos: injected worker panic");
+                }
+                b = cursor.fetch_add(1, Ordering::Relaxed);
+            }
+            done
+        }))
+    };
+    let results = if n_workers == 1 {
+        vec![work(0, scratch)]
+    } else {
+        std::thread::scope(|s| {
+            let work = &work;
+            let spawned: Vec<_> = (1..n_workers)
+                .map(|w| s.spawn(move || work(w, &mut DecisionScratch::default())))
+                .collect();
+            let mut results = vec![work(0, &mut *scratch)];
+            results.extend(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panics are caught")),
+            );
+            results
+        })
+    };
+
+    let mut per_block: Vec<Option<Decided>> = vec![None; blocks.len()];
+    for (w, result) in results.into_iter().enumerate() {
+        match result {
+            Ok(done) => {
+                for (b, decided) in done {
+                    per_block[b] = Some(decided);
+                }
+            }
+            Err(payload) => failures.push(WorkerFailure::from_panic(w, round, payload.as_ref())),
+        }
+    }
+    per_block
+        .into_iter()
+        .zip(&blocks)
+        .flat_map(|(decided, block)| decided.unwrap_or_else(|| decide(block, scratch)))
+        .collect()
 }
 
 /// Marks every user whose local view a move `from → to` could have
@@ -916,5 +1239,549 @@ mod tests {
         assert!(out.converged);
         assert!(out.association.max_load(&inst) <= before);
         assert_eq!(out.association.satisfied_count(), 5);
+    }
+
+    // ---- The parallel engine against the single-threaded oracle ----
+
+    use crate::checkpoint::{CheckpointError, RunCheckpoint};
+    use crate::instance::InstanceBuilder;
+    use crate::reference::run_distributed_reference_traced;
+    use crate::supervise::{ChaosOp, ChaosPlan};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Worker counts every equivalence check runs: one, the host's two,
+    /// an odd count, and more workers than most rounds have blocks.
+    const WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
+
+    fn outcomes_match(a: &DistributedOutcome, b: &DistributedOutcome) {
+        assert_eq!(a.association, b.association);
+        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.moves, b.moves);
+        assert_eq!(a.converged, b.converged);
+        assert_eq!(a.cycle_detected, b.cycle_detected);
+    }
+
+    fn traced() -> SuperviseOptions<'static> {
+        SuperviseOptions {
+            trace: true,
+            ..SuperviseOptions::default()
+        }
+    }
+
+    /// A 3×3 AP grid with one user "at" each AP, reaching the APs of its
+    /// 4-neighborhood:
+    ///
+    /// ```text
+    ///   a0 a1 a2
+    ///   a3 a4 a5
+    ///   a6 a7 a8
+    /// ```
+    fn grid_fixture() -> Instance {
+        let mut b = InstanceBuilder::new();
+        b.supported_rates([Kbps::from_mbps(6)]);
+        let s = b.add_session(Kbps::from_mbps(1));
+        let aps: Vec<ApId> = (0..9).map(|_| b.add_ap(Load::ONE)).collect();
+        let adj: [&[usize]; 9] = [
+            &[0, 1, 3],
+            &[1, 0, 2, 4],
+            &[2, 1, 5],
+            &[3, 0, 4, 6],
+            &[4, 1, 3, 5, 7],
+            &[5, 2, 4, 8],
+            &[6, 3, 7],
+            &[7, 4, 6, 8],
+            &[8, 5, 7],
+        ];
+        for reach in adj {
+            let u = b.add_user(s);
+            for &ai in reach {
+                b.link(aps[ai], u, Kbps::from_mbps(6)).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The grid, every mode × policy × worker count: the parallel engine
+    /// reproduces the single-threaded outcome and decision trace exactly.
+    #[test]
+    fn grid_equivalence_all_modes() {
+        let inst = grid_fixture();
+        for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
+            for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
+                let config = DistributedConfig {
+                    policy,
+                    mode,
+                    max_rounds: 30,
+                    order: DecisionOrder::Shuffled(7),
+                    ..DistributedConfig::default()
+                };
+                let initial = Association::empty(inst.n_users());
+                let (single, strace) =
+                    run_distributed_reference_traced(&inst, &config, initial.clone());
+                let (engine, etrace) = run_distributed_traced(&inst, &config, initial.clone());
+                outcomes_match(&engine, &single);
+                assert_eq!(etrace, strace, "{mode:?}/{policy:?} single-threaded");
+                for w in WORKERS {
+                    let par =
+                        run_distributed_parallel(&inst, &config, initial.clone(), w, &traced())
+                            .unwrap();
+                    outcomes_match(&par.outcome, &single);
+                    assert_eq!(par.trace, strace, "{mode:?}/{policy:?} W={w}");
+                    assert!(par.recovery.clean());
+                }
+            }
+        }
+    }
+
+    /// Figure 4's simultaneous oscillation is detected at every worker
+    /// count, in the same round as the single-threaded engine.
+    #[test]
+    fn figure4_parallel_detects_oscillation() {
+        let inst = figure4_instance();
+        let config = DistributedConfig {
+            mode: ExecutionMode::Simultaneous,
+            ..DistributedConfig::default()
+        };
+        let single = run_distributed(&inst, &config, figure4_start());
+        for w in WORKERS {
+            let par = run_distributed_parallel(
+                &inst,
+                &config,
+                figure4_start(),
+                w,
+                &SuperviseOptions::default(),
+            )
+            .unwrap();
+            assert!(par.outcome.cycle_detected, "W={w}");
+            outcomes_match(&par.outcome, &single);
+        }
+    }
+
+    /// `max_rounds = 0` returns the validated initial state, like the
+    /// single-threaded engine.
+    #[test]
+    fn zero_rounds_is_identity() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        let config = DistributedConfig {
+            max_rounds: 0,
+            ..DistributedConfig::default()
+        };
+        let out = run_distributed_parallel(
+            &inst,
+            &config,
+            Association::empty(inst.n_users()),
+            2,
+            &SuperviseOptions::default(),
+        )
+        .unwrap()
+        .outcome;
+        assert_eq!(out.rounds, 0);
+        assert_eq!(out.moves, 0);
+        assert!(!out.converged);
+        assert_eq!(out.association, Association::empty(inst.n_users()));
+    }
+
+    /// Out-of-range initial associations are reported as a typed error
+    /// (the single-threaded engine panics on the same input).
+    #[test]
+    fn invalid_initial_is_typed_error() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        // u0 can only reach ApId(0) — associating it with ApId(1) is
+        // invalid.
+        let bad = Association::from_vec(vec![Some(ApId(1)), None, None, None, None]);
+        let err = run_distributed_parallel(
+            &inst,
+            &DistributedConfig::default(),
+            bad,
+            2,
+            &SuperviseOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            RunError::InvalidInitialAssociation {
+                user: UserId(0),
+                ap: ApId(1),
+            }
+        );
+        assert!(err.to_string().contains("out of range"));
+    }
+
+    /// More workers than blocks (and a zero worker count) still work:
+    /// only `min(workers, blocks)` workers run.
+    #[test]
+    fn more_workers_than_blocks() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
+            let config = DistributedConfig {
+                mode,
+                ..DistributedConfig::default()
+            };
+            let initial = Association::empty(inst.n_users());
+            let (single, strace) =
+                run_distributed_reference_traced(&inst, &config, initial.clone());
+            for w in [0, 64] {
+                let par = run_distributed_parallel(&inst, &config, initial.clone(), w, &traced())
+                    .unwrap();
+                outcomes_match(&par.outcome, &single);
+                assert_eq!(par.trace, strace);
+            }
+        }
+    }
+
+    /// A worker panic in any round, on any worker, leaves the outcome and
+    /// the trace byte-identical: the worker's blocks are re-decided
+    /// inline. Round 1 has every user dirty, so every worker runs and the
+    /// panic is always recorded there. Serial rounds have no decide
+    /// workers, so a plan never fires in them.
+    #[test]
+    fn injected_panic_leaves_outcome_and_trace_identical() {
+        let inst = grid_fixture();
+        for mode in [ExecutionMode::Simultaneous, ExecutionMode::Serial] {
+            let config = DistributedConfig {
+                mode,
+                max_rounds: 30,
+                ..DistributedConfig::default()
+            };
+            let initial = Association::empty(inst.n_users());
+            let (single, strace) =
+                run_distributed_reference_traced(&inst, &config, initial.clone());
+            for round in 1..=single.rounds as u32 {
+                for worker in 0..4 {
+                    let chaos = ChaosPlan::new(vec![ChaosOp::WorkerPanic { worker, round }]);
+                    let opts = SuperviseOptions {
+                        chaos: Some(&chaos),
+                        ..traced()
+                    };
+                    let sup = run_distributed_parallel(&inst, &config, initial.clone(), 4, &opts)
+                        .unwrap();
+                    outcomes_match(&sup.outcome, &single);
+                    assert_eq!(sup.trace, strace, "{mode:?} panic ({worker}, {round})");
+                    let expected = WorkerFailure {
+                        worker: worker as usize,
+                        round,
+                        message: "chaos: injected worker panic".to_string(),
+                    };
+                    match mode {
+                        ExecutionMode::Simultaneous if round == 1 => {
+                            assert_eq!(sup.recovery.failures, vec![expected]);
+                        }
+                        ExecutionMode::Simultaneous => {
+                            assert!(sup.recovery.failures.iter().all(|f| *f == expected));
+                        }
+                        ExecutionMode::Serial => assert!(sup.recovery.clean()),
+                    }
+                }
+            }
+        }
+    }
+
+    /// An in-memory sink recording every whole checkpoint; torn writes
+    /// keep the default (lost) behavior.
+    struct MemSink(std::sync::Mutex<Vec<RunCheckpoint>>);
+
+    impl MemSink {
+        fn new() -> Self {
+            MemSink(std::sync::Mutex::new(Vec::new()))
+        }
+    }
+
+    impl CheckpointSink for MemSink {
+        fn save(&self, cp: &RunCheckpoint) -> Result<(), CheckpointError> {
+            self.0.lock().unwrap().push(cp.clone());
+            Ok(())
+        }
+    }
+
+    /// Resuming from *any* checkpoint of a run, at any worker count,
+    /// reproduces the uninterrupted outcome and trace byte-for-byte; a
+    /// torn checkpoint is lost and not counted as written.
+    #[test]
+    fn checkpoint_restore_is_byte_identical() {
+        let inst = grid_fixture();
+        for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
+            let config = DistributedConfig {
+                mode,
+                max_rounds: 30,
+                order: DecisionOrder::Shuffled(7),
+                ..DistributedConfig::default()
+            };
+            let sink = MemSink::new();
+            let chaos = ChaosPlan::new(vec![ChaosOp::TornCheckpoint { round: 2 }]);
+            let opts = SuperviseOptions {
+                checkpoint_every: Some(1),
+                trace: true,
+                chaos: Some(&chaos),
+                sink: Some(&sink),
+            };
+            let full = run_distributed_parallel(
+                &inst,
+                &config,
+                Association::empty(inst.n_users()),
+                3,
+                &opts,
+            )
+            .unwrap();
+            let cps = sink.0.lock().unwrap().clone();
+            assert!(full.recovery.checkpoints_written >= 1, "{mode:?}");
+            assert_eq!(cps.len(), full.recovery.checkpoints_written);
+            assert!(cps.iter().all(|cp| cp.round != 2), "round 2 was torn");
+            for cp in &cps {
+                for w in WORKERS {
+                    let resumed = resume_distributed_parallel(
+                        &inst,
+                        &config,
+                        cp,
+                        w,
+                        &SuperviseOptions::default(),
+                    )
+                    .unwrap();
+                    outcomes_match(&resumed.outcome, &full.outcome);
+                    assert_eq!(
+                        resumed.trace, full.trace,
+                        "{mode:?} round {} W={w}",
+                        cp.round
+                    );
+                }
+            }
+        }
+    }
+
+    const RATES: [u32; 4] = [6, 12, 24, 54];
+
+    /// A random instance where AP 0 reaches every user (coverable by
+    /// construction); other links appear at random.
+    fn coverable_instance() -> impl Strategy<Value = Instance> {
+        (1usize..5, 1usize..12, 1usize..4).prop_flat_map(|(n_aps, n_users, n_sessions)| {
+            let user_sessions = vec(0u32..(n_sessions as u32), n_users);
+            let links = vec(proptest::option::of(0usize..RATES.len()), n_aps * n_users);
+            let base_rates = vec(0usize..RATES.len(), n_users);
+            (
+                Just(n_aps),
+                Just(n_sessions),
+                user_sessions,
+                links,
+                base_rates,
+            )
+                .prop_map(|(n_aps, n_sessions, sessions, links, base_rates)| {
+                    let mut b = InstanceBuilder::new();
+                    b.supported_rates(RATES.iter().map(|&m| Kbps::from_mbps(m)));
+                    let session_ids: Vec<_> = (0..n_sessions)
+                        .map(|_| b.add_session(Kbps::from_mbps(1)))
+                        .collect();
+                    let ap_ids: Vec<_> =
+                        (0..n_aps).map(|_| b.add_ap(Load::permille(900))).collect();
+                    let user_ids: Vec<_> = sessions
+                        .iter()
+                        .map(|&s| b.add_user(session_ids[s as usize]))
+                        .collect();
+                    for (u, &ridx) in base_rates.iter().enumerate() {
+                        b.link(ap_ids[0], user_ids[u], Kbps::from_mbps(RATES[ridx]))
+                            .unwrap();
+                    }
+                    for a in 1..n_aps {
+                        for u in 0..user_ids.len() {
+                            if let Some(ridx) = links[a * user_ids.len() + u] {
+                                b.link(ap_ids[a], user_ids[u], Kbps::from_mbps(RATES[ridx]))
+                                    .unwrap();
+                            }
+                        }
+                    }
+                    b.build().unwrap()
+                })
+        })
+    }
+
+    /// A start state: empty, everyone on AP 0 (which reaches everyone by
+    /// construction), or a random in-range association drawn from
+    /// `picks` (`0` leaves the user unassociated).
+    fn start_state(inst: &Instance, kind: u8, picks: &[usize]) -> Association {
+        match kind {
+            0 => Association::empty(inst.n_users()),
+            1 => Association::from_vec(vec![Some(ApId(0)); inst.n_users()]),
+            _ => Association::from_vec(
+                inst.users()
+                    .map(|u| {
+                        let cands = inst.candidate_aps(u);
+                        let pick = picks[u.index() % picks.len()] % (cands.len() + 1);
+                        (pick > 0).then(|| cands[pick - 1].0)
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        /// The headline equivalence: identical `DistributedOutcome`
+        /// (association, rounds, moves, flags), identical final ledger,
+        /// and identical decision trace for every worker count, mode,
+        /// policy, hysteresis level, budget rule and decision order —
+        /// from empty, all-on-AP0 and random starts.
+        #[test]
+        fn parallel_matches_single_thread(
+            inst in coverable_instance(),
+            seed in 0u64..3,
+            hyst_kind in 0u8..3,
+            budget_raw in 0u8..2,
+            start_kind in 0u8..3,
+            picks in vec(0usize..8, 1usize..12),
+        ) {
+            let hysteresis = match hyst_kind {
+                0 => Load::ZERO,
+                1 => Load::from_ratio(1, 20),
+                _ => Load::from_ratio(1, 6),
+            };
+            let initial = start_state(&inst, start_kind, &picks);
+            for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
+                for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
+                    let config = DistributedConfig {
+                        policy,
+                        mode,
+                        max_rounds: 40,
+                        respect_budget: budget_raw == 1,
+                        hysteresis,
+                        order: if seed == 0 {
+                            DecisionOrder::ById
+                        } else {
+                            DecisionOrder::Shuffled(seed)
+                        },
+                    };
+                    let (single, strace) =
+                        run_distributed_reference_traced(&inst, &config, initial.clone());
+                    let single_ledger = LoadLedger::new(&inst, single.association.clone());
+                    let (engine, etrace) =
+                        run_distributed_traced(&inst, &config, initial.clone());
+                    prop_assert_eq!(&engine.association, &single.association);
+                    prop_assert_eq!(
+                        (engine.rounds, engine.moves, engine.converged, engine.cycle_detected),
+                        (single.rounds, single.moves, single.converged, single.cycle_detected)
+                    );
+                    prop_assert_eq!(&etrace, &strace, "single-threaded trace");
+                    for w in WORKERS {
+                        let par = run_distributed_parallel(
+                            &inst,
+                            &config,
+                            initial.clone(),
+                            w,
+                            &traced(),
+                        )
+                        .unwrap();
+                        let ctx = format!("{policy:?}/{mode:?} W={w}");
+                        let out = &par.outcome;
+                        prop_assert_eq!(
+                            &out.association,
+                            &single.association,
+                            "association: {}", ctx
+                        );
+                        prop_assert_eq!(out.rounds, single.rounds, "rounds: {}", ctx);
+                        prop_assert_eq!(out.moves, single.moves, "moves: {}", ctx);
+                        prop_assert_eq!(out.converged, single.converged, "converged: {}", ctx);
+                        prop_assert_eq!(
+                            out.cycle_detected,
+                            single.cycle_detected,
+                            "cycle: {}", ctx
+                        );
+                        prop_assert_eq!(&par.trace, &strace, "decision trace: {}", ctx);
+                        // Final ledger state (per-AP loads and tx rates) is
+                        // a pure function of the association — pin it anyway.
+                        let par_ledger = LoadLedger::new(&inst, out.association.clone());
+                        for a in inst.aps() {
+                            prop_assert_eq!(par_ledger.ap_load(a), single_ledger.ap_load(a));
+                            for s in inst.sessions() {
+                                prop_assert_eq!(
+                                    par_ledger.ap_session_rate(a, s),
+                                    single_ledger.ap_session_rate(a, s)
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Repeated parallel runs are deterministic (no schedule leakage).
+        #[test]
+        fn parallel_runs_are_deterministic(inst in coverable_instance()) {
+            let config = DistributedConfig {
+                mode: ExecutionMode::Simultaneous,
+                ..DistributedConfig::default()
+            };
+            let run = || run_distributed_parallel(
+                &inst,
+                &config,
+                Association::empty(inst.n_users()),
+                4,
+                &traced(),
+            )
+            .unwrap();
+            let (a, b) = (run(), run());
+            prop_assert_eq!(a.outcome.association, b.outcome.association);
+            prop_assert_eq!(a.outcome.moves, b.outcome.moves);
+            prop_assert_eq!(a.trace, b.trace);
+        }
+
+        /// Chaos equivalence: a run under a seeded fault plan (a worker
+        /// panic, possibly a torn checkpoint) recovers to the exact
+        /// fault-free outcome and decision trace — for both modes, both
+        /// policies, W ∈ {2, 4} — and records at most the planned panic.
+        #[test]
+        fn chaos_recovers_to_the_fault_free_run(
+            inst in coverable_instance(),
+            chaos_seed in 0u64..u64::MAX,
+        ) {
+            for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
+                for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
+                    let config = DistributedConfig {
+                        policy,
+                        mode,
+                        max_rounds: 30,
+                        ..DistributedConfig::default()
+                    };
+                    let initial = Association::empty(inst.n_users());
+                    let (single, strace) =
+                        run_distributed_reference_traced(&inst, &config, initial.clone());
+                    for w in [2usize, 4] {
+                        // Seed faults only into rounds the run executes.
+                        let chaos =
+                            ChaosPlan::seeded(chaos_seed, w, single.rounds.max(1) as u32);
+                        let sink = MemSink::new();
+                        let opts = SuperviseOptions {
+                            checkpoint_every: Some(1),
+                            trace: true,
+                            chaos: Some(&chaos),
+                            sink: Some(&sink),
+                        };
+                        let out = run_distributed_parallel(
+                            &inst,
+                            &config,
+                            initial.clone(),
+                            w,
+                            &opts,
+                        )
+                        .unwrap();
+                        let ctx = format!("{policy:?}/{mode:?} W={w} seed={chaos_seed}");
+                        prop_assert_eq!(
+                            &out.outcome.association,
+                            &single.association,
+                            "association: {}", ctx
+                        );
+                        prop_assert_eq!(out.outcome.moves, single.moves, "moves: {}", ctx);
+                        prop_assert_eq!(&out.trace, &strace, "trace: {}", ctx);
+                        let ChaosOp::WorkerPanic { worker, round } = chaos.ops()[0] else {
+                            panic!("a seeded plan starts with its worker panic");
+                        };
+                        prop_assert!(out.recovery.failures.len() <= 1, "{}", ctx);
+                        for f in &out.recovery.failures {
+                            prop_assert_eq!((f.worker, f.round), (worker as usize, round));
+                        }
+                        prop_assert_eq!(
+                            sink.0.lock().unwrap().len(),
+                            out.recovery.checkpoints_written
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -53,7 +53,6 @@ pub mod dual;
 pub mod examples_paper;
 pub mod mla;
 pub mod mnu;
-pub mod partition;
 pub mod reduction;
 pub mod reference;
 pub mod repair;
@@ -66,11 +65,12 @@ pub mod supervise;
 pub use assoc::{AssocError, Association, LoadLedger};
 pub use bla::solve_bla;
 pub use bla::{solve_bla_with, BlaConfig};
-pub use checkpoint::{CheckpointError, CheckpointSink, PartitionCheckpoint, CHECKPOINT_SCHEMA};
+pub use checkpoint::{CheckpointError, CheckpointSink, RunCheckpoint, CHECKPOINT_SCHEMA};
 pub use distributed::{
-    local_decision, local_decision_scratch, local_decision_with, run_distributed,
-    run_distributed_traced, run_min_max_vector, run_min_total, ApStateView, DecisionOrder,
-    DecisionScratch, DistributedConfig, DistributedOutcome, ExecutionMode, Policy,
+    local_decision, local_decision_scratch, local_decision_with, resume_distributed_parallel,
+    run_distributed, run_distributed_parallel, run_distributed_traced, run_min_max_vector,
+    run_min_total, ApStateView, DecisionOrder, DecisionScratch, DistributedConfig,
+    DistributedOutcome, ExecutionMode, MoveRec, Policy, RunError, SupervisedOutcome,
 };
 pub use dual::DualAssociation;
 pub use ids::{ApId, SessionId, UserId};
@@ -81,10 +81,6 @@ pub use instance::{
 pub use load::Load;
 pub use mla::{solve_mla, solve_mla_with, MlaAlgorithm};
 pub use mnu::{solve_mnu, solve_mnu_with, MnuConfig};
-pub use partition::{
-    resume_distributed_supervised, run_distributed_partitioned, run_distributed_partitioned_traced,
-    run_distributed_supervised, MoveRec, Partition, PartitionError, SupervisedOutcome,
-};
 pub use rate::{Kbps, RatePolicy, RateStep, RateTable, RateTableError};
 pub use reference::{local_decision_reference, run_distributed_reference, ReferenceLedger};
 pub use repair::{best_rehome_target, repair_user, strongest_allowed_ap};
@@ -92,6 +88,5 @@ pub use solution::{Objective, Solution, SolveError};
 pub use ssa::solve_ssa;
 pub use stats::InstanceStats;
 pub use supervise::{
-    splitmix64, ChaosOp, ChaosPlan, FailureKind, RecoveryReport, ReplyFate, SuperviseOptions,
-    WorkerFailure,
+    splitmix64, ChaosOp, ChaosPlan, RecoveryReport, SuperviseOptions, WorkerFailure,
 };

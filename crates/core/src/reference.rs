@@ -26,7 +26,8 @@ use std::collections::{BTreeMap, HashSet};
 
 use crate::assoc::Association;
 use crate::distributed::{
-    vector_improves, ApStateView, DistributedConfig, DistributedOutcome, ExecutionMode, Policy,
+    vector_improves, ApStateView, DistributedConfig, DistributedOutcome, ExecutionMode, MoveRec,
+    Policy,
 };
 use crate::ids::{ApId, SessionId, UserId};
 use crate::instance::Instance;
@@ -333,16 +334,41 @@ pub fn run_distributed_reference(
     config: &DistributedConfig,
     initial: Association,
 ) -> DistributedOutcome {
+    run_distributed_reference_traced(inst, config, initial).0
+}
+
+/// [`run_distributed_reference`] plus its decision trace: one
+/// [`MoveRec`] per applied move, in application order — the independent
+/// oracle the parallel engine's trace-equivalence tests compare against.
+pub(crate) fn run_distributed_reference_traced(
+    inst: &Instance,
+    config: &DistributedConfig,
+    initial: Association,
+) -> (DistributedOutcome, Vec<MoveRec>) {
     let mut ledger = ReferenceLedger::new(inst, initial);
     let mut moves = 0usize;
+    let mut trace = Vec::new();
     let mut seen: HashSet<Vec<Option<ApId>>> = HashSet::new();
     seen.insert(ledger.association().to_vec());
+    let mut end = (config.max_rounds, false, false);
 
     for round in 1..=config.max_rounds {
         let mut changed = false;
+        let mut apply = |ledger: &mut ReferenceLedger, pos: u32, u: UserId, a: ApId| {
+            trace.push(MoveRec {
+                round: round as u32,
+                pos,
+                user: u,
+                from: ledger.ap_of(u),
+                to: a,
+            });
+            ledger.reassociate(u, a);
+            moves += 1;
+            changed = true;
+        };
         match config.mode {
             ExecutionMode::Serial => {
-                for u in config.order.order(inst.n_users()) {
+                for (pos, u) in (0..).zip(config.order.order(inst.n_users())) {
                     if let Some(a) = local_decision_reference(
                         &ledger,
                         u,
@@ -350,9 +376,7 @@ pub fn run_distributed_reference(
                         config.respect_budget,
                         config.hysteresis,
                     ) {
-                        ledger.reassociate(u, a);
-                        moves += 1;
-                        changed = true;
+                        apply(&mut ledger, pos, u, a);
                     }
                 }
             }
@@ -372,41 +396,31 @@ pub fn run_distributed_reference(
                     })
                     .collect();
                 for (u, a) in decisions {
-                    ledger.reassociate(u, a);
-                    moves += 1;
-                    changed = true;
+                    apply(&mut ledger, u.0, u, a);
                 }
             }
         }
 
         if !changed {
-            return DistributedOutcome {
-                association: ledger.into_association(),
-                rounds: round,
-                moves,
-                converged: true,
-                cycle_detected: false,
-            };
+            end = (round, true, false);
+            break;
         }
         if !seen.insert(ledger.association().to_vec()) {
             // State repeats: a live oscillation.
-            return DistributedOutcome {
-                association: ledger.into_association(),
-                rounds: round,
-                moves,
-                converged: false,
-                cycle_detected: true,
-            };
+            end = (round, false, true);
+            break;
         }
     }
 
-    DistributedOutcome {
+    let (rounds, converged, cycle_detected) = end;
+    let outcome = DistributedOutcome {
         association: ledger.into_association(),
-        rounds: config.max_rounds,
+        rounds,
         moves,
-        converged: false,
-        cycle_detected: false,
-    }
+        converged,
+        cycle_detected,
+    };
+    (outcome, trace)
 }
 
 #[cfg(test)]

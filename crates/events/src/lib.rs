@@ -45,6 +45,4 @@ pub use publish::{EventPublisher, JsonlPublisher, MemoryPublisher, NullPublisher
 pub use queue::{TimeQueue, Timed};
 pub use replay::{replay_stream_bytes, replay_stream_bytes_from, StreamReplay};
 pub use resilient::{DegradeReport, DegradeRung, ResilientPublisher, RetryPolicy};
-pub use snapshot::{
-    load_checkpoints, load_latest_checkpoint, PartitionCheckpointSink, SnapshotFile,
-};
+pub use snapshot::{load_checkpoints, load_latest_checkpoint, RunCheckpointSink, SnapshotFile};

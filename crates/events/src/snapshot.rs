@@ -9,9 +9,9 @@
 //! takes the *last* whole frame, which is exactly "the most recent
 //! durable checkpoint".
 //!
-//! [`PartitionCheckpointSink`] adapts a [`SnapshotFile`] to the
-//! `mcast-core` [`CheckpointSink`] boundary for the supervised
-//! partitioned runtime; the torn-write hook ([`SnapshotFile::append_torn`])
+//! [`RunCheckpointSink`] adapts a [`SnapshotFile`] to the
+//! `mcast-core` [`CheckpointSink`] boundary for supervised distributed
+//! runs; the torn-write hook ([`SnapshotFile::append_torn`])
 //! persists a deliberately half-written frame so chaos tests can prove
 //! the recovery rule on disk rather than in theory.
 
@@ -20,7 +20,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use mcast_core::{CheckpointError, CheckpointSink, PartitionCheckpoint};
+use mcast_core::{CheckpointError, CheckpointSink, RunCheckpoint};
 
 use crate::faultio::{IoFaultPlan, WriteFault};
 use crate::journal::{crc32, replay_raw_bytes, JournalError};
@@ -199,22 +199,22 @@ pub fn load_payloads(path: &Path) -> Result<Vec<String>, JournalError> {
         .collect())
 }
 
-/// A [`CheckpointSink`] for the supervised partitioned runtime backed by
-/// a [`SnapshotFile`] of serialized [`PartitionCheckpoint`]s.
+/// A [`CheckpointSink`] for supervised distributed runs, backed by a
+/// [`SnapshotFile`] of serialized [`RunCheckpoint`]s.
 #[derive(Debug)]
-pub struct PartitionCheckpointSink {
+pub struct RunCheckpointSink {
     file: SnapshotFile,
 }
 
-impl PartitionCheckpointSink {
+impl RunCheckpointSink {
     /// Creates (or truncates) the checkpoint file at `path`.
     ///
     /// # Errors
     ///
     /// [`CheckpointError`] when the file cannot be created.
-    pub fn create(path: &Path) -> Result<PartitionCheckpointSink, CheckpointError> {
+    pub fn create(path: &Path) -> Result<RunCheckpointSink, CheckpointError> {
         SnapshotFile::create(path)
-            .map(|file| PartitionCheckpointSink { file })
+            .map(|file| RunCheckpointSink { file })
             .map_err(|e| CheckpointError(e.to_string()))
     }
 
@@ -224,9 +224,9 @@ impl PartitionCheckpointSink {
     /// # Errors
     ///
     /// [`CheckpointError`] when the file cannot be opened.
-    pub fn open_append(path: &Path) -> Result<PartitionCheckpointSink, CheckpointError> {
+    pub fn open_append(path: &Path) -> Result<RunCheckpointSink, CheckpointError> {
         SnapshotFile::open_append(path)
-            .map(|file| PartitionCheckpointSink { file })
+            .map(|file| RunCheckpointSink { file })
             .map_err(|e| CheckpointError(e.to_string()))
     }
 
@@ -236,15 +236,15 @@ impl PartitionCheckpointSink {
     }
 }
 
-impl CheckpointSink for PartitionCheckpointSink {
-    fn save(&self, cp: &PartitionCheckpoint) -> Result<(), CheckpointError> {
+impl CheckpointSink for RunCheckpointSink {
+    fn save(&self, cp: &RunCheckpoint) -> Result<(), CheckpointError> {
         let payload = serde_json::to_string(cp).map_err(|e| CheckpointError(e.to_string()))?;
         self.file
             .append_payload(&payload)
             .map_err(|e| CheckpointError(e.to_string()))
     }
 
-    fn save_torn(&self, cp: &PartitionCheckpoint) -> Result<(), CheckpointError> {
+    fn save_torn(&self, cp: &RunCheckpoint) -> Result<(), CheckpointError> {
         let payload = serde_json::to_string(cp).map_err(|e| CheckpointError(e.to_string()))?;
         self.file
             .append_torn(&payload)
@@ -259,12 +259,12 @@ impl CheckpointSink for PartitionCheckpointSink {
 ///
 /// [`CheckpointError`] on read failure or a frame that is valid JSON but
 /// not a checkpoint.
-pub fn load_checkpoints(path: &Path) -> Result<Vec<PartitionCheckpoint>, CheckpointError> {
+pub fn load_checkpoints(path: &Path) -> Result<Vec<RunCheckpoint>, CheckpointError> {
     load_payloads(path)
         .map_err(|e| CheckpointError(e.to_string()))?
         .iter()
         .map(|p| {
-            serde_json::from_str::<PartitionCheckpoint>(p)
+            serde_json::from_str::<RunCheckpoint>(p)
                 .map_err(|e| CheckpointError(format!("bad checkpoint frame: {e}")))
         })
         .collect()
@@ -277,7 +277,7 @@ pub fn load_checkpoints(path: &Path) -> Result<Vec<PartitionCheckpoint>, Checkpo
 /// # Errors
 ///
 /// Like [`load_checkpoints`].
-pub fn load_latest_checkpoint(path: &Path) -> Result<Option<PartitionCheckpoint>, CheckpointError> {
+pub fn load_latest_checkpoint(path: &Path) -> Result<Option<RunCheckpoint>, CheckpointError> {
     Ok(load_checkpoints(path)?.pop())
 }
 
@@ -290,9 +290,9 @@ mod tests {
         std::env::temp_dir().join(format!("mcast_snapshot_{name}_{}", std::process::id()))
     }
 
-    fn cp(round: u32) -> PartitionCheckpoint {
+    fn cp(round: u32) -> RunCheckpoint {
         let assoc = vec![Some(ApId(round)), None];
-        PartitionCheckpoint {
+        RunCheckpoint {
             schema: CHECKPOINT_SCHEMA.to_string(),
             round,
             moves: u64::from(round) * 3,
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn save_load_roundtrips_latest_wins() {
         let path = tmp("roundtrip.ckpt");
-        let sink = PartitionCheckpointSink::create(&path).unwrap();
+        let sink = RunCheckpointSink::create(&path).unwrap();
         sink.save(&cp(1)).unwrap();
         sink.save(&cp(2)).unwrap();
         let all = load_checkpoints(&path).unwrap();
@@ -318,14 +318,14 @@ mod tests {
     #[test]
     fn torn_frame_falls_back_to_previous_whole_frame() {
         let path = tmp("torn.ckpt");
-        let sink = PartitionCheckpointSink::create(&path).unwrap();
+        let sink = RunCheckpointSink::create(&path).unwrap();
         sink.save(&cp(1)).unwrap();
         sink.save_torn(&cp(2)).unwrap();
         assert_eq!(load_latest_checkpoint(&path).unwrap(), Some(cp(1)));
         // Reopening for append truncates the tear; the next save lands
         // cleanly.
         drop(sink);
-        let sink = PartitionCheckpointSink::open_append(&path).unwrap();
+        let sink = RunCheckpointSink::open_append(&path).unwrap();
         sink.save(&cp(3)).unwrap();
         assert_eq!(load_checkpoints(&path).unwrap(), vec![cp(1), cp(3)],);
         let _ = fs::remove_file(path);
@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn truncation_at_every_byte_recovers_a_whole_prefix() {
         let path = tmp("everybyte.ckpt");
-        let sink = PartitionCheckpointSink::create(&path).unwrap();
+        let sink = RunCheckpointSink::create(&path).unwrap();
         sink.save(&cp(1)).unwrap();
         sink.save(&cp(2)).unwrap();
         let bytes = fs::read(&path).unwrap();

@@ -16,16 +16,16 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mcast_core::{
-    resume_distributed_supervised, run_distributed_supervised, Association, DistributedConfig,
-    ExecutionMode, Instance, InstanceBuilder, Kbps, Load, Partition, Policy, SuperviseOptions,
+    resume_distributed_parallel, run_distributed_parallel, Association, DistributedConfig,
+    ExecutionMode, Instance, InstanceBuilder, Kbps, Load, Policy, SuperviseOptions,
 };
-use mcast_events::{load_latest_checkpoint, PartitionCheckpointSink};
+use mcast_events::{load_latest_checkpoint, RunCheckpointSink};
 
 const RATES: [u32; 4] = [6, 12, 24, 54];
 
 /// A random instance where AP 0 reaches every user (coverable by
 /// construction); other links appear at random. Same shape as the
-/// mcast-core `partition_equivalence.rs` strategy.
+/// mcast-core `distributed` equivalence strategy.
 fn coverable_instance() -> impl Strategy<Value = Instance> {
     (1usize..5, 1usize..12, 1usize..4).prop_flat_map(|(n_aps, n_users, n_sessions)| {
         let user_sessions = vec(0u32..(n_sessions as u32), n_users);
@@ -107,7 +107,6 @@ proptest! {
                 };
                 let initial = Association::empty(inst.n_users());
                 for w in [1usize, 2, 4] {
-                    let part = Partition::contiguous(&inst, w).unwrap();
                     let ctx = format!(
                         "{policy:?}/{mode:?} W={w} K={checkpoint_every} cut={cut_permille}"
                     );
@@ -115,28 +114,28 @@ proptest! {
                         trace: true,
                         ..SuperviseOptions::default()
                     };
-                    let oracle = run_distributed_supervised(
+                    let oracle = run_distributed_parallel(
                         &inst,
                         &config,
                         initial.clone(),
-                        &part,
+                        w,
                         &traced,
                     )
                     .unwrap();
 
                     let path = scratch_path();
-                    let sink = PartitionCheckpointSink::create(&path).unwrap();
+                    let sink = RunCheckpointSink::create(&path).unwrap();
                     let opts = SuperviseOptions {
                         trace: true,
                         checkpoint_every: Some(checkpoint_every),
                         sink: Some(&sink),
                         ..SuperviseOptions::default()
                     };
-                    let checkpointed = run_distributed_supervised(
+                    let checkpointed = run_distributed_parallel(
                         &inst,
                         &config,
                         initial.clone(),
-                        &part,
+                        w,
                         &opts,
                     )
                     .unwrap();
@@ -162,11 +161,11 @@ proptest! {
                     // A short run (or a deep cut) can leave no frame at
                     // all; restore is only defined when one survives.
                     if let Some(cp) = restored {
-                        let resumed = resume_distributed_supervised(
+                        let resumed = resume_distributed_parallel(
                             &inst,
                             &config,
-                            &part,
                             &cp,
+                            w,
                             &traced,
                         )
                         .unwrap();

@@ -1,12 +1,10 @@
-//! `repro chaos` — fault-injected partitioned runs proving exact
-//! recovery.
+//! `repro chaos` — fault-injected parallel runs proving exact recovery.
 //!
-//! The command runs the supervised partitioned engine
-//! ([`mcast_core::run_distributed_supervised`]) on a pinned scenario
-//! under a seeded [`ChaosPlan`] — worker panics, dropped/duplicated/
-//! delayed halo replies, torn checkpoint writes — while writing recovery
-//! snapshots to `<out>/chaos_<mode>.ckpt` (crc32-framed, the journal
-//! format). It then proves the robustness contract end to end: the
+//! The command runs the parallel distributed engine
+//! ([`mcast_core::run_distributed_parallel`]) on a pinned scenario under
+//! a seeded [`ChaosPlan`] — a decide-worker panic, torn checkpoint
+//! writes — while writing recovery snapshots to `<out>/chaos_<mode>.ckpt`
+//! (crc32-framed, the journal format). It then proves the robustness contract end to end: the
 //! recovered outcome **and the full decision trace** must be
 //! byte-identical to the fault-free single-threaded oracle
 //! ([`mcast_core::run_distributed_traced`]); any divergence is a hard
@@ -14,20 +12,19 @@
 //!
 //! `--resume` is the crash-recovery path: it loads the latest whole
 //! checkpoint frame (torn tails truncated), resumes the run from it
-//! ([`mcast_core::resume_distributed_supervised`]), and holds the
+//! ([`mcast_core::resume_distributed_parallel`]), and holds the
 //! resumed run to the *same* identity bar. `<out>/chaos.json` contains
 //! only deterministic fields, so a killed-and-resumed run diffs clean
 //! against an uninterrupted one.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use mcast_core::{
-    resume_distributed_supervised, run_distributed_supervised, run_distributed_traced, Association,
+    resume_distributed_parallel, run_distributed_parallel, run_distributed_traced, Association,
     ChaosPlan, DistributedConfig, ExecutionMode, Policy, SuperviseOptions,
 };
-use mcast_events::{load_latest_checkpoint, PartitionCheckpointSink};
-use mcast_topology::{tile_partition, ScenarioConfig};
+use mcast_events::{load_latest_checkpoint, RunCheckpointSink};
+use mcast_topology::ScenarioConfig;
 use serde::Serialize;
 
 use crate::cli::CliError;
@@ -41,7 +38,7 @@ pub const CHAOS_SCHEMA: &str = "mcast-chaos/v1";
 /// given: every round, so a kill at any point loses at most one round.
 const DEFAULT_CHECKPOINT_EVERY: usize = 1;
 
-/// One supervised case of the chaos run, as serialized into
+/// One case of the chaos run, as serialized into
 /// `chaos.json`. Every field is a pure function of the scenario, the
 /// config, and the chaos seed — never of wall-clock, kill timing, or
 /// whether the run was resumed — so the file is diffable across
@@ -82,9 +79,9 @@ struct ChaosJson {
 }
 
 /// The pinned chaos workload. Quick mode is smoke-scale and exercises
-/// both execution modes; the full shape is sized so the supervised run
-/// takes long enough for CI's kill -9 to land mid-run, and sticks to
-/// Simultaneous (the mode with per-tile quarantine recovery).
+/// both execution modes; the full shape is sized so the run takes long
+/// enough for CI's kill -9 to land mid-run, and sticks to Simultaneous
+/// (the mode with decide workers to panic).
 struct ChaosShape {
     n_aps: usize,
     n_users: usize,
@@ -123,7 +120,7 @@ fn pinned_shape(quick: bool) -> ChaosShape {
     }
 }
 
-/// Runs `repro chaos`: the fault-injected supervised engine on the
+/// Runs `repro chaos`: the fault-injected parallel engine on the
 /// pinned scenario, checkpointing to `<out>/chaos_<mode>.ckpt` and
 /// writing the deterministic `<out>/chaos.json`. With `--resume`, the
 /// run restarts from the latest whole checkpoint frame instead of from
@@ -154,7 +151,6 @@ pub fn run_chaos(opts: &Options) -> Result<String, CliError> {
     .with_seed(0)
     .generate();
     let inst = &scenario.instance;
-    let part = tile_partition(&scenario, shape.workers);
 
     let mut cases = BTreeMap::new();
     let mut summary = String::new();
@@ -178,29 +174,25 @@ pub fn run_chaos(opts: &Options) -> Result<String, CliError> {
         let ckpt_path = opts.out_dir.join(format!("chaos_{key}.ckpt"));
         let (sink, restored) = if opts.resume {
             let restored = load_latest_checkpoint(&ckpt_path).map_err(|e| io_err(e.to_string()))?;
-            let sink = PartitionCheckpointSink::open_append(&ckpt_path)
-                .map_err(|e| io_err(e.to_string()))?;
+            let sink =
+                RunCheckpointSink::open_append(&ckpt_path).map_err(|e| io_err(e.to_string()))?;
             (sink, restored)
         } else {
-            let sink =
-                PartitionCheckpointSink::create(&ckpt_path).map_err(|e| io_err(e.to_string()))?;
+            let sink = RunCheckpointSink::create(&ckpt_path).map_err(|e| io_err(e.to_string()))?;
             (sink, None)
         };
         let sup_opts = SuperviseOptions {
-            deadline: Some(Duration::from_millis(500)),
             checkpoint_every: Some(checkpoint_every),
             trace: true,
-            audit: opts.quick,
             chaos: Some(&plan),
             sink: Some(&sink),
-            ..SuperviseOptions::default()
         };
         let resumed_from = restored.as_ref().map(|cp| cp.round);
         let out = match &restored {
-            Some(cp) => resume_distributed_supervised(inst, &config, &part, cp, &sup_opts),
-            None => run_distributed_supervised(inst, &config, initial, &part, &sup_opts),
+            Some(cp) => resume_distributed_parallel(inst, &config, cp, shape.workers, &sup_opts),
+            None => run_distributed_parallel(inst, &config, initial, shape.workers, &sup_opts),
         }
-        .map_err(|e| io_err(format!("supervised run ({key}): {e}")))?;
+        .map_err(|e| io_err(format!("parallel run ({key}): {e}")))?;
 
         let identical = out.outcome.association == oracle.association
             && out.outcome.rounds == oracle.rounds
@@ -224,16 +216,17 @@ pub fn run_chaos(opts: &Options) -> Result<String, CliError> {
         let r = &out.recovery;
         summary.push_str(&format!(
             "chaos [{key}]: {} rounds, {} moves, {} injected ops -> \
-             {} failures, {} retries, quarantined {:?}, degraded at {:?}\n\
+             {} worker panics recovered {:?}\n\
              checkpoints: {} written to {} ({} errors){}\n\
              verified: outcome and decision trace byte-identical to the fault-free run\n",
             out.outcome.rounds,
             out.outcome.moves,
             plan.ops().len(),
             r.failures.len(),
-            r.retries,
-            r.quarantined,
-            r.degraded_at_round,
+            r.failures
+                .iter()
+                .map(|f| (f.worker, f.round))
+                .collect::<Vec<_>>(),
             r.checkpoints_written,
             ckpt_path.display(),
             r.checkpoint_errors,

@@ -132,9 +132,8 @@ const CHECKPOINTED: &[&str] = &["chaos", "serve"];
 /// `--io-chaos SEED` injects a scripted IO-fault plan.
 const IO_CHAOS: &[&str] = &["serve"];
 
-/// Commands that run work on the scoped-thread pool (sweeps via
-/// `parallel_map`, plus `bench`'s partitioned scaling curve), where
-/// `--threads N` sets the worker count.
+/// Commands that accept `--threads N`, the worker count of the
+/// scoped-thread pool behind `parallel_map` sweeps.
 const THREADED: &[&str] = &[
     "fig9",
     "fig10",

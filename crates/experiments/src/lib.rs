@@ -47,9 +47,8 @@ pub struct Options {
     pub retries: u32,
     /// Soft per-trial deadline in seconds (0 disables the watchdog).
     pub deadline_s: u64,
-    /// Worker threads for parallel sweeps and the partitioned bench
-    /// drivers (`--threads N`); 0 means auto (available parallelism,
-    /// capped — see [`par::workers`]).
+    /// Worker threads for parallel sweeps (`--threads N`); 0 means auto
+    /// (available parallelism, capped — see [`par::workers`]).
     pub threads: usize,
     /// Seed of the injected-fault plan for `repro chaos`
     /// (`--chaos SEED`); `None` runs the command's default seed.

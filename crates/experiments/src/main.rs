@@ -18,7 +18,7 @@
 //!               (--io-chaos SEED: seeded IO faults against the sink; the
 //!               run must still lose zero decisions)
 //!   replay      fold <out>/events.jsonl back into a report (no solvers)
-//!   chaos       fault-injected partitioned run; proves recovery is exact
+//!   chaos       fault-injected parallel run; proves recovery is exact
 //!   revenue     the §3.2 revenue models across algorithms
 //!   bench       time fast paths vs reference, write BENCH_*.json
 //!               (--suite scale: million-user end-to-end pass -> BENCH_scale.json)

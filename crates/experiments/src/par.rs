@@ -21,7 +21,7 @@ static WORKERS: AtomicUsize = AtomicUsize::new(0);
 const AUTO_CAP: usize = 8;
 
 /// Sets the process-wide worker count used by [`parallel_map`] /
-/// [`try_parallel_map`] and the partitioned bench drivers. `0` restores
+/// [`try_parallel_map`]. `0` restores
 /// the default (available parallelism, capped at 8). Plumbed from the
 /// `--threads N` CLI flag.
 pub fn set_workers(n: usize) {

@@ -9,7 +9,9 @@ use mcast_core::{
 };
 use mcast_faults::{FaultEventKind, FaultPlan, FaultTimeline, MessageClass};
 
-use crate::event::{EventQueue, Time};
+use mcast_events::{TimeQueue, Timed};
+
+use crate::event::Time;
 use crate::messages::{Message, MessageBody, Node};
 use crate::report::{AssociationChange, SimReport};
 
@@ -274,7 +276,7 @@ enum SimEvent {
 pub struct Simulator<'a> {
     inst: &'a Instance,
     config: SimConfig,
-    queue: EventQueue<SimEvent>,
+    queue: TimeQueue<SimEvent>,
     now: Time,
     ledger: LoadLedger<'a>,
     phases: Vec<Phase>,
@@ -358,7 +360,7 @@ impl<'a> Simulator<'a> {
         Simulator {
             inst,
             config,
-            queue: EventQueue::new(),
+            queue: TimeQueue::new(),
             now: Time::ZERO,
             ledger,
             phases: vec![Phase::Idle; inst.n_users()],
@@ -425,8 +427,13 @@ impl<'a> Simulator<'a> {
             let rt = self.latency_for(&MessageBody::ProbeRequest).0;
             let at = self.now + Time(rt * 8 * steps.max(1) + 2 * self.max_jitter_us);
             let epoch = self.phase_epochs[u.index()];
-            self.queue.push(at, SimEvent::Timeout { user: u, epoch });
+            self.schedule(at, SimEvent::Timeout { user: u, epoch });
         }
+    }
+
+    /// Schedules `ev` at absolute time `at` (FIFO among equal times).
+    fn schedule(&mut self, at: Time, ev: SimEvent) {
+        self.queue.push(at.0, ev);
     }
 
     fn latency_for(&self, body: &MessageBody) -> Time {
@@ -477,7 +484,7 @@ impl<'a> Simulator<'a> {
                 // A retransmit whose ACK was lost: the same frame arrives
                 // again one serialization later.
                 let dup_at = at + self.latency_for(&body);
-                self.queue.push(
+                self.schedule(
                     dup_at,
                     SimEvent::Deliver(Message {
                         from,
@@ -487,8 +494,7 @@ impl<'a> Simulator<'a> {
                 );
             }
         }
-        self.queue
-            .push(at, SimEvent::Deliver(Message { from, to, body }));
+        self.schedule(at, SimEvent::Deliver(Message { from, to, body }));
     }
 
     /// Runs wake cycles until convergence (`quiet_cycles` consecutive
@@ -535,8 +541,7 @@ impl<'a> Simulator<'a> {
                     break;
                 }
                 let ev = self.fault_timeline.pop_any().expect("peeked");
-                self.queue
-                    .push(Time(ev.at_us.max(cycle_start.0)), SimEvent::Fault(ev.kind));
+                self.schedule(Time(ev.at_us.max(cycle_start.0)), SimEvent::Fault(ev.kind));
             }
             self.schedule_wakes(cycle_start, active, departed);
             self.cycle_changes = 0;
@@ -606,12 +611,16 @@ impl<'a> Simulator<'a> {
                 WakeSchedule::Staggered => Time(start.0 + u.0 as u64 * gap.0),
                 WakeSchedule::Synchronized | WakeSchedule::SynchronizedLocked => start,
             };
-            self.queue.push(at, SimEvent::Wake(u));
+            self.schedule(at, SimEvent::Wake(u));
         }
     }
 
     fn drain(&mut self) {
-        while let Some((t, ev)) = self.queue.pop() {
+        while let Some(Timed {
+            at_us, item: ev, ..
+        }) = self.queue.pop()
+        {
+            let t = Time(at_us);
             self.now = t;
             match ev {
                 SimEvent::Wake(u) => self.on_wake(u),
@@ -673,7 +682,7 @@ impl<'a> Simulator<'a> {
                 WakeSchedule::Staggered => Time(self.now.0 + detect.0 + i as u64 * gap.0),
                 _ => self.now + detect,
             };
-            self.queue.push(at, SimEvent::Wake(u));
+            self.schedule(at, SimEvent::Wake(u));
         }
     }
 
@@ -736,7 +745,7 @@ impl<'a> Simulator<'a> {
                 });
                 self.cycle_changes += 1;
                 let detect = Time(self.config.period.0 / 8 + 1);
-                self.queue.push(self.now + detect, SimEvent::Wake(u));
+                self.schedule(self.now + detect, SimEvent::Wake(u));
             }
         }
     }
@@ -1011,7 +1020,7 @@ impl<'a> Simulator<'a> {
                         self.config.base_latency.0 * 50 * (retries as u64 + 1 + u.0 as u64 % 7),
                     );
                     let at = self.now + backoff;
-                    self.queue.push(at, SimEvent::Wake(u));
+                    self.schedule(at, SimEvent::Wake(u));
                 } else {
                     self.lock_retries[u.index()] = 0; // defer to next cycle
                 }

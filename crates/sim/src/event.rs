@@ -1,7 +1,6 @@
-//! Simulation time and the deterministic event queue.
+//! Simulation time. Events are ordered by `mcast_events::TimeQueue`,
+//! keyed by [`Time`]'s microseconds.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::Add;
 
@@ -47,76 +46,6 @@ impl fmt::Display for Time {
     }
 }
 
-/// A deterministic priority queue of timed events: ties in time break by
-/// insertion sequence, so identical runs replay identically.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Time, u64, WrappedEvent<E>)>>,
-    seq: u64,
-}
-
-/// Wrapper that excludes the payload from ordering (only time + seq order).
-#[derive(Debug)]
-struct WrappedEvent<E>(E);
-
-impl<E> PartialEq for WrappedEvent<E> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<E> Eq for WrappedEvent<E> {}
-impl<E> PartialOrd for WrappedEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for WrappedEvent<E> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    pub fn push(&mut self, at: Time, event: E) {
-        self.heap.push(Reverse((at, self.seq, WrappedEvent(event))));
-        self.seq += 1;
-    }
-
-    /// Pops the earliest event (FIFO among equal times).
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap
-            .pop()
-            .map(|Reverse((t, _, WrappedEvent(e)))| (t, e))
-    }
-
-    /// Number of pending events.
-    #[allow(dead_code)] // part of the queue's natural API; used in tests
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    #[allow(dead_code)] // part of the queue's natural API; used in tests
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,19 +57,5 @@ mod tests {
         assert_eq!(Time::from_secs(1) + Time::from_millis(500), Time(1_500_000));
         assert!((Time(1_500_000).as_secs_f64() - 1.5).abs() < 1e-12);
         assert_eq!(Time(1_500_000).to_string(), "1.500000s");
-    }
-
-    #[test]
-    fn queue_orders_by_time_then_insertion() {
-        let mut q = EventQueue::new();
-        q.push(Time(10), "late");
-        q.push(Time(5), "early-1");
-        q.push(Time(5), "early-2");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((Time(5), "early-1")));
-        assert_eq!(q.pop(), Some((Time(5), "early-2")));
-        assert_eq!(q.pop(), Some((Time(10), "late")));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 }

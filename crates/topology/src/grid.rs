@@ -179,9 +179,9 @@ impl SpatialGrid {
 
     /// Buffer-reuse variant of [`SpatialGrid::neighbors_within`]: clears
     /// `out` and fills it with the same `(index, distance)` pairs in the
-    /// same ascending-index order. Hot loops (link building, the tile
-    /// partitioner) hold one buffer across queries so the per-query
-    /// allocation disappears after warm-up.
+    /// same ascending-index order. Hot loops (link building) hold one
+    /// buffer across queries so the per-query allocation disappears after
+    /// warm-up.
     pub fn neighbors_within_into(&self, p: &Point, range: f64, out: &mut Vec<(u32, f64)>) {
         out.clear();
         self.for_each_within(p, range, |i, d| out.push((i, d)));
@@ -190,8 +190,7 @@ impl SpatialGrid {
 
     /// The grid cell containing `p`, clamped into the grid bounds
     /// (`(0, 0)` on an empty grid) — the same mapping used to bucket the
-    /// indexed points at build time. The tile partitioner derives tile
-    /// stripes from these coordinates.
+    /// indexed points at build time.
     pub fn cell_of(&self, p: &Point) -> (usize, usize) {
         if self.points.is_empty() {
             return (0, 0);

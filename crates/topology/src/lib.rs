@@ -32,7 +32,6 @@ pub mod phy;
 mod placement;
 pub mod power;
 mod scenario;
-mod tiles;
 
 pub use geometry::Point;
 pub use grid::SpatialGrid;
@@ -41,4 +40,3 @@ pub use phy::PathLossModel;
 pub use placement::Placement;
 pub use power::{instance_with_power, optimize_power, PowerOutcome};
 pub use scenario::{validate_scenario, Scenario, ScenarioConfig, ScenarioError, SessionPopularity};
-pub use tiles::tile_partition;
