@@ -10,7 +10,7 @@
 //! users prefer APs whose transmissions disturb fewer neighbors.
 
 use mcast_core::{
-    local_decision, ApId, ApStateView, Association, Instance, Load, LoadLedger, Policy, UserId,
+    local_decision, ApId, ApStateView, Association, Instance, LoadLedger, Policy, UserId,
 };
 
 use crate::coloring::ChannelAssignment;
@@ -18,7 +18,8 @@ use crate::graph::InterferenceGraph;
 
 /// A view that scales each AP's load by its interference weight
 /// `1 + |co-channel interferers|`, so the min-total-load rule minimizes
-/// total *medium* time instead of total *transmitter* time.
+/// total *medium* time instead of total *transmitter* time. Weighted loads
+/// stay integer quanta; the multiply is checked.
 struct WeightedView<'a, 'b> {
     ledger: &'b LoadLedger<'a>,
     weights: &'b [u64],
@@ -33,26 +34,34 @@ impl ApStateView for WeightedView<'_, '_> {
         self.ledger.ap_of(u)
     }
 
-    fn ap_load(&self, a: ApId) -> Load {
-        self.ledger.ap_load(a) * self.weights[a.index()]
+    fn ap_quanta(&self, a: ApId) -> u64 {
+        self.weighted(a, self.ledger.ap_quanta(a))
     }
 
-    fn load_if_joined(&self, u: UserId, a: ApId) -> Option<Load> {
+    fn quanta_if_joined(&self, u: UserId, a: ApId) -> Option<u64> {
         // Feasibility is *nominal*: the weights steer preferences, but an
         // AP that can nominally host the user must stay a candidate (the
         // decision rule is invoked with its own budget check disabled).
-        let nominal = self.ledger.load_if_joined(u, a)?;
-        if nominal > self.ledger.instance().budget(a) {
+        let nominal = self.ledger.quanta_if_joined(u, a)?;
+        if nominal > self.ledger.instance().budget_quanta(a) {
             return None;
         }
-        Some(nominal * self.weights[a.index()])
+        Some(self.weighted(a, nominal))
     }
 
-    fn load_if_left(&self, u: UserId) -> Option<Load> {
+    fn quanta_if_left(&self, u: UserId) -> Option<u64> {
         let a = self.ledger.ap_of(u)?;
-        self.ledger
-            .load_if_left(u)
-            .map(|l| l * self.weights[a.index()])
+        self.ledger.quanta_if_left(u).map(|n| self.weighted(a, n))
+    }
+}
+
+impl WeightedView<'_, '_> {
+    /// `quanta` scaled by AP `a`'s interference weight.
+    fn weighted(&self, a: ApId, quanta: u64) -> u64 {
+        quanta
+            .checked_mul(self.weights[a.index()])
+            .filter(|&n| n <= i64::MAX as u64)
+            .expect("weighted load overflows i64 quanta")
     }
 }
 
@@ -134,7 +143,7 @@ mod tests {
     use super::*;
     use crate::coloring::{assign_channels, ColoringStrategy};
     use crate::effective::EffectiveLoads;
-    use mcast_core::{InstanceBuilder, Kbps};
+    use mcast_core::{InstanceBuilder, Kbps, Load};
 
     /// Two equal-rate APs for one user; AP0 sits in a co-channel cluster
     /// (weight 3), AP1 is isolated. The aware rule must pick AP1 even

@@ -94,8 +94,8 @@ pub fn audit_epoch(
                         if let Some(a) = strongest_allowed_ap(inst, u, |a| state.allowed(u, a)) {
                             let fits = !enforce_budget
                                 || ledger
-                                    .load_if_joined(u, a)
-                                    .is_some_and(|l| l <= inst.budget(a));
+                                    .quanta_if_joined(u, a)
+                                    .is_some_and(|l| l <= inst.budget_quanta(a));
                             if fits {
                                 violations.push(format!(
                                     "user {u} left unserved though its strongest AP {a} could admit it"
@@ -109,16 +109,19 @@ pub fn audit_epoch(
     }
 
     for a in inst.aps() {
-        let load = ledger.ap_load(a);
-        if objective == Objective::Mnu && load > inst.budget(a) {
+        let quanta = ledger.ap_quanta(a);
+        if objective == Objective::Mnu && quanta > inst.budget_quanta(a) {
             violations.push(format!(
                 "AP {a} exceeds its budget ({} > {})",
-                load,
+                ledger.ap_load(a),
                 inst.budget(a)
             ));
         }
-        if state.is_down(a) && !load.is_zero() {
-            violations.push(format!("down AP {a} still carries load {load}"));
+        if state.is_down(a) && quanta != 0 {
+            violations.push(format!(
+                "down AP {a} still carries load {}",
+                ledger.ap_load(a)
+            ));
         }
     }
 

@@ -241,8 +241,8 @@ impl<'a> EpochEngine<'a> {
                             !enforce_budget
                                 || self
                                     .ledger
-                                    .load_if_joined(u, a)
-                                    .is_some_and(|l| l <= inst.budget(a))
+                                    .quanta_if_joined(u, a)
+                                    .is_some_and(|l| l <= inst.budget_quanta(a))
                         })
                         .inspect(|&a| self.ledger.join(u, a));
                 }

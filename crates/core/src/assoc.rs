@@ -348,14 +348,21 @@ impl Association {
 /// would AP `a`'s load be if I joined / if I left?") that the paper's
 /// users compute from AP query responses.
 ///
+/// Loads are kept as integer *quanta* over the instance's load quantum
+/// ([`Instance::quantum`]): AP `a` carries exactly
+/// `ap_quanta(a) / quantum` of airtime. Joins, leaves and the what-if
+/// queries (`quanta_if_joined`, `quanta_if_left`) are `u64` additions
+/// against a per-(session, rate) table of `rate(s) · (Q / tx)`; the
+/// rational [`Load`] accessors convert at the boundary.
+///
 /// The per-(AP, session) member-rate multiset is a fixed-size count array
 /// over the instance's discrete supported-rate set (~8 entries for
 /// 802.11a) with a cached minimum-occupied index, so `ap_session_rate`,
-/// `load_if_joined` and move application never walk members or tree
-/// nodes. The original `BTreeMap`-multiset implementation is preserved as
-/// [`reference::ReferenceLedger`](crate::reference::ReferenceLedger), and
-/// `repro bench` plus the equivalence proptests pin the two to identical
-/// outputs.
+/// `quanta_if_joined` and move application never walk members or tree
+/// nodes. The original rational, `BTreeMap`-multiset implementation is
+/// preserved as [`reference::ReferenceLedger`](crate::reference::ReferenceLedger),
+/// and `repro bench` plus the equivalence proptests pin the two to
+/// identical outputs.
 ///
 /// # Example
 ///
@@ -372,6 +379,8 @@ impl Association {
 /// );
 /// ledger.join(UserId(2), ApId(0));
 /// assert_eq!(ledger.ap_load(ApId(0)), Load::from_ratio(1, 4));
+/// // The same load in quanta of 1/Q.
+/// assert_eq!(ledger.ap_quanta(ApId(0)), inst.quantum() / 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoadLedger<'a> {
@@ -384,7 +393,11 @@ pub struct LoadLedger<'a> {
     /// Per (AP, session): index of the minimum occupied rate in the
     /// supported-rate set, or [`NO_RATE`] when the slot has no members.
     min_rate: Vec<u32>,
-    ap_load: Vec<Load>,
+    /// Per AP: the current load in quanta.
+    ap_quanta: Vec<u64>,
+    /// `tx_quanta[s * n_rates + k]`: session `s`'s load at supported rate
+    /// `k`, in quanta ([`Instance::session_quanta`]).
+    tx_quanta: Vec<u64>,
     n_rates: usize,
 }
 
@@ -403,12 +416,21 @@ impl<'a> LoadLedger<'a> {
         assert_eq!(assoc.len(), inst.n_users(), "association size");
         let n_rates = inst.supported_rates().len();
         let slots = inst.n_aps() * inst.n_sessions();
+        let tx_quanta = inst
+            .sessions()
+            .flat_map(|s| {
+                inst.supported_rates()
+                    .iter()
+                    .map(move |&tx| inst.session_quanta(s, tx))
+            })
+            .collect();
         let mut ledger = LoadLedger {
             inst,
             assoc: Association::empty(inst.n_users()),
             counts: vec![0; slots * n_rates],
             min_rate: vec![NO_RATE; slots],
-            ap_load: vec![Load::ZERO; inst.n_aps()],
+            ap_quanta: vec![0; inst.n_aps()],
+            tx_quanta,
             n_rates,
         };
         for (u, ap) in assoc.iter().enumerate() {
@@ -436,9 +458,28 @@ impl<'a> LoadLedger<'a> {
             .expect("multicast rate is in the supported set")
     }
 
+    /// Session `s`'s load at supported rate index `k`, in quanta.
+    fn tx_quanta(&self, s: SessionId, k: usize) -> u64 {
+        self.tx_quanta[s.index() * self.n_rates + k]
+    }
+
+    /// User `u`'s session, (AP, session) slot on `a`, and the index of its
+    /// multicast rate to `a` — `None` if `u` is out of `a`'s range.
+    fn member(&self, u: UserId, a: ApId) -> Option<(SessionId, usize, usize)> {
+        let s = self.inst.user_session(u);
+        let k = self.rate_idx(self.inst.multicast_rate_to(a, u)?);
+        Some((s, self.slot(a, s), k))
+    }
+
     /// The load AP `a` currently carries.
     pub fn ap_load(&self, a: ApId) -> Load {
-        self.ap_load[a.index()]
+        self.inst.quanta_load(self.ap_quanta(a))
+    }
+
+    /// The load AP `a` currently carries, in quanta of
+    /// [`Instance::quantum`].
+    pub fn ap_quanta(&self, a: ApId) -> u64 {
+        self.ap_quanta[a.index()]
     }
 
     /// The AP user `u` is currently associated with.
@@ -458,12 +499,14 @@ impl<'a> LoadLedger<'a> {
 
     /// Total load over all APs.
     pub fn total_load(&self) -> Load {
-        self.ap_load.iter().copied().sum()
+        let total: u128 = self.ap_quanta.iter().map(|&n| u128::from(n)).sum();
+        Load::new(total as i128, i128::from(self.inst.quantum()))
     }
 
     /// Maximum AP load.
     pub fn max_load(&self) -> Load {
-        self.ap_load.iter().copied().max().unwrap_or(Load::ZERO)
+        self.inst
+            .quanta_load(self.ap_quanta.iter().copied().max().unwrap_or(0))
     }
 
     /// The transmission rate AP `a` uses for session `s`, if it serves it.
@@ -476,16 +519,24 @@ impl<'a> LoadLedger<'a> {
     ///
     /// Returns `None` if `u` is out of `a`'s range.
     pub fn load_if_joined(&self, u: UserId, a: ApId) -> Option<Load> {
-        let s = self.inst.user_session(u);
-        let u_rate = self.inst.multicast_rate_to(a, u)?;
-        let stream = self.inst.session_rate(s);
-        let cur = self.ap_session_rate(a, s);
-        let new_tx = match cur {
-            Some(tx) => tx.min(u_rate),
-            None => u_rate,
-        };
-        let old_part = cur.map_or(Load::ZERO, |tx| Load::per_transmission(stream, tx));
-        Some(self.ap_load[a.index()] - old_part + Load::per_transmission(stream, new_tx))
+        self.quanta_if_joined(u, a)
+            .map(|n| self.inst.quanta_load(n))
+    }
+
+    /// [`load_if_joined`](LoadLedger::load_if_joined) in quanta.
+    pub fn quanta_if_joined(&self, u: UserId, a: ApId) -> Option<u64> {
+        Some(self.joined_quanta(a, self.member(u, a)?))
+    }
+
+    /// AP `a`'s quanta once a new member `(s, slot, k)` joins.
+    fn joined_quanta(&self, a: ApId, (s, slot, k): (SessionId, usize, usize)) -> u64 {
+        let cur = self.ap_quanta[a.index()];
+        match self.min_rate[slot] {
+            NO_RATE => cur + self.tx_quanta(s, k),
+            // Slower than every member: its rate becomes the minimum.
+            m if k < m as usize => cur + self.tx_quanta(s, k) - self.tx_quanta(s, m as usize),
+            _ => cur,
+        }
     }
 
     /// The load user `u`'s current AP would have if `u` left it
@@ -493,33 +544,31 @@ impl<'a> LoadLedger<'a> {
     ///
     /// Returns `None` if `u` is not associated.
     pub fn load_if_left(&self, u: UserId) -> Option<Load> {
+        self.quanta_if_left(u).map(|n| self.inst.quanta_load(n))
+    }
+
+    /// [`load_if_left`](LoadLedger::load_if_left) in quanta.
+    pub fn quanta_if_left(&self, u: UserId) -> Option<u64> {
         let a = self.assoc.ap_of(u)?;
-        let s = self.inst.user_session(u);
-        let stream = self.inst.session_rate(s);
-        let u_rate = self
-            .inst
-            .multicast_rate_to(a, u)
-            .expect("associated user in range");
-        let slot = self.slot(a, s);
+        Some(self.left_quanta(a, self.member(u, a).expect("associated user in range")))
+    }
+
+    /// AP `a`'s quanta once its member `(s, slot, k)` leaves.
+    fn left_quanta(&self, a: ApId, (s, slot, k): (SessionId, usize, usize)) -> u64 {
+        let cur = self.ap_quanta[a.index()];
+        let m = self.min_rate[slot] as usize;
         let base = slot * self.n_rates;
-        let min_idx = self.min_rate[slot] as usize;
-        let cur_tx = self.inst.supported_rates()[min_idx];
-        let old_part = Load::per_transmission(stream, cur_tx);
-        // Remaining members after u leaves: remove one instance of u_rate.
-        let u_idx = self.rate_idx(u_rate);
-        let new_tx = if self.counts[base + u_idx] > 1 {
-            Some(cur_tx) // another member shares u's rate; min unchanged
-        } else if u_idx == min_idx {
-            // u was the unique slowest; the next occupied rate takes over.
-            self.counts[base + u_idx + 1..base + self.n_rates]
-                .iter()
-                .position(|&c| c > 0)
-                .map(|off| self.inst.supported_rates()[u_idx + 1 + off])
-        } else {
-            Some(cur_tx) // a slower member than u pins the rate
-        };
-        let new_part = new_tx.map_or(Load::ZERO, |tx| Load::per_transmission(stream, tx));
-        Some(self.ap_load[a.index()] - old_part + new_part)
+        if k != m || self.counts[base + k] > 1 {
+            // A slower member, or another member at the same rate, pins
+            // the session's rate.
+            return cur;
+        }
+        // The unique slowest leaves; the next occupied rate takes over.
+        let next = self.counts[base + k + 1..base + self.n_rates]
+            .iter()
+            .position(|&c| c > 0)
+            .map_or(0, |off| self.tx_quanta(s, k + 1 + off));
+        cur - self.tx_quanta(s, k) + next
     }
 
     /// Associates `u` with `a`.
@@ -529,18 +578,16 @@ impl<'a> LoadLedger<'a> {
     /// Panics if `u` is already associated or out of `a`'s range.
     pub fn join(&mut self, u: UserId, a: ApId) {
         assert!(self.assoc.ap_of(u).is_none(), "user {u} already associated");
-        let new_load = self
-            .load_if_joined(u, a)
+        let member = self
+            .member(u, a)
             .unwrap_or_else(|| panic!("user {u} out of range of AP {a}"));
-        let s = self.inst.user_session(u);
-        let u_rate = self.inst.multicast_rate_to(a, u).expect("checked in range");
-        let slot = self.slot(a, s);
-        let u_idx = self.rate_idx(u_rate);
-        self.counts[slot * self.n_rates + u_idx] += 1;
-        if self.min_rate[slot] == NO_RATE || (u_idx as u32) < self.min_rate[slot] {
-            self.min_rate[slot] = u_idx as u32;
+        let new_load = self.joined_quanta(a, member);
+        let (_, slot, k) = member;
+        self.counts[slot * self.n_rates + k] += 1;
+        if self.min_rate[slot] == NO_RATE || (k as u32) < self.min_rate[slot] {
+            self.min_rate[slot] = k as u32;
         }
-        self.ap_load[a.index()] = new_load;
+        self.ap_quanta[a.index()] = new_load;
         self.assoc.set(u, Some(a));
     }
 
@@ -550,24 +597,23 @@ impl<'a> LoadLedger<'a> {
     ///
     /// Panics if `u` is not associated.
     pub fn leave(&mut self, u: UserId) {
-        let new_load = self
-            .load_if_left(u)
+        let a = self
+            .assoc
+            .ap_of(u)
             .unwrap_or_else(|| panic!("user {u} is not associated"));
-        let a = self.assoc.ap_of(u).expect("checked associated");
-        let s = self.inst.user_session(u);
-        let u_rate = self.inst.multicast_rate_to(a, u).expect("in range");
-        let slot = self.slot(a, s);
+        let member = self.member(u, a).expect("associated user in range");
+        let new_load = self.left_quanta(a, member);
+        let (_, slot, k) = member;
         let base = slot * self.n_rates;
-        let u_idx = self.rate_idx(u_rate);
-        self.counts[base + u_idx] -= 1;
-        if self.counts[base + u_idx] == 0 && self.min_rate[slot] == u_idx as u32 {
+        self.counts[base + k] -= 1;
+        if self.counts[base + k] == 0 && self.min_rate[slot] == k as u32 {
             // The minimum emptied: advance to the next occupied rate.
-            self.min_rate[slot] = self.counts[base + u_idx + 1..base + self.n_rates]
+            self.min_rate[slot] = self.counts[base + k + 1..base + self.n_rates]
                 .iter()
                 .position(|&c| c > 0)
-                .map_or(NO_RATE, |off| (u_idx + 1 + off) as u32);
+                .map_or(NO_RATE, |off| (k + 1 + off) as u32);
         }
-        self.ap_load[a.index()] = new_load;
+        self.ap_quanta[a.index()] = new_load;
         self.assoc.set(u, None);
     }
 
@@ -603,7 +649,7 @@ impl<'a> LoadLedger<'a> {
         for &u in &evicted {
             self.leave(u);
         }
-        debug_assert_eq!(self.ap_load(a), Load::ZERO);
+        debug_assert_eq!(self.ap_quanta(a), 0);
         evicted
     }
 

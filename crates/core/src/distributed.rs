@@ -234,7 +234,12 @@ pub(crate) fn check_in_range(
 ///
 /// The contract mirrors the information the paper's protocol carries:
 /// current AP loads, "my AP's load if I left", and "that AP's load if I
-/// joined" — nothing global.
+/// joined" — nothing global. Loads are integer quanta over the instance's
+/// load quantum ([`Instance::quantum`]); each view converts at its own
+/// edge. The decision rule forms differences of these values as `i64`, so
+/// every difference between two of them must fit in `i64` (for the
+/// ledger, [`InstanceError::LoadQuantumOverflow`](crate::InstanceError)
+/// guarantees it).
 pub trait ApStateView {
     /// The instance being played.
     fn instance(&self) -> &Instance;
@@ -262,12 +267,13 @@ pub trait ApStateView {
     }
     /// The AP user `u` is currently associated with, if any.
     fn ap_of(&self, u: UserId) -> Option<ApId>;
-    /// The current multicast load of AP `a`.
-    fn ap_load(&self, a: ApId) -> Load;
-    /// AP `a`'s load if `u` joined it (`None` if out of range).
-    fn load_if_joined(&self, u: UserId, a: ApId) -> Option<Load>;
-    /// The current AP's load if `u` left it (`None` if unassociated).
-    fn load_if_left(&self, u: UserId) -> Option<Load>;
+    /// The current multicast load of AP `a`, in quanta.
+    fn ap_quanta(&self, a: ApId) -> u64;
+    /// AP `a`'s load in quanta if `u` joined it (`None` if out of range).
+    fn quanta_if_joined(&self, u: UserId, a: ApId) -> Option<u64>;
+    /// The current AP's load in quanta if `u` left it (`None` if
+    /// unassociated).
+    fn quanta_if_left(&self, u: UserId) -> Option<u64>;
 }
 
 impl ApStateView for LoadLedger<'_> {
@@ -286,14 +292,14 @@ impl ApStateView for LoadLedger<'_> {
     fn ap_of(&self, u: UserId) -> Option<ApId> {
         LoadLedger::ap_of(self, u)
     }
-    fn ap_load(&self, a: ApId) -> Load {
-        LoadLedger::ap_load(self, a)
+    fn ap_quanta(&self, a: ApId) -> u64 {
+        LoadLedger::ap_quanta(self, a)
     }
-    fn load_if_joined(&self, u: UserId, a: ApId) -> Option<Load> {
-        LoadLedger::load_if_joined(self, u, a)
+    fn quanta_if_joined(&self, u: UserId, a: ApId) -> Option<u64> {
+        LoadLedger::quanta_if_joined(self, u, a)
     }
-    fn load_if_left(&self, u: UserId) -> Option<Load> {
-        LoadLedger::load_if_left(self, u)
+    fn quanta_if_left(&self, u: UserId) -> Option<u64> {
+        LoadLedger::quanta_if_left(self, u)
     }
 }
 
@@ -316,8 +322,9 @@ pub fn local_decision<V: ApStateView>(
 /// moves when the improvement strictly exceeds `hysteresis` (see
 /// [`DistributedConfig::hysteresis`]).
 ///
-/// Allocates fresh scratch buffers; hot loops should hold a
-/// [`DecisionScratch`] and call [`local_decision_scratch`] instead.
+/// Allocates fresh scratch buffers and quantizes `hysteresis` per call;
+/// hot loops should hold a [`DecisionScratch`], quantize once, and call
+/// [`local_decision_scratch`] instead.
 pub fn local_decision_with<V: ApStateView>(
     ledger: &V,
     u: UserId,
@@ -326,6 +333,7 @@ pub fn local_decision_with<V: ApStateView>(
     hysteresis: Load,
 ) -> Option<ApId> {
     let mut scratch = DecisionScratch::default();
+    let hysteresis = ledger.instance().floor_quanta(hysteresis);
     local_decision_scratch(ledger, u, policy, respect_budget, hysteresis, &mut scratch)
 }
 
@@ -336,22 +344,26 @@ pub fn local_decision_with<V: ApStateView>(
 pub struct DecisionScratch {
     /// APs the view has load data for (`reachable_aps_into` target).
     reachable: Vec<ApId>,
-    /// Sorted non-increasing loads of `reachable` under "stay".
-    baseline: Vec<Load>,
+    /// Sorted non-increasing loads (quanta) of `reachable` under "stay".
+    baseline: Vec<u64>,
     /// The winning candidate's vector (materialized once per decision).
-    cand: Vec<Load>,
+    cand: Vec<u64>,
 }
 
-/// [`local_decision_with`] with caller-owned scratch buffers: the same
-/// decision, allocation-free after warm-up.
+/// [`local_decision_with`] with caller-owned scratch buffers and a
+/// hysteresis already on the quantum grid: `hysteresis` is
+/// `⌊h · Q⌋` ([`Instance::floor_quanta`]) for the rational threshold `h`.
+/// An improvement of `n` quanta clears it exactly when `n > hysteresis`,
+/// which is `n/Q > h` (the rounding rule of [`Instance::quantum`]).
+/// Budgets compare the same way: `joined > budget_quanta(a)`.
 ///
 /// For [`Policy::MinMaxVector`] this also replaces the naive
 /// sort-per-candidate scoring with a delta evaluation. Every candidate's
 /// hypothetical vector is the shared stay-baseline with the leave-side
 /// perturbation (identical for all candidates, so it cancels) plus one
-/// replacement — the join AP's entry `x = ap_load(a)` becomes
-/// `y = load_if_joined(u, a)`. Two equal-size multisets that differ by one
-/// replacement each compare, in non-increasing lexicographic order, as
+/// replacement — the join AP's entry `x = ap_quanta(a)` becomes
+/// `y = quanta_if_joined(u, a)`. Two equal-size multisets that differ by
+/// one replacement each compare, in non-increasing lexicographic order, as
 /// their two-element difference multisets `{y_a, x_b}` vs `{y_b, x_a}`
 /// (adding common elements to both sides of a sorted-multiset comparison
 /// never changes its outcome — the outcome is decided by which side has
@@ -361,14 +373,14 @@ pub struct DecisionScratch {
 /// O(k log k) sort per candidate, and the winning vector is materialized
 /// only once for the hysteresis check. Equal difference multisets mean
 /// equal vectors, so the lexicographic + signal + id tie-break is
-/// identical to the reference rule
+/// identical to the rational reference rule
 /// ([`local_decision_reference`](crate::reference::local_decision_reference)).
 pub fn local_decision_scratch<V: ApStateView>(
     ledger: &V,
     u: UserId,
     policy: Policy,
     respect_budget: bool,
-    hysteresis: Load,
+    hysteresis: i64,
     scratch: &mut DecisionScratch,
 ) -> Option<ApId> {
     let inst = ledger.instance();
@@ -383,12 +395,12 @@ pub fn local_decision_scratch<V: ApStateView>(
 
     // Feasible candidates (excluding the current AP — staying is the
     // baseline, not a move), drawn from the APs the view has data for.
-    let feasible = |a: ApId| -> Option<Load> {
+    let feasible = |a: ApId| -> Option<u64> {
         if Some(a) == current {
             return None;
         }
-        let joined = ledger.load_if_joined(u, a)?;
-        if respect_budget && joined > inst.budget(a) {
+        let joined = ledger.quanta_if_joined(u, a)?;
+        if respect_budget && joined > inst.budget_quanta(a) {
             return None;
         }
         Some(joined)
@@ -397,16 +409,23 @@ pub fn local_decision_scratch<V: ApStateView>(
     match policy {
         Policy::MinTotalLoad => {
             // Delta of the total neighboring-AP load if u moves to `a`
-            // (equal to the global total-load delta: only neighbors change).
+            // (equal to the global total-load delta: only neighbors
+            // change). Wrapping `u64` arithmetic read back as `i64` is
+            // exact, because the true delta fits in `i64`.
             let leave_delta = match current {
-                Some(cur) => ledger.load_if_left(u).expect("associated") - ledger.ap_load(cur),
-                None => Load::ZERO,
+                Some(cur) => ledger
+                    .quanta_if_left(u)
+                    .expect("associated")
+                    .wrapping_sub(ledger.ap_quanta(cur)),
+                None => 0,
             };
             let best = reachable
                 .iter()
                 .filter_map(|&a| Some((a, feasible(a)?)))
                 .map(|(a, joined)| {
-                    let delta = (joined - ledger.ap_load(a)) + leave_delta;
+                    let delta = joined
+                        .wrapping_sub(ledger.ap_quanta(a))
+                        .wrapping_add(leave_delta) as i64;
                     let signal = inst.signal(a, u).expect("candidate implies link");
                     (delta, std::cmp::Reverse(signal), a)
                 })
@@ -414,7 +433,9 @@ pub fn local_decision_scratch<V: ApStateView>(
             match (best, current) {
                 // Associated users move only on a strict improvement
                 // (beyond the hysteresis threshold).
-                (Some((delta, _, a)), Some(_)) if delta < -hysteresis => Some(a),
+                (Some((delta, _, a)), Some(_)) if -i128::from(delta) > i128::from(hysteresis) => {
+                    Some(a)
+                }
                 // Unassociated users join the least-increase AP (§4.2),
                 // even though that increases the total load.
                 (Some((_, _, a)), None) => Some(a),
@@ -429,7 +450,7 @@ pub fn local_decision_scratch<V: ApStateView>(
             // single-replacement difference multisets (see the function
             // doc), and only the winner's vector is ever materialized.
             baseline.clear();
-            baseline.extend(reachable.iter().map(|&b| ledger.ap_load(b)));
+            baseline.extend(reachable.iter().map(|&b| ledger.ap_quanta(b)));
             baseline.sort_unstable_by(|x, y| y.cmp(x));
 
             // The leave-side perturbation is shared by every candidate —
@@ -437,8 +458,8 @@ pub fn local_decision_scratch<V: ApStateView>(
             // (a message-level view may have lost contact with it).
             let leave = match current {
                 Some(cur) if reachable.contains(&cur) => {
-                    let left = ledger.load_if_left(u).expect("associated");
-                    Some((ledger.ap_load(cur), left))
+                    let left = ledger.quanta_if_left(u).expect("associated");
+                    Some((ledger.ap_quanta(cur), left))
                 }
                 _ => None,
             };
@@ -447,10 +468,10 @@ pub fn local_decision_scratch<V: ApStateView>(
             // signal, ap). `Iterator::min` keeps the first of equal
             // elements, but full keys never tie (ApId is distinct), so
             // replacing only on strictly-smaller is equivalent.
-            let mut best: Option<(Load, Load, SignalStrength, ApId)> = None;
+            let mut best: Option<(u64, u64, SignalStrength, ApId)> = None;
             for &a in reachable.iter() {
                 let Some(joined) = feasible(a) else { continue };
-                let x = ledger.ap_load(a);
+                let x = ledger.ap_quanta(a);
                 let y = joined;
                 let signal = inst.signal(a, u).expect("candidate implies link");
                 let better = match best {
@@ -498,16 +519,16 @@ pub fn local_decision_scratch<V: ApStateView>(
 /// `{yb, xa}` — sound because a sorted-multiset comparison is decided by
 /// which side has the higher multiplicity of the largest value whose
 /// multiplicities differ, a property unchanged by adding common elements.
-fn replacement_cmp(ya: Load, xb: Load, yb: Load, xa: Load) -> std::cmp::Ordering {
-    let a = if ya >= xb { (ya, xb) } else { (xb, ya) };
-    let b = if yb >= xa { (yb, xa) } else { (xa, yb) };
+fn replacement_cmp(ya: u64, xb: u64, yb: u64, xa: u64) -> std::cmp::Ordering {
+    let a = (ya.max(xb), ya.min(xb));
+    let b = (yb.max(xa), yb.min(xa));
     a.cmp(&b)
 }
 
 /// In a non-increasing sorted vector, replace one occurrence of `old` with
 /// `new`, keeping the vector sorted: two binary searches plus a splice,
 /// instead of re-sorting.
-fn replace_sorted_desc(v: &mut Vec<Load>, old: Load, new: Load) {
+fn replace_sorted_desc(v: &mut Vec<u64>, old: u64, new: u64) {
     if old == new {
         return;
     }
@@ -523,11 +544,12 @@ fn replace_sorted_desc(v: &mut Vec<Load>, old: Load, new: Load) {
 }
 
 /// Lexicographic improvement with hysteresis: `candidate < stay`, and the
-/// first differing position improves by strictly more than `hysteresis`.
-pub(crate) fn vector_improves(stay: &[Load], candidate: &[Load], hysteresis: Load) -> bool {
-    for (s, c) in stay.iter().zip(candidate) {
+/// first differing position improves by strictly more than `hysteresis`
+/// quanta.
+fn vector_improves(stay: &[u64], candidate: &[u64], hysteresis: i64) -> bool {
+    for (&s, &c) in stay.iter().zip(candidate) {
         if c < s {
-            return *s - *c > hysteresis;
+            return i128::from(s - c) > i128::from(hysteresis);
         }
         if c > s {
             return false;
@@ -743,6 +765,7 @@ fn continue_distributed(
     };
 
     let order = config.order.order(inst.n_users());
+    let hysteresis = inst.floor_quanta(config.hysteresis);
     let mut scratch = DecisionScratch::default();
     // Every user must decide at least once; afterwards only moves make
     // users dirty again. A mover re-dirties itself (it reaches both
@@ -764,7 +787,7 @@ fn continue_distributed(
                         u,
                         config.policy,
                         config.respect_budget,
-                        config.hysteresis,
+                        hysteresis,
                         &mut scratch,
                     ) {
                         let from = ledger.ap_of(u);
@@ -793,6 +816,7 @@ fn continue_distributed(
                 let decisions = decide_simultaneous(
                     &ledger,
                     config,
+                    hysteresis,
                     &deciding,
                     workers,
                     round as u32,
@@ -899,6 +923,7 @@ fn write_checkpoint(
 fn decide_simultaneous(
     ledger: &LoadLedger<'_>,
     config: &DistributedConfig,
+    hysteresis: i64,
     users: &[UserId],
     workers: usize,
     round: u32,
@@ -922,7 +947,7 @@ fn decide_simultaneous(
                     u,
                     config.policy,
                     config.respect_budget,
-                    config.hysteresis,
+                    hysteresis,
                     scratch,
                 )
                 .map(|a| (u, a))

@@ -13,7 +13,7 @@ use std::fmt;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::ids::{ApId, SessionId, UserId};
-use crate::load::Load;
+use crate::load::{gcd, Load};
 use crate::rate::{Kbps, RatePolicy, RateTable};
 
 /// Received signal strength of a link, in an abstract monotone unit —
@@ -69,6 +69,11 @@ pub enum InstanceError {
     NegativeBudget(ApId),
     /// A streamed user's candidate-AP list is not strictly ascending.
     UnsortedCandidates(UserId),
+    /// The largest load an AP can carry, `Q · Σₛ rate(s) / min_rate` in
+    /// quanta of `1/Q` (`Q` the LCM of the supported rates, see
+    /// [`Instance::quantum`]), does not fit in `i64`. A zero supported
+    /// rate makes it infinite.
+    LoadQuantumOverflow,
 }
 
 impl fmt::Display for InstanceError {
@@ -91,6 +96,10 @@ impl fmt::Display for InstanceError {
             InstanceError::UnsortedCandidates(u) => {
                 write!(f, "user {u}: candidate APs not strictly ascending")
             }
+            InstanceError::LoadQuantumOverflow => write!(
+                f,
+                "load quantum overflow: the largest AP load in units of 1/lcm(supported rates) does not fit in i64"
+            ),
         }
     }
 }
@@ -251,14 +260,25 @@ impl InstanceBuilder {
     }
 }
 
-/// The header check every constructor runs first: a non-empty rate set
-/// (returned ascending and deduplicated), no zero-rate session and no
-/// negative budget.
+/// What [`check_header`] derives from a valid header.
+#[derive(Debug, Clone)]
+struct Header {
+    /// The supported rates, ascending and deduplicated.
+    rates: Vec<Kbps>,
+    /// The load quantum `Q` (see [`Instance::quantum`]).
+    quantum: u64,
+    /// Per AP: `⌊budget · Q⌋`, clamped to the largest AP numerator.
+    budget_quanta: Vec<u64>,
+}
+
+/// The header check every constructor runs first: a non-empty rate set,
+/// no zero-rate session, no negative budget, and loads whose numerators
+/// over the rate set's quantum fit in `i64`.
 fn check_header(
     sessions: &[SessionSpec],
     budgets: &[Load],
     supported_rates: impl IntoIterator<Item = Kbps>,
-) -> Result<Vec<Kbps>, InstanceError> {
+) -> Result<Header, InstanceError> {
     let mut rates: Vec<Kbps> = supported_rates.into_iter().collect();
     if rates.is_empty() {
         return Err(InstanceError::NoSupportedRates);
@@ -271,7 +291,39 @@ fn check_header(
     if let Some(a) = budgets.iter().position(Load::is_negative) {
         return Err(InstanceError::NegativeBudget(ApId(a as u32)));
     }
-    Ok(rates)
+    let (quantum, max_quanta) =
+        load_quantum(&rates, sessions).ok_or(InstanceError::LoadQuantumOverflow)?;
+    // A budget at or above the largest possible AP load never binds, so
+    // clamping it there keeps every `≤`/`>` against it exact.
+    let budget_quanta = budgets
+        .iter()
+        .map(|b| b.floor_mul(quantum).min(i128::from(max_quanta)) as u64)
+        .collect();
+    Ok(Header {
+        rates,
+        quantum,
+        budget_quanta,
+    })
+}
+
+/// The load quantum `Q = lcm(rates)` and the largest AP load in quanta,
+/// `Σₛ rate(s) · Q / min_rate` (every session served at the slowest
+/// rate), or `None` when either exceeds `i64::MAX` or a rate is zero.
+/// `rates` is ascending.
+fn load_quantum(rates: &[Kbps], sessions: &[SessionSpec]) -> Option<(u64, u64)> {
+    const LIMIT: i128 = i64::MAX as i128;
+    let slowest = i128::from(rates.first()?.0);
+    if slowest == 0 {
+        return None;
+    }
+    let mut q: i128 = 1;
+    for r in rates {
+        let r = i128::from(r.0);
+        q = (q / gcd(q, r)).checked_mul(r).filter(|&q| q <= LIMIT)?;
+    }
+    let streams: i128 = sessions.iter().map(|s| i128::from(s.rate.0)).sum();
+    let max = streams.checked_mul(q / slowest).filter(|&m| m <= LIMIT)?;
+    Some((q as u64, max as u64))
 }
 
 /// The row check every constructor runs on each user: the requested
@@ -336,7 +388,7 @@ fn prefix_sum(degrees: &[u32]) -> Vec<u32> {
 pub struct StreamingInstanceBuilder {
     sessions: Vec<SessionSpec>,
     budgets: Vec<Load>,
-    rates: Vec<Kbps>,
+    header: Header,
     rate_policy: RatePolicy,
     users: Vec<UserSpec>,
     user_off: Vec<u32>,
@@ -352,18 +404,19 @@ impl StreamingInstanceBuilder {
     /// The header checks every constructor shares:
     /// [`InstanceError::NoSupportedRates`],
     /// [`InstanceError::ZeroSessionRate`],
-    /// [`InstanceError::NegativeBudget`].
+    /// [`InstanceError::NegativeBudget`],
+    /// [`InstanceError::LoadQuantumOverflow`].
     pub fn new(
         sessions: Vec<SessionSpec>,
         budgets: Vec<Load>,
         supported_rates: impl IntoIterator<Item = Kbps>,
         rate_policy: RatePolicy,
     ) -> Result<StreamingInstanceBuilder, InstanceError> {
-        let rates = check_header(&sessions, &budgets, supported_rates)?;
+        let header = check_header(&sessions, &budgets, supported_rates)?;
         Ok(StreamingInstanceBuilder {
             sessions,
             budgets,
-            rates,
+            header,
             rate_policy,
             users: Vec::new(),
             user_off: vec![0],
@@ -402,7 +455,7 @@ impl StreamingInstanceBuilder {
             links.iter().map(|&(a, r, _)| (a, r)),
             self.sessions.len(),
             self.budgets.len(),
-            &self.rates,
+            &self.header.rates,
         )?;
         self.users.push(UserSpec { session });
         for &(a, r, sig) in links {
@@ -431,12 +484,14 @@ impl StreamingInstanceBuilder {
             sessions: self.sessions,
             users: self.users,
             budgets: self.budgets,
+            budget_quanta: self.header.budget_quanta,
             user_off: self.user_off,
             user_adj: self.user_adj,
             user_sig: self.user_sig,
             ap_off,
             ap_adj,
-            rates: self.rates,
+            rates: self.header.rates,
+            quantum: self.header.quantum,
             rate_policy: self.rate_policy,
         }
     }
@@ -487,6 +542,9 @@ pub struct Instance {
     sessions: Vec<SessionSpec>,
     users: Vec<UserSpec>,
     budgets: Vec<Load>,
+    /// Per AP: the budget in quanta, `⌊budget · quantum⌋` clamped to the
+    /// largest AP load (see [`Instance::budget_quanta`]).
+    budget_quanta: Vec<u64>,
     /// `user_off[u]..user_off[u+1]` indexes user `u`'s row in `user_adj`
     /// and `user_sig`.
     user_off: Vec<u32>,
@@ -499,6 +557,8 @@ pub struct Instance {
     /// Per-AP reachable users, ascending `UserId` per row.
     ap_adj: Vec<UserId>,
     rates: Vec<Kbps>,
+    /// `lcm(rates)`: every load is a multiple of `1 / quantum`.
+    quantum: u64,
     rate_policy: RatePolicy,
 }
 
@@ -534,7 +594,7 @@ impl Instance {
         use std::mem::size_of;
         self.sessions.len() * size_of::<SessionSpec>()
             + self.users.len() * size_of::<UserSpec>()
-            + self.budgets.len() * size_of::<Load>()
+            + self.budgets.len() * (size_of::<Load>() + size_of::<u64>())
             + self.user_off.len() * size_of::<u32>()
             + self.user_adj.len() * size_of::<(ApId, Kbps)>()
             + self.user_sig.len() * size_of::<i64>()
@@ -583,6 +643,68 @@ impl Instance {
     /// Panics if `a` is out of range.
     pub fn budget(&self, a: ApId) -> Load {
         self.budgets[a.index()]
+    }
+
+    /// The load quantum `Q`: the LCM of the supported rates in kbps
+    /// (432,000 for the eight 802.11a rates). Every model load is a sum of
+    /// `rate(s) / tx` with `tx` a supported rate, so it is exactly `n / Q`
+    /// for an integer `n` — its *quanta*. The ledger and the decision
+    /// rules keep and compare quanta; [`Load`] stays the exact rational at
+    /// the public boundary.
+    ///
+    /// Rational thresholds (budgets, hysteresis) meet quanta through one
+    /// rounding rule. For an integer `n` and a rational `b` of either
+    /// sign, `n/Q ≤ b` holds exactly when `n ≤ ⌊b·Q⌋`, and `n/Q > b`
+    /// exactly when `n > ⌊b·Q⌋` ([`Load::floor_mul`]); `≥` and `<` need
+    /// `⌈b·Q⌉` instead ([`Load::ceil_mul`]). Every comparison in this
+    /// crate is phrased as `≤` or `>`, so floors suffice.
+    ///
+    /// Construction guarantees that the largest AP load,
+    /// `Q · Σₛ rate(s) / min_rate`, fits in `i64`
+    /// ([`InstanceError::LoadQuantumOverflow`]), so a difference of two
+    /// AP loads does too.
+    pub fn quantum(&self) -> u64 {
+        self.quantum
+    }
+
+    /// AP `a`'s budget in quanta: `⌊budget · Q⌋`, so `n ≤ budget_quanta(a)`
+    /// is exactly `n/Q ≤ budget(a)`. A budget above the largest load any
+    /// AP can carry is clamped to that load; such a budget never binds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is out of range.
+    pub fn budget_quanta(&self, a: ApId) -> u64 {
+        self.budget_quanta[a.index()]
+    }
+
+    /// The load of session `s` multicast at rate `tx`, in quanta:
+    /// `rate(s) · (Q / tx)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range or `tx` is not a supported rate.
+    pub fn session_quanta(&self, s: SessionId, tx: Kbps) -> u64 {
+        assert!(
+            self.rates.binary_search(&tx).is_ok(),
+            "{tx} is not a supported rate"
+        );
+        u64::from(self.session_rate(s).0) * (self.quantum / u64::from(tx.0))
+    }
+
+    /// `⌊l · Q⌋`, saturated to `i64`: a rational threshold on the quantum
+    /// grid, for comparisons phrased as `quanta > threshold` or
+    /// `quanta ≤ threshold` (see [`Instance::quantum`]). Saturation keeps
+    /// both exact, because every AP load and every difference of two lies
+    /// within `±i64::MAX`.
+    pub fn floor_quanta(&self, l: Load) -> i64 {
+        l.floor_mul(self.quantum)
+            .clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
+    }
+
+    /// The load `n / Q`.
+    pub fn quanta_load(&self, n: u64) -> Load {
+        Load::from_ratio(n, self.quantum)
     }
 
     /// User `u`'s row bounds in the user-major arenas.
@@ -717,7 +839,7 @@ impl Instance {
     ) -> Result<Instance, String> {
         let n_aps = budgets.len();
         let n_users = users.len();
-        let rates = check_header(&sessions, &budgets, rates).map_err(|e| e.to_string())?;
+        let header = check_header(&sessions, &budgets, rates).map_err(|e| e.to_string())?;
         if user_off.len() != n_users + 1 {
             return Err(format!(
                 "user_off has {} entries for {n_users} users",
@@ -745,7 +867,7 @@ impl Instance {
                 user_adj[lo..hi].iter().copied(),
                 sessions.len(),
                 n_aps,
-                &rates,
+                &header.rates,
             )
             .map_err(|e| format!("user {u}: {e}"))?;
         }
@@ -754,12 +876,14 @@ impl Instance {
             sessions,
             users,
             budgets,
+            budget_quanta: header.budget_quanta,
             user_off,
             user_adj,
             user_sig,
             ap_off,
             ap_adj,
-            rates,
+            rates: header.rates,
+            quantum: header.quantum,
             rate_policy,
         })
     }
@@ -1183,6 +1307,53 @@ mod tests {
             b.build().unwrap_err(),
             InstanceError::NoSupportedRates
         ));
+    }
+
+    #[test]
+    fn quantum_and_budget_quanta() {
+        let inst = two_ap_instance();
+        // lcm(3000, 4000, 5000, 6000) kbps.
+        assert_eq!(inst.quantum(), 60_000);
+        assert_eq!(inst.session_quanta(SessionId(0), mbps(5)), 3000 * 12);
+        assert_eq!(inst.quanta_load(36_000), Load::from_ratio(3, 5));
+        // Budget 1 is 60,000 quanta, below the 60,000 · 3000 / 3000 cap.
+        assert_eq!(inst.budget_quanta(ApId(0)), 60_000);
+
+        let mut b = InstanceBuilder::new();
+        let s = b.add_session(mbps(6));
+        let tight = b.add_ap(Load::from_ratio(5, 7));
+        let loose = b.add_ap(Load::from(1000u32));
+        let u = b.add_user(s);
+        b.link(tight, u, mbps(6)).unwrap();
+        let inst = b.build().unwrap();
+        assert_eq!(inst.quantum(), 432_000);
+        // ⌊5/7 · 432,000⌋ = ⌊308,571.43⌋.
+        assert_eq!(inst.budget_quanta(tight), 308_571);
+        // 1000 is clamped to the largest AP load: 6 Mbps sent at 6 Mbps.
+        assert_eq!(inst.budget_quanta(loose), 432_000);
+        assert_eq!(inst.floor_quanta(Load::new(-1, 7)), -61_715);
+        assert_eq!(inst.floor_quanta(Load::from_ratio(1, 1000)), 432);
+    }
+
+    #[test]
+    fn rejects_loads_beyond_i64_quanta() {
+        // Q = 2³¹−1 · 2³¹−2 fits in i64, and so does Q · 1/1 — but not
+        // Q · 3/1: the largest AP load at the 1 kbps rate overflows.
+        let build = |stream: u32| {
+            let mut b = InstanceBuilder::new();
+            b.supported_rates([Kbps(1), Kbps((1 << 31) - 1), Kbps((1 << 31) - 2)]);
+            b.add_session(Kbps(stream));
+            b.build()
+        };
+        assert_eq!(
+            build(1).unwrap().quantum(),
+            ((1 << 31) - 1) * ((1 << 31) - 2)
+        );
+        assert_eq!(build(3).unwrap_err(), InstanceError::LoadQuantumOverflow);
+        // A zero rate makes the largest load infinite.
+        let mut b = InstanceBuilder::new();
+        b.supported_rates([Kbps(0), mbps(6)]);
+        assert_eq!(b.build().unwrap_err(), InstanceError::LoadQuantumOverflow);
     }
 
     #[test]

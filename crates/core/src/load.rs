@@ -65,7 +65,7 @@ impl TryFrom<RawLoad> for Load {
     }
 }
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
+pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
     a = a.abs();
     b = b.abs();
     while b != 0 {
@@ -166,6 +166,30 @@ impl Load {
         Load::new(self.num, Load::checked_mul(self.den, divisor as i128))
     }
 
+    /// `⌊self · q⌋`, exact for either sign: the load's position on a grid
+    /// of `1/q` steps (the quantization rule of
+    /// [`Instance::quantum`](crate::Instance::quantum)). For an integer
+    /// `n`, `n/q ≤ self` holds exactly when `n ≤ self.floor_mul(q)`, and
+    /// `n/q > self` exactly when `n > self.floor_mul(q)`. Saturates at the
+    /// `i128` range.
+    pub fn floor_mul(self, q: u64) -> i128 {
+        let whole = self.num.div_euclid(self.den);
+        // 0 ≤ rest < den, so ⌊rest · q / den⌋ < q.
+        let rest = self.num.rem_euclid(self.den) as u128;
+        let frac = mul_div_floor(rest, q, self.den as u128) as i128;
+        whole
+            .checked_mul(i128::from(q))
+            .and_then(|w| w.checked_add(frac))
+            .unwrap_or(if whole < 0 { i128::MIN } else { i128::MAX })
+    }
+
+    /// `⌈self · q⌉`, the other half of the rounding rule: `n/q ≥ self`
+    /// exactly when `n ≥ self.ceil_mul(q)`, and `n/q < self` exactly when
+    /// `n < self.ceil_mul(q)`.
+    pub fn ceil_mul(self, q: u64) -> i128 {
+        (-self).floor_mul(q).saturating_neg()
+    }
+
     fn checked_mul(a: i128, b: i128) -> i128 {
         a.checked_mul(b)
             .expect("load arithmetic overflow: fraction denominators grew beyond i128")
@@ -181,6 +205,33 @@ impl Load {
         const LIM: i128 = i64::MAX as i128;
         self.num.abs() <= LIM && self.den <= LIM
     }
+}
+
+/// `⌊r · q / den⌋` for `r < den`, without overflow: one multiply when
+/// `r · q` fits in `u128`, else long multiplication over the bits of `q`
+/// (invariant: `quot · den + rem` is `r` times the bits seen so far, with
+/// `rem < den < 2¹²⁷`).
+fn mul_div_floor(r: u128, q: u64, den: u128) -> u128 {
+    if let Some(p) = r.checked_mul(u128::from(q)) {
+        return p / den;
+    }
+    let (mut quot, mut rem) = (0u128, 0u128);
+    for bit in (0..64).rev() {
+        quot <<= 1;
+        rem <<= 1;
+        if rem >= den {
+            rem -= den;
+            quot += 1;
+        }
+        if (q >> bit) & 1 == 1 {
+            rem += r;
+            if rem >= den {
+                rem -= den;
+                quot += 1;
+            }
+        }
+    }
+    quot
 }
 
 impl Default for Load {
@@ -401,6 +452,27 @@ mod tests {
     #[test]
     fn as_f64_close() {
         assert!((Load::from_ratio(7, 12).as_f64() - 0.5833333).abs() < 1e-6);
+    }
+
+    #[test]
+    fn floor_and_ceil_on_a_grid() {
+        assert_eq!(Load::from_ratio(5, 7).floor_mul(432_000), 308_571);
+        assert_eq!(Load::from_ratio(5, 7).ceil_mul(432_000), 308_572);
+        assert_eq!(Load::new(-5, 7).floor_mul(432_000), -308_572);
+        assert_eq!(Load::new(-5, 7).ceil_mul(432_000), -308_571);
+        assert_eq!(Load::from_ratio(1, 6).floor_mul(432_000), 72_000);
+        assert_eq!(Load::from_ratio(1, 6).ceil_mul(432_000), 72_000);
+        assert_eq!(Load::ZERO.floor_mul(u64::MAX), 0);
+        // A denominator too large for one `u128` product takes the long
+        // multiplication: (2¹²⁰ − 1) / 2¹²⁰ · (2⁶⁴ − 1) is just below
+        // 2⁶⁴ − 1.
+        let den = 1i128 << 120;
+        let near_one = Load::new(den - 1, den);
+        assert_eq!(near_one.floor_mul(u64::MAX), i128::from(u64::MAX) - 1);
+        assert_eq!(near_one.ceil_mul(u64::MAX), i128::from(u64::MAX));
+        // Saturation far outside the i128 range.
+        assert_eq!(Load::new(i128::MAX, 1).floor_mul(4), i128::MAX);
+        assert_eq!(Load::new(-i128::MAX, 1).floor_mul(4), i128::MIN);
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub fn solve_mnu_with(inst: &Instance, config: &MnuConfig) -> Solution {
                 .candidate_aps(u)
                 .iter()
                 .filter_map(|&(a, _)| {
-                    let load = ledger.load_if_joined(u, a)?;
-                    (load <= inst.budget(a)).then_some((load, a))
+                    let load = ledger.quanta_if_joined(u, a)?;
+                    (load <= inst.budget_quanta(a)).then_some((load, a))
                 })
                 .min();
             if let Some((_, a)) = best {

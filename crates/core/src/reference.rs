@@ -5,14 +5,16 @@
 //! Three oracles live here, each replaced by a fast path elsewhere:
 //!
 //! * [`ReferenceLedger`] — the original incremental load state built on a
-//!   `BTreeMap<Kbps, u32>` rate multiset per (AP, session). The fast
-//!   [`LoadLedger`](crate::LoadLedger) replaces the maps with fixed-size
-//!   count arrays over the instance's discrete rate set.
-//! * [`local_decision_reference`] — the original decision rule, which for
-//!   [`Policy::MinMaxVector`] rebuilds and sorts the full neighbor load
-//!   vector for every candidate (O(k log k) per candidate). The fast rule
-//!   sorts the baseline once and applies each candidate as a two-position
-//!   perturbation.
+//!   `BTreeMap<Kbps, u32>` rate multiset per (AP, session), with exact
+//!   rational loads. The fast [`LoadLedger`](crate::LoadLedger) replaces
+//!   the maps with fixed-size count arrays over the instance's discrete
+//!   rate set and the rationals with integer quanta.
+//! * [`local_decision_reference`] — the original decision rule on
+//!   rational loads, which for [`Policy::MinMaxVector`] rebuilds and sorts
+//!   the full neighbor load vector for every candidate (O(k log k) per
+//!   candidate). The fast rule compares integer quanta against
+//!   floor-quantized budgets and hysteresis, sorts the baseline once and
+//!   applies each candidate as a two-position perturbation.
 //! * [`run_distributed_reference`] — the original convergence loop, which
 //!   re-evaluates every user every round and rebuilds the decision order
 //!   per round. The fast loop computes the order once and keeps a
@@ -25,10 +27,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use crate::assoc::Association;
-use crate::distributed::{
-    vector_improves, ApStateView, DistributedConfig, DistributedOutcome, ExecutionMode, MoveRec,
-    Policy,
-};
+use crate::distributed::{DistributedConfig, DistributedOutcome, ExecutionMode, MoveRec, Policy};
 use crate::ids::{ApId, SessionId, UserId};
 use crate::instance::Instance;
 use crate::load::Load;
@@ -213,32 +212,15 @@ impl<'a> ReferenceLedger<'a> {
     }
 }
 
-impl ApStateView for ReferenceLedger<'_> {
-    fn instance(&self) -> &Instance {
-        ReferenceLedger::instance(self)
-    }
-    fn ap_of(&self, u: UserId) -> Option<ApId> {
-        ReferenceLedger::ap_of(self, u)
-    }
-    fn ap_load(&self, a: ApId) -> Load {
-        ReferenceLedger::ap_load(self, a)
-    }
-    fn load_if_joined(&self, u: UserId, a: ApId) -> Option<Load> {
-        ReferenceLedger::load_if_joined(self, u, a)
-    }
-    fn load_if_left(&self, u: UserId) -> Option<Load> {
-        ReferenceLedger::load_if_left(self, u)
-    }
-}
-
-/// The original decision rule: for [`Policy::MinMaxVector`], builds and
-/// sorts the full neighbor load vector for every candidate.
+/// The original decision rule on exact rational loads: for
+/// [`Policy::MinMaxVector`], builds and sorts the full neighbor load
+/// vector for every candidate.
 ///
 /// Semantically identical to
 /// [`local_decision_with`](crate::local_decision_with); kept as the
-/// equivalence oracle for the delta-evaluation fast path.
-pub fn local_decision_reference<V: ApStateView>(
-    ledger: &V,
+/// equivalence oracle for the integer, delta-evaluated fast path.
+pub fn local_decision_reference(
+    ledger: &ReferenceLedger<'_>,
     u: UserId,
     policy: Policy,
     respect_budget: bool,
@@ -249,7 +231,7 @@ pub fn local_decision_reference<V: ApStateView>(
 
     // Feasible candidates (excluding the current AP — staying is the
     // baseline, not a move), drawn from the APs the view has data for.
-    let reachable = ledger.reachable_aps(u);
+    let reachable: Vec<ApId> = inst.candidate_aps(u).iter().map(|&(a, _)| a).collect();
     let candidates = reachable.iter().filter_map(|&a| {
         if Some(a) == current {
             return None;
@@ -316,6 +298,20 @@ pub fn local_decision_reference<V: ApStateView>(
             }
         }
     }
+}
+
+/// Lexicographic improvement with hysteresis: `candidate < stay`, and the
+/// first differing position improves by strictly more than `hysteresis`.
+fn vector_improves(stay: &[Load], candidate: &[Load], hysteresis: Load) -> bool {
+    for (s, c) in stay.iter().zip(candidate) {
+        if c < s {
+            return *s - *c > hysteresis;
+        }
+        if c > s {
+            return false;
+        }
+    }
+    false // equal vectors
 }
 
 /// The original convergence loop: every user re-evaluated every round, the

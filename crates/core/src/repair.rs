@@ -11,14 +11,13 @@
 //! of the online controller's degradation ladder and the building block
 //! of its admission sweep.
 //!
-//! Each call is `O(k)` in the user's candidate-AP count (`load_if_joined`
-//! is `O(1)` per candidate thanks to the ledger's count arrays), versus
-//! `Ω(Σᵤ kᵤ · |R|)` for a full re-solve.
+//! Each call is `O(k)` in the user's candidate-AP count (`quanta_if_joined`
+//! is `O(1)` integer arithmetic per candidate thanks to the ledger's count
+//! arrays), versus `Ω(Σᵤ kᵤ · |R|)` for a full re-solve.
 
 use crate::assoc::LoadLedger;
 use crate::ids::{ApId, UserId};
 use crate::instance::Instance;
-use crate::load::Load;
 use crate::solution::Objective;
 
 /// The best AP to re-home unassociated user `u` onto, given the current
@@ -51,20 +50,23 @@ where
     F: Fn(ApId) -> bool,
 {
     let inst = ledger.instance();
-    let mut best: Option<(Load, Load, ApId)> = None;
+    // Loads in quanta (see `Instance::quantum`): `post > budget_quanta` is
+    // exactly the rational `post > budget`, and the keys order exactly as
+    // the rational loads do.
+    let mut best: Option<(u64, u64, ApId)> = None;
     for &(a, _) in inst.candidate_aps(u) {
         if !allowed(a) {
             continue;
         }
-        let Some(post) = ledger.load_if_joined(u, a) else {
+        let Some(post) = ledger.quanta_if_joined(u, a) else {
             continue;
         };
-        if enforce_budget && post > inst.budget(a) {
+        if enforce_budget && post > inst.budget_quanta(a) {
             continue;
         }
-        let delta = post - ledger.ap_load(a);
+        let delta = post - ledger.ap_quanta(a);
         let key = match objective {
-            Objective::Mnu | Objective::Bla => (post, Load::ZERO, a),
+            Objective::Mnu | Objective::Bla => (post, 0, a),
             Objective::Mla => (delta, post, a),
         };
         if best.is_none_or(|b| key < b) {

@@ -32,8 +32,8 @@ pub fn solve_ssa(inst: &Instance, objective: Objective) -> Solution {
     let mut ledger = LoadLedger::fresh(inst);
     for u in inst.users() {
         if let Some(a) = strongest_ap(inst, u) {
-            if let Some(load) = ledger.load_if_joined(u, a) {
-                if load <= inst.budget(a) {
+            if let Some(load) = ledger.quanta_if_joined(u, a) {
+                if load <= inst.budget_quanta(a) {
                     ledger.join(u, a);
                 }
             }

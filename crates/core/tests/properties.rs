@@ -59,6 +59,119 @@ fn load_strategy() -> impl Strategy<Value = Load> {
     (-200i128..200, 1i128..60).prop_map(|(n, d)| Load::new(n, d))
 }
 
+/// 802.11b and 802.11a rates in kbps. Every quantized instance supports
+/// 5,500 kbps, whose factor 11 puts its load quantum off the 802.11a
+/// lattice (`Q ≠ 432,000`).
+const MIXED_RATES: [u32; 12] = [
+    1000, 2000, 5500, 6000, 9000, 11000, 12000, 18000, 24000, 36000, 48000, 54000,
+];
+
+/// Session stream rates in kbps.
+const STREAMS: [u32; 4] = [500, 1000, 1500, 3000];
+
+/// Budgets and hysteresis values that lie off every rate lattice here
+/// (their denominators share no factor with the quanta), so quantizing
+/// them really rounds.
+fn off_lattice() -> [Load; 3] {
+    [
+        Load::from_ratio(5, 7),
+        Load::from_ratio(1, 7),
+        Load::from_ratio(3, 1001),
+    ]
+}
+
+/// A random instance over a random subset of [`MIXED_RATES`] that
+/// includes 5,500 kbps, with off-lattice and ordinary budgets; AP 0
+/// reaches every user.
+fn quantized_instance() -> impl Strategy<Value = Instance> {
+    (0u32..(1 << 12), 1usize..5, 1usize..12, 1usize..4)
+        .prop_flat_map(|(mask, n_aps, n_users, n_sessions)| {
+            let rates: Vec<u32> = MIXED_RATES
+                .iter()
+                .enumerate()
+                .filter(|&(i, &r)| mask & (1 << i) != 0 || r == 5500)
+                .map(|(_, &r)| r)
+                .collect();
+            let n_rates = rates.len();
+            (
+                Just(rates),
+                vec(0usize..STREAMS.len(), n_sessions),
+                vec(0usize..5, n_aps),
+                vec(0usize..n_sessions, n_users),
+                vec(proptest::option::of(0usize..n_rates), n_aps * n_users),
+                vec(0usize..n_rates, n_users),
+            )
+        })
+        .prop_map(|(rates, streams, budgets, sessions, links, base)| {
+            let mut b = InstanceBuilder::new();
+            b.supported_rates(rates.iter().map(|&r| Kbps(r)));
+            let session_ids: Vec<_> = streams
+                .iter()
+                .map(|&i| b.add_session(Kbps(STREAMS[i])))
+                .collect();
+            let ap_ids: Vec<_> = budgets
+                .iter()
+                .map(|&i| {
+                    b.add_ap(match i {
+                        0..=2 => off_lattice()[i],
+                        3 => Load::permille(900),
+                        _ => Load::from(2u32),
+                    })
+                })
+                .collect();
+            let user_ids: Vec<_> = sessions
+                .iter()
+                .map(|&s| b.add_user(session_ids[s]))
+                .collect();
+            for (u, &k) in base.iter().enumerate() {
+                b.link(ap_ids[0], user_ids[u], Kbps(rates[k])).unwrap();
+            }
+            for a in 1..ap_ids.len() {
+                for u in 0..user_ids.len() {
+                    if let Some(k) = links[a * user_ids.len() + u] {
+                        b.link(ap_ids[a], user_ids[u], Kbps(rates[k])).unwrap();
+                    }
+                }
+            }
+            b.build().unwrap()
+        })
+}
+
+/// A ledger driven through `ops`: each `(user, ap)` moves the user there
+/// when in range, or else makes it leave.
+fn ledger_after<'a>(inst: &'a Instance, ops: &[(u32, u32)]) -> LoadLedger<'a> {
+    let mut ledger = LoadLedger::fresh(inst);
+    for &(u_raw, a_raw) in ops {
+        let u = UserId(u_raw % inst.n_users() as u32);
+        let a = ApId(a_raw % inst.n_aps() as u32);
+        if inst.link_rate(a, u).is_some() {
+            ledger.reassociate(u, a);
+        } else if ledger.ap_of(u).is_some() {
+            ledger.leave(u);
+        }
+    }
+    ledger
+}
+
+/// The integer decision rule on `ledger` agrees with the rational
+/// reference rule for every user and both policies.
+fn decisions_match_reference(
+    inst: &Instance,
+    ledger: &LoadLedger<'_>,
+    respect_budget: bool,
+    hysteresis: Load,
+) -> Result<(), TestCaseError> {
+    let reference = ReferenceLedger::new(inst, ledger.association().clone());
+    for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
+        for u in inst.users() {
+            let fast = local_decision_with(ledger, u, policy, respect_budget, hysteresis);
+            let refd = local_decision_reference(&reference, u, policy, respect_budget, hysteresis);
+            prop_assert_eq!(fast, refd, "policy {:?} user {}", policy, u);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -186,16 +299,7 @@ proptest! {
         inst in coverable_instance(),
         ops in vec((0u32..12, 0u32..5), 0..40),
     ) {
-        let mut ledger = LoadLedger::new(&inst, Association::empty(inst.n_users()));
-        for (u_raw, a_raw) in ops {
-            let u = UserId(u_raw % inst.n_users() as u32);
-            let a = ApId(a_raw % inst.n_aps() as u32);
-            if inst.link_rate(a, u).is_some() {
-                ledger.reassociate(u, a);
-            } else if ledger.ap_of(u).is_some() {
-                ledger.leave(u);
-            }
-        }
+        let ledger = ledger_after(&inst, &ops);
         let assoc = ledger.association().clone();
         for a in inst.aps() {
             prop_assert_eq!(ledger.ap_load(a), assoc.ap_load(a, &inst));
@@ -254,31 +358,13 @@ proptest! {
         hyst_kind in 0u8..3,
         budget_raw in 0u8..2,
     ) {
-        let mut ledger = LoadLedger::new(&inst, Association::empty(inst.n_users()));
-        for (u_raw, a_raw) in ops {
-            let u = UserId(u_raw % inst.n_users() as u32);
-            let a = ApId(a_raw % inst.n_aps() as u32);
-            if inst.link_rate(a, u).is_some() {
-                ledger.reassociate(u, a);
-            } else if ledger.ap_of(u).is_some() {
-                ledger.leave(u);
-            }
-        }
-        let reference = ReferenceLedger::new(&inst, ledger.association().clone());
+        let ledger = ledger_after(&inst, &ops);
         let hysteresis = match hyst_kind {
             0 => Load::ZERO,
             1 => Load::from_ratio(1, 100),
             _ => Load::from_ratio(1, 6),
         };
-        let respect_budget = budget_raw == 1;
-        for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
-            for u in inst.users() {
-                let fast = local_decision_with(&ledger, u, policy, respect_budget, hysteresis);
-                let refd =
-                    local_decision_reference(&reference, u, policy, respect_budget, hysteresis);
-                prop_assert_eq!(fast, refd, "policy {:?} user {}", policy, u);
-            }
-        }
+        decisions_match_reference(&inst, &ledger, budget_raw == 1, hysteresis)?;
     }
 
     /// The worklist convergence loop reproduces the full-sweep reference
@@ -350,6 +436,160 @@ proptest! {
             let predicted = ledger.load_if_left(u).unwrap();
             ledger.leave(u);
             prop_assert_eq!(ledger.ap_load(ApId(0)), predicted);
+        }
+    }
+}
+
+// ---- Integer loads on the quantum grid vs exact rationals ----
+//
+// These run `PROPTEST_CASES` cases (default 32): CI runs them with more.
+
+proptest! {
+    /// The ledger's integer loads and what-ifs, times `1/Q`, are the
+    /// rational reference ledger's loads, through arbitrary moves.
+    #[test]
+    fn quantized_what_ifs_match_rational(
+        inst in quantized_instance(),
+        ops in vec((0u32..12, 0u32..5), 0..40),
+    ) {
+        prop_assert_ne!(inst.quantum(), 432_000);
+        let per_quantum = Load::from_ratio(1, inst.quantum());
+        let mut fast = LoadLedger::fresh(&inst);
+        let mut reference = ReferenceLedger::fresh(&inst);
+        for (u_raw, a_raw) in ops {
+            let u = UserId(u_raw % inst.n_users() as u32);
+            let a = ApId(a_raw % inst.n_aps() as u32);
+            if inst.link_rate(a, u).is_some() {
+                fast.reassociate(u, a);
+                reference.reassociate(u, a);
+            } else if fast.ap_of(u).is_some() {
+                fast.leave(u);
+                reference.leave(u);
+            }
+            for b in inst.aps() {
+                prop_assert_eq!(per_quantum * fast.ap_quanta(b), reference.ap_load(b));
+                prop_assert_eq!(fast.ap_load(b), reference.ap_load(b));
+            }
+            for v in inst.users() {
+                prop_assert_eq!(
+                    fast.quanta_if_left(v).map(|n| per_quantum * n),
+                    reference.load_if_left(v)
+                );
+                for &(b, _) in inst.candidate_aps(v) {
+                    prop_assert_eq!(
+                        fast.quanta_if_joined(v, b).map(|n| per_quantum * n),
+                        reference.load_if_joined(v, b)
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(fast.total_load(), reference.total_load());
+        prop_assert_eq!(fast.max_load(), reference.max_load());
+    }
+
+    /// The rounding rule: against every threshold `b` — budgets, the
+    /// off-lattice values, their negations and a random load — an integer
+    /// load `n` (an AP load, a what-if or a move delta) satisfies
+    /// `n ≤ ⌊bQ⌋`, `n > ⌊bQ⌋`, `n < ⌈bQ⌉` and `n ≥ ⌈bQ⌉` exactly when
+    /// `n/Q` is `≤`, `>`, `<` and `≥` `b`.
+    #[test]
+    fn quantized_comparisons_match_rational(
+        inst in quantized_instance(),
+        ops in vec((0u32..12, 0u32..5), 0..40),
+        extra in load_strategy(),
+    ) {
+        let q = inst.quantum();
+        let ledger = ledger_after(&inst, &ops);
+        let mut values: Vec<i128> = Vec::new();
+        for a in inst.aps() {
+            values.push(i128::from(ledger.ap_quanta(a)));
+        }
+        for u in inst.users() {
+            let left = ledger.quanta_if_left(u);
+            for &(a, _) in inst.candidate_aps(u) {
+                if let Some(joined) = ledger.quanta_if_joined(u, a) {
+                    let join_delta = i128::from(joined) - i128::from(ledger.ap_quanta(a));
+                    values.push(i128::from(joined));
+                    values.push(join_delta);
+                    if let (Some(left), Some(cur)) = (left, ledger.ap_of(u)) {
+                        values.push(join_delta + i128::from(left) - i128::from(ledger.ap_quanta(cur)));
+                    }
+                }
+            }
+        }
+        let mut thresholds: Vec<Load> = vec![Load::ZERO, extra];
+        for b in off_lattice() {
+            thresholds.extend([b, -b]);
+        }
+        thresholds.extend(inst.aps().map(|a| inst.budget(a)));
+        for &b in &thresholds {
+            let (floor, ceil) = (b.floor_mul(q), b.ceil_mul(q));
+            prop_assert_eq!(i128::from(inst.floor_quanta(b)), floor);
+            for &n in &values {
+                let x = Load::new(n, i128::from(q));
+                prop_assert_eq!(n <= floor, x <= b, "{} <= {}", x, b);
+                prop_assert_eq!(n > floor, x > b, "{} > {}", x, b);
+                prop_assert_eq!(n < ceil, x < b, "{} < {}", x, b);
+                prop_assert_eq!(n >= ceil, x >= b, "{} >= {}", x, b);
+            }
+        }
+        for a in inst.aps() {
+            for &n in values.iter().filter(|&&n| n >= 0) {
+                let x = Load::new(n, i128::from(q));
+                prop_assert_eq!(n <= i128::from(inst.budget_quanta(a)), x <= inst.budget(a));
+            }
+        }
+    }
+
+    /// The integer decision rule equals the rational reference rule on
+    /// off-lattice instances, budgets and hysteresis.
+    #[test]
+    fn quantized_decision_matches_reference(
+        inst in quantized_instance(),
+        ops in vec((0u32..12, 0u32..5), 0..30),
+        hyst_kind in 0usize..4,
+        budget_raw in 0u8..2,
+    ) {
+        let ledger = ledger_after(&inst, &ops);
+        let hysteresis = match hyst_kind {
+            0 => Load::ZERO,
+            k => off_lattice()[k - 1],
+        };
+        decisions_match_reference(&inst, &ledger, budget_raw == 1, hysteresis)?;
+    }
+
+    /// The engine, quantizing hysteresis once per run, reproduces the
+    /// rational reference run on off-lattice instances: both modes and
+    /// policies, with budgets and hysteresis.
+    #[test]
+    fn quantized_run_matches_reference_run(
+        inst in quantized_instance(),
+        hyst_kind in 0usize..4,
+        budget_raw in 0u8..2,
+    ) {
+        let hysteresis = match hyst_kind {
+            0 => Load::ZERO,
+            k => off_lattice()[k - 1],
+        };
+        for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
+            for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
+                let config = DistributedConfig {
+                    policy,
+                    mode,
+                    max_rounds: 40,
+                    respect_budget: budget_raw == 1,
+                    hysteresis,
+                    ..DistributedConfig::default()
+                };
+                let initial = Association::from_vec(vec![Some(ApId(0)); inst.n_users()]);
+                let fast = run_distributed(&inst, &config, initial.clone());
+                let reference = run_distributed_reference(&inst, &config, initial);
+                prop_assert_eq!(&fast.association, &reference.association);
+                prop_assert_eq!(
+                    (fast.rounds, fast.moves, fast.converged, fast.cycle_detected),
+                    (reference.rounds, reference.moves, reference.converged, reference.cycle_detected)
+                );
+            }
         }
     }
 }

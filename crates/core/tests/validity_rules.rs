@@ -82,6 +82,7 @@ enum Malformation {
     UnsupportedRate,
     DescendingRow,
     RepeatedAp,
+    LoadQuantumOverflow,
 }
 
 impl Malformation {
@@ -97,6 +98,11 @@ impl Malformation {
             Malformation::UnsupportedRate => p.rows[3][1].1 = mbps(4),
             Malformation::DescendingRow => p.rows[3].swap(0, 2),
             Malformation::RepeatedAp => p.rows[0][1].0 = ApId(0),
+            // Two coprime rates near 2³² put the LCM of the rate set, and
+            // with it every load numerator, beyond i64.
+            Malformation::LoadQuantumOverflow => {
+                p.rates.extend([Kbps(u32::MAX - 1), Kbps(u32::MAX)]);
+            }
         }
         p
     }
@@ -116,6 +122,7 @@ impl Malformation {
             },
             Malformation::DescendingRow => InstanceError::UnsortedCandidates(UserId(3)),
             Malformation::RepeatedAp => InstanceError::UnsortedCandidates(UserId(0)),
+            Malformation::LoadQuantumOverflow => InstanceError::LoadQuantumOverflow,
         }
     }
 }
@@ -307,6 +314,11 @@ mod streaming {
     fn repeated_ap() {
         check(Malformation::RepeatedAp);
     }
+
+    #[test]
+    fn load_quantum_overflow() {
+        check(Malformation::LoadQuantumOverflow);
+    }
 }
 
 mod batch_builder {
@@ -350,6 +362,11 @@ mod batch_builder {
     #[test]
     fn unsupported_rate() {
         check(Malformation::UnsupportedRate);
+    }
+
+    #[test]
+    fn load_quantum_overflow() {
+        check(Malformation::LoadQuantumOverflow);
     }
 
     #[test]
@@ -419,6 +436,11 @@ mod from_csr {
     #[test]
     fn repeated_ap() {
         check(Malformation::RepeatedAp);
+    }
+
+    #[test]
+    fn load_quantum_overflow() {
+        check(Malformation::LoadQuantumOverflow);
     }
 
     #[test]
@@ -507,6 +529,11 @@ mod sparse_json {
     fn repeated_ap() {
         check(Malformation::RepeatedAp);
     }
+
+    #[test]
+    fn load_quantum_overflow() {
+        check(Malformation::LoadQuantumOverflow);
+    }
 }
 
 mod dense_json {
@@ -544,6 +571,11 @@ mod dense_json {
     #[test]
     fn unsupported_rate() {
         check(Malformation::UnsupportedRate);
+    }
+
+    #[test]
+    fn load_quantum_overflow() {
+        check(Malformation::LoadQuantumOverflow);
     }
 
     /// The matrix has no row order of its own: a row written from a

@@ -13,7 +13,10 @@
 //! `mcast-core` [`CheckpointSink`] boundary for supervised distributed
 //! runs; the torn-write hook ([`SnapshotFile::append_torn`])
 //! persists a deliberately half-written frame so chaos tests can prove
-//! the recovery rule on disk rather than in theory.
+//! the recovery rule on disk rather than in theory. The hook models a
+//! crash mid-write, so the next append on the same file first truncates
+//! the tear — the state [`SnapshotFile::open_append`] restores after a
+//! real crash — and every later frame stays recoverable.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -31,9 +34,26 @@ use crate::journal::{crc32, replay_raw_bytes, JournalError};
 /// each one must be durable).
 #[derive(Debug)]
 pub struct SnapshotFile {
-    file: Mutex<File>,
+    file: Mutex<Appender>,
     path: PathBuf,
     faults: Option<Arc<IoFaultPlan>>,
+}
+
+/// The open file, and the length of its whole-frame prefix while an
+/// [`SnapshotFile::append_torn`] tear sits at its end.
+#[derive(Debug)]
+struct Appender {
+    file: File,
+    torn_from: Option<u64>,
+}
+
+impl Appender {
+    fn locked(file: File) -> Mutex<Appender> {
+        Mutex::new(Appender {
+            file,
+            torn_from: None,
+        })
+    }
 }
 
 fn io_err(path: &Path, e: &std::io::Error) -> JournalError {
@@ -69,7 +89,7 @@ impl SnapshotFile {
         }
         let file = File::create(path).map_err(|e| io_err(path, &e))?;
         Ok(SnapshotFile {
-            file: Mutex::new(file),
+            file: Appender::locked(file),
             path: path.to_path_buf(),
             faults,
         })
@@ -101,7 +121,7 @@ impl SnapshotFile {
         file.set_len(valid_len).map_err(|e| io_err(path, &e))?;
         file.seek(SeekFrom::End(0)).map_err(|e| io_err(path, &e))?;
         Ok(SnapshotFile {
-            file: Mutex::new(file),
+            file: Appender::locked(file),
             path: path.to_path_buf(),
             faults: None,
         })
@@ -120,12 +140,14 @@ impl SnapshotFile {
             ));
         }
         let line = format!("{:08x} {payload}\n", crc32(payload.as_bytes()));
-        self.write_and_sync(line.as_bytes())
+        self.write_and_sync(line.as_bytes(), false)
     }
 
     /// Chaos hook: appends the *first half* of the frame — checksum
     /// intact, payload cut, no newline — and fsyncs, as if the process
     /// died mid-write. [`load_checkpoints`] recovers the previous frame.
+    /// The next append truncates the tear first, as reopening with
+    /// [`SnapshotFile::open_append`] would after a real crash.
     ///
     /// # Errors
     ///
@@ -137,11 +159,26 @@ impl SnapshotFile {
             ));
         }
         let line = format!("{:08x} {payload}\n", crc32(payload.as_bytes()));
-        self.write_and_sync(&line.as_bytes()[..line.len() / 2])
+        self.write_and_sync(&line.as_bytes()[..line.len() / 2], true)
     }
 
-    fn write_and_sync(&self, bytes: &[u8]) -> Result<(), JournalError> {
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+    /// Writes `bytes` at the end of the file and fsyncs, after cutting off
+    /// a tear left by [`SnapshotFile::append_torn`]; `torn` marks `bytes`
+    /// as such a tear.
+    fn write_and_sync(&self, bytes: &[u8], torn: bool) -> Result<(), JournalError> {
+        let mut appender = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let Appender { file, torn_from } = &mut *appender;
+        if let Some(len) = *torn_from {
+            file.set_len(len)
+                .and_then(|()| file.seek(SeekFrom::Start(len)))
+                .map_err(|e| io_err(&self.path, &e))?;
+            *torn_from = None;
+        }
+        let tear_at = if torn {
+            Some(file.stream_position().map_err(|e| io_err(&self.path, &e))?)
+        } else {
+            None
+        };
         if let Some(plan) = &self.faults {
             if let Some(fault) = plan.next_write_fate() {
                 if fault == WriteFault::Short {
@@ -157,6 +194,7 @@ impl SnapshotFile {
         file.write_all(bytes)
             .and_then(|()| file.flush())
             .map_err(|e| io_err(&self.path, &e))?;
+        *torn_from = tear_at;
         if self
             .faults
             .as_deref()

@@ -8,6 +8,9 @@
 //!
 //! The case count honors `PROPTEST_CASES` and defaults to 16 — each
 //! case runs 2 policies × 2 modes × 3 worker counts = 12 roundtrips.
+//!
+//! A chaos-torn save models a crash mid-write, so the sink truncates the
+//! tear before its next save: every later frame stays recoverable.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,10 +19,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mcast_core::{
-    resume_distributed_parallel, run_distributed_parallel, Association, DistributedConfig,
-    ExecutionMode, Instance, InstanceBuilder, Kbps, Load, Policy, SuperviseOptions,
+    resume_distributed_parallel, run_distributed_parallel, ApId, Association, ChaosOp, ChaosPlan,
+    CheckpointSink, DistributedConfig, ExecutionMode, Instance, InstanceBuilder, Kbps, Load,
+    Policy, RunCheckpoint, SuperviseOptions, CHECKPOINT_SCHEMA,
 };
-use mcast_events::{load_latest_checkpoint, RunCheckpointSink};
+use mcast_events::{load_checkpoints, load_latest_checkpoint, RunCheckpointSink};
 
 const RATES: [u32; 4] = [6, 12, 24, 54];
 
@@ -82,6 +86,35 @@ fn scratch_path() -> PathBuf {
         "mcast_ckpt_roundtrip_{}_{n}.ckpt",
         std::process::id()
     ))
+}
+
+fn checkpoint(round: u32) -> RunCheckpoint {
+    let assoc = vec![Some(ApId(round)), None];
+    RunCheckpoint {
+        schema: CHECKPOINT_SCHEMA.to_string(),
+        round,
+        moves: u64::from(round),
+        assoc: assoc.clone(),
+        seen: vec![vec![None, None], assoc],
+        trace: Vec::new(),
+        traced: false,
+    }
+}
+
+/// Save, torn save, save, save on one sink: the tear is cut off before
+/// the next frame lands, so all three whole frames load.
+#[test]
+fn frames_after_a_torn_save_stay_recoverable() {
+    let path = scratch_path();
+    let sink = RunCheckpointSink::create(&path).unwrap();
+    sink.save(&checkpoint(1)).unwrap();
+    sink.save_torn(&checkpoint(2)).unwrap();
+    assert_eq!(load_checkpoints(&path).unwrap(), vec![checkpoint(1)]);
+    sink.save(&checkpoint(3)).unwrap();
+    sink.save(&checkpoint(4)).unwrap();
+    let loaded = load_checkpoints(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded, vec![checkpoint(1), checkpoint(3), checkpoint(4)]);
 }
 
 proptest! {
@@ -192,6 +225,61 @@ proptest! {
                         prop_assert_eq!(&resumed.trace, &oracle.trace,
                             "resumed trace: {}", &ctx);
                     }
+                }
+            }
+        }
+    }
+
+    /// A checkpoint torn by chaos mid-run hides no later frame: every
+    /// checkpoint counted as written loads back, in round order, and
+    /// resuming from the latest reproduces the uninterrupted run.
+    #[test]
+    fn frames_after_a_torn_round_stay_recoverable(
+        inst in coverable_instance(),
+        torn_round in 1u32..4,
+    ) {
+        for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
+            for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
+                let config = DistributedConfig {
+                    policy,
+                    mode,
+                    max_rounds: 30,
+                    ..DistributedConfig::default()
+                };
+                let ctx = format!("{policy:?}/{mode:?} torn={torn_round}");
+                let path = scratch_path();
+                let sink = RunCheckpointSink::create(&path).unwrap();
+                let chaos = ChaosPlan::new(vec![ChaosOp::TornCheckpoint { round: torn_round }]);
+                let opts = SuperviseOptions {
+                    trace: true,
+                    checkpoint_every: Some(1),
+                    chaos: Some(&chaos),
+                    sink: Some(&sink),
+                };
+                let initial = Association::empty(inst.n_users());
+                let full = run_distributed_parallel(&inst, &config, initial, 2, &opts).unwrap();
+                drop(sink);
+                let frames = load_checkpoints(&path).unwrap();
+                std::fs::remove_file(&path).ok();
+                let rounds: Vec<u32> = frames.iter().map(|cp| cp.round).collect();
+                prop_assert_eq!(rounds.len(), full.recovery.checkpoints_written, "{}", &ctx);
+                prop_assert!(rounds.windows(2).all(|w| w[0] < w[1]), "{}", &ctx);
+                prop_assert!(!rounds.contains(&torn_round), "{}", &ctx);
+                if let Some(latest) = frames.last() {
+                    let resumed = resume_distributed_parallel(
+                        &inst,
+                        &config,
+                        latest,
+                        2,
+                        &SuperviseOptions::default(),
+                    )
+                    .unwrap();
+                    prop_assert_eq!(
+                        &resumed.outcome.association,
+                        &full.outcome.association,
+                        "{}", &ctx
+                    );
+                    prop_assert_eq!(&resumed.trace, &full.trace, "{}", &ctx);
                 }
             }
         }

@@ -164,7 +164,9 @@ struct ResponseData {
 
 /// The user-side knowledge assembled from `LoadResponse`s; implements the
 /// same [`ApStateView`] the round-based engine uses, proving the decision
-/// needs no global information.
+/// needs no global information. Responses carry rational loads (the wire
+/// format); the view converts them to quanta of the instance's load
+/// quantum, which is exact for every load the model produces.
 struct QueryView<'a> {
     inst: &'a Instance,
     user: UserId,
@@ -196,35 +198,48 @@ impl ApStateView for QueryView<'_> {
         self.current
     }
 
-    fn ap_load(&self, a: ApId) -> Load {
+    fn ap_quanta(&self, a: ApId) -> u64 {
         self.responses
             .get(&a)
-            .map(|r| r.load)
+            .map(|r| self.quanta(r.load))
             .expect("decision only inspects queried neighbors")
     }
 
-    fn load_if_joined(&self, u: UserId, a: ApId) -> Option<Load> {
+    fn quanta_if_joined(&self, u: UserId, a: ApId) -> Option<u64> {
         debug_assert_eq!(u, self.user);
         let r = self.responses.get(&a)?;
         let s = self.inst.user_session(u);
         let my_rate = self.inst.multicast_rate_to(a, u)?;
-        let stream = self.inst.session_rate(s);
-        match r.sessions.iter().find(|(sid, _)| *sid == s) {
+        let load = self.quanta(r.load);
+        Some(match r.sessions.iter().find(|(sid, _)| *sid == s) {
             Some(&(_, tx)) => {
-                let new_tx = tx.min(my_rate);
-                Some(
-                    r.load - Load::per_transmission(stream, tx)
-                        + Load::per_transmission(stream, new_tx),
-                )
+                load + self.inst.session_quanta(s, tx.min(my_rate))
+                    - self.inst.session_quanta(s, tx)
             }
-            None => Some(r.load + Load::per_transmission(stream, my_rate)),
-        }
+            None => load + self.inst.session_quanta(s, my_rate),
+        })
     }
 
-    fn load_if_left(&self, u: UserId) -> Option<Load> {
+    fn quanta_if_left(&self, u: UserId) -> Option<u64> {
         debug_assert_eq!(u, self.user);
         let cur = self.current?;
-        self.responses.get(&cur).and_then(|r| r.load_without)
+        self.responses
+            .get(&cur)
+            .and_then(|r| r.load_without)
+            .map(|l| self.quanta(l))
+    }
+}
+
+impl QueryView<'_> {
+    /// A reported load in quanta of the instance's load quantum.
+    fn quanta(&self, load: Load) -> u64 {
+        let n = self.inst.floor_quanta(load);
+        debug_assert_eq!(
+            self.inst.quanta_load(n as u64),
+            load,
+            "a reported load lies on the quantum grid"
+        );
+        n as u64
     }
 }
 
@@ -887,8 +902,10 @@ impl<'a> Simulator<'a> {
                 debug_assert!(fresh || self.faulty, "stale AssocRequest without faults");
                 let admitted = fresh
                     && self.link_up(u, a)
-                    && match self.ledger.load_if_joined(u, a) {
-                        Some(load) => !self.config.respect_budget || load <= self.inst.budget(a),
+                    && match self.ledger.quanta_if_joined(u, a) {
+                        Some(load) => {
+                            !self.config.respect_budget || load <= self.inst.budget_quanta(a)
+                        }
                         None => false,
                     };
                 if admitted {
@@ -1126,7 +1143,7 @@ impl<'a> Simulator<'a> {
             u,
             self.config.policy,
             self.config.respect_budget,
-            Load::ZERO,
+            0,
             &mut self.scratch,
         );
         match decision {
