@@ -4,12 +4,17 @@
 //! guessing the optimal per-AP budget `B*` and iterating the MCG greedy
 //! (Fig. 6), a `log₈⁄₇(n) + 1` approximation (Theorem 4). NP-hardness
 //! follows from Minimum Makespan Scheduling (Theorem 8).
+//!
+//! The sweep runs on the half-quantum reduction
+//! ([`Reduction::quantized`]), where every budget comparison is one
+//! integer comparison; [`budget_grid`] builds the candidates in either
+//! cost unit.
 
 use mcast_covering::{solve_scg, SetId};
 
 use crate::instance::Instance;
 use crate::load::Load;
-use crate::reduction::Reduction;
+use crate::reduction::{ModelCost, Reduction};
 use crate::solution::{Objective, Solution, SolveError};
 
 /// Configuration for [`solve_bla_with`].
@@ -68,7 +73,7 @@ pub fn solve_bla(inst: &Instance) -> Result<Solution, SolveError> {
 /// [`SolveError::NoFeasibleBudget`] cannot occur for coverable instances
 /// thanks to the fallback candidate, but is still mapped defensively.
 pub fn solve_bla_with(inst: &Instance, config: &BlaConfig) -> Result<Solution, SolveError> {
-    let red = Reduction::build(inst);
+    let red = Reduction::quantized(inst);
     let system = red.system();
     if inst.n_users() == 0 {
         return Ok(Solution::evaluate(
@@ -84,7 +89,7 @@ pub fn solve_bla_with(inst: &Instance, config: &BlaConfig) -> Result<Solution, S
         });
     }
 
-    let candidates = budget_grid(system, config.grid_points);
+    let candidates = budget_grid(&red, config.grid_points);
     let scg = solve_scg(system, &candidates).map_err(|e| match e {
         mcast_covering::ScgError::NoFeasibleBudget => SolveError::NoFeasibleBudget,
         mcast_covering::ScgError::Uncoverable { elements } => SolveError::Uncoverable {
@@ -96,7 +101,7 @@ pub fn solve_bla_with(inst: &Instance, config: &BlaConfig) -> Result<Solution, S
         mcast_covering::ScgError::NoCandidates => SolveError::NoFeasibleBudget,
     })?;
 
-    let model_cost = *scg.max_group_cost();
+    let model_cost = red.to_load(*scg.max_group_cost());
     let assoc = red.to_association(scg.cover());
     Ok(Solution::evaluate(
         Objective::Bla,
@@ -106,36 +111,43 @@ pub fn solve_bla_with(inst: &Instance, config: &BlaConfig) -> Result<Solution, S
     ))
 }
 
-/// Builds the candidate `B*` list described on [`solve_bla_with`].
-fn budget_grid(system: &mcast_covering::SetSystem<Load>, grid_points: usize) -> Vec<Load> {
+/// The candidate `B*` list described on [`solve_bla_with`], sorted and
+/// deduplicated, in `red`'s cost units.
+///
+/// [`solve_bla_with`] sweeps it in half-quanta
+/// ([`Reduction::quantized`]); on [`Reduction::build`]'s exact system the
+/// same code gives the rational list the sweep is pinned against. The
+/// lists match candidate for candidate: set costs, `low`, `c_max`, `hi`
+/// and the fallback are exact in both units; the geometric grid is
+/// computed in `f64` from the same exact loads, so its points are the
+/// same `q / 10000`; and each point's threshold is monotone in it, so the
+/// order is kept. Points that share a threshold behave identically in
+/// every comparison, so merging them changes no run's outcome.
+///
+/// # Panics
+///
+/// Panics if the system has no sets.
+pub fn budget_grid<C: ModelCost>(red: &Reduction<C>, grid_points: usize) -> Vec<C> {
+    let system = red.system();
     let c_max = *system.max_set_cost().expect("non-empty system");
-    let mut candidates: Vec<Load> = system.sets().iter().map(|s| *s.cost()).collect();
+    let mut candidates: Vec<C> = system.sets().iter().map(|s| *s.cost()).collect();
 
     // Lower bound on the optimum: every user must be covered by some set,
     // and its cheapest option lands in some group.
-    let low = (0..system.n_elements() as u32)
-        .filter_map(|e| {
-            system
-                .covering_sets(mcast_covering::ElementId(e))
-                .iter()
-                .map(|&sid| *system.set(sid).cost())
-                .min()
-        })
-        .max()
-        .unwrap_or(c_max);
+    let low = system.cover_lower_bound().copied().unwrap_or(c_max);
 
-    let hi = c_max.max(Load::ONE);
+    let hi = c_max.max(red.threshold(Load::ONE));
     if grid_points >= 2 && low < hi {
         // Geometric spacing concentrates candidates near the low end,
         // where the optimum usually lives (quantized to 1/10000 — the
         // knob needs coverage, not exactness).
-        let lo_f = (low.as_f64() * 0.5).max(1e-4);
-        let hi_f = hi.as_f64();
+        let lo_f = (red.to_load(low).as_f64() * 0.5).max(1e-4);
+        let hi_f = red.to_load(hi).as_f64();
         let ratio = (hi_f / lo_f).powf(1.0 / (grid_points as f64 - 1.0));
         let mut v = lo_f;
         for _ in 0..grid_points {
             let q = (v * 10_000.0).round().max(1.0) as i128;
-            candidates.push(Load::new(q, 10_000));
+            candidates.push(red.threshold(Load::new(q, 10_000)));
             v *= ratio;
         }
     }

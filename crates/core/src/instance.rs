@@ -69,10 +69,13 @@ pub enum InstanceError {
     NegativeBudget(ApId),
     /// A streamed user's candidate-AP list is not strictly ascending.
     UnsortedCandidates(UserId),
-    /// The largest load an AP can carry, `Q · Σₛ rate(s) / min_rate` in
-    /// quanta of `1/Q` (`Q` the LCM of the supported rates, see
-    /// [`Instance::quantum`]), does not fit in `i64`. A zero supported
-    /// rate makes it infinite.
+    /// A load sum does not fit its integer type: either the largest
+    /// load an AP can carry, `Q · Σₛ rate(s) / min_rate` in quanta of
+    /// `1/Q` (`Q` the LCM of the supported rates, see
+    /// [`Instance::quantum`]), does not fit in `i64`, or the cost of every
+    /// set the covering reduction can hold, `2 · APs · Σₛ rate(s) · Σᵣ Q/r`
+    /// in half-quanta, does not fit in `u64`. A zero supported rate makes
+    /// both infinite.
     LoadQuantumOverflow,
 }
 
@@ -98,7 +101,7 @@ impl fmt::Display for InstanceError {
             }
             InstanceError::LoadQuantumOverflow => write!(
                 f,
-                "load quantum overflow: the largest AP load in units of 1/lcm(supported rates) does not fit in i64"
+                "load quantum overflow: the largest AP load in units of 1/lcm(supported rates) does not fit in i64, or the covering reduction's total cost in half-units does not fit in u64"
             ),
         }
     }
@@ -292,7 +295,7 @@ fn check_header(
         return Err(InstanceError::NegativeBudget(ApId(a as u32)));
     }
     let (quantum, max_quanta) =
-        load_quantum(&rates, sessions).ok_or(InstanceError::LoadQuantumOverflow)?;
+        load_quantum(&rates, sessions, budgets.len()).ok_or(InstanceError::LoadQuantumOverflow)?;
     // A budget at or above the largest possible AP load never binds, so
     // clamping it there keeps every `≤`/`>` against it exact.
     let budget_quanta = budgets
@@ -308,9 +311,17 @@ fn check_header(
 
 /// The load quantum `Q = lcm(rates)` and the largest AP load in quanta,
 /// `Σₛ rate(s) · Q / min_rate` (every session served at the slowest
-/// rate), or `None` when either exceeds `i64::MAX` or a rate is zero.
-/// `rates` is ascending.
-fn load_quantum(rates: &[Kbps], sessions: &[SessionSpec]) -> Option<(u64, u64)> {
+/// rate), or `None` when either exceeds `i64::MAX`, a rate is zero, or
+/// the covering reduction's costs can sum beyond `u64`. `rates` is
+/// ascending.
+///
+/// The reduction holds at most one set per (AP, session, rate), costing
+/// `2 · rate(s) · Q / r` half-quanta (see [`Instance::quantum`]). Every
+/// covering sum — a group's total, a cover's total, BLA's all-sets
+/// fallback — adds distinct sets, so it is at most
+/// `2 · n_aps · Σₛ rate(s) · Σᵣ Q/r`; bounding that by `u64::MAX` keeps
+/// every such sum from overflowing.
+fn load_quantum(rates: &[Kbps], sessions: &[SessionSpec], n_aps: usize) -> Option<(u64, u64)> {
     const LIMIT: i128 = i64::MAX as i128;
     let slowest = i128::from(rates.first()?.0);
     if slowest == 0 {
@@ -323,6 +334,11 @@ fn load_quantum(rates: &[Kbps], sessions: &[SessionSpec]) -> Option<(u64, u64)> 
     }
     let streams: i128 = sessions.iter().map(|s| i128::from(s.rate.0)).sum();
     let max = streams.checked_mul(q / slowest).filter(|&m| m <= LIMIT)?;
+    let steps: i128 = rates.iter().map(|r| q / i128::from(r.0)).sum();
+    streams
+        .checked_mul(steps)?
+        .checked_mul(2 * n_aps as i128)
+        .filter(|&total| total <= i128::from(u64::MAX))?;
     Some((q as u64, max as u64))
 }
 
@@ -656,13 +672,25 @@ impl Instance {
     /// rounding rule. For an integer `n` and a rational `b` of either
     /// sign, `n/Q ≤ b` holds exactly when `n ≤ ⌊b·Q⌋`, and `n/Q > b`
     /// exactly when `n > ⌊b·Q⌋` ([`Load::floor_mul`]); `≥` and `<` need
-    /// `⌈b·Q⌉` instead ([`Load::ceil_mul`]). Every comparison in this
-    /// crate is phrased as `≤` or `>`, so floors suffice.
+    /// `⌈b·Q⌉` instead ([`Load::ceil_mul`]). Every comparison of the
+    /// ledger and the decision rules is phrased as `≤` or `>`, so floors
+    /// suffice there.
+    ///
+    /// The covering layer needs both directions against one budget: MCG
+    /// tests `sum ≥ b` (group exhausted), `sum > b` (violating pick) and
+    /// `cost > b` (unaffordable set). Its costs are therefore counted in
+    /// *half*-quanta, `2n` for a load `n/Q`, and each threshold `b` is one
+    /// integer `2⌊b·Q⌋ + [b·Q ∉ ℤ]` ([`Load::half_threshold`]): even on
+    /// the grid, odd between grid points, where no even sum can equal it.
+    /// One integer then answers all three tests exactly
+    /// ([`Reduction::quantized`](crate::reduction::Reduction::quantized)).
     ///
     /// Construction guarantees that the largest AP load,
-    /// `Q · Σₛ rate(s) / min_rate`, fits in `i64`
-    /// ([`InstanceError::LoadQuantumOverflow`]), so a difference of two
-    /// AP loads does too.
+    /// `Q · Σₛ rate(s) / min_rate`, fits in `i64`, and that the
+    /// half-quantum cost of every set the covering reduction can hold,
+    /// summed, fits in `u64` ([`InstanceError::LoadQuantumOverflow`]). So
+    /// a difference of two AP loads fits in `i64`, and no group total,
+    /// cover total or budget sweep bound of the covering layer overflows.
     pub fn quantum(&self) -> u64 {
         self.quantum
     }

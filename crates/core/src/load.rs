@@ -190,6 +190,29 @@ impl Load {
         (-self).floor_mul(q).saturating_neg()
     }
 
+    /// The non-negative threshold `self` on a grid of *half*-steps
+    /// `1/(2q)`: `t = 2⌊self·q⌋ + [self·q ∉ ℤ]`, saturated at `u64::MAX`.
+    /// One integer answers both directions for every even `x = 2n`
+    /// (a sum of `1/(2q)`-costs that are whole steps):
+    /// `x ≥ t` exactly when `n/q ≥ self`, and `x > t` exactly when
+    /// `n/q > self`. On the grid `t = 2·self·q` is even and both hold
+    /// as they would for `n`; off it `t` is odd, so no even `x` equals
+    /// it and `≥` and `>` agree, as they do for `n` and an off-grid
+    /// `self`. Saturation keeps both exact, since `u64::MAX` is odd and
+    /// exceeds every even `u64`. The covering layer compares group costs
+    /// against budgets in these units
+    /// (see [`Instance::quantum`](crate::Instance::quantum)).
+    pub fn half_threshold(self, q: u64) -> u64 {
+        debug_assert!(!self.is_negative(), "thresholds are non-negative");
+        let floor = self.floor_mul(q);
+        let off_grid = self.ceil_mul(q) != floor;
+        u64::try_from(floor)
+            .ok()
+            .and_then(|f| f.checked_mul(2))
+            .and_then(|t| t.checked_add(u64::from(off_grid)))
+            .unwrap_or(u64::MAX)
+    }
+
     fn checked_mul(a: i128, b: i128) -> i128 {
         a.checked_mul(b)
             .expect("load arithmetic overflow: fraction denominators grew beyond i128")
@@ -473,6 +496,41 @@ mod tests {
         // Saturation far outside the i128 range.
         assert_eq!(Load::new(i128::MAX, 1).floor_mul(4), i128::MAX);
         assert_eq!(Load::new(-i128::MAX, 1).floor_mul(4), i128::MIN);
+    }
+
+    /// The half-step threshold answers MCG's three tests exactly: a
+    /// group exhausted (`sum ≥ b`), a violating pick (`sum > b`) and an
+    /// unaffordable set (`cost > b`), for sums and costs that are whole
+    /// steps `n/q` written as `2n` half-steps.
+    #[test]
+    fn half_threshold_answers_every_covering_comparison() {
+        let q = 432_000u64;
+        let cases = [
+            (Load::from_ratio(1, 6), 144_000),  // on the grid
+            (Load::permille(900), 777_600),     // on the grid
+            (Load::from_ratio(5, 7), 617_143),  // 2 · 308,571 + 1
+            (Load::new(1, 10_000), 87),         // 2 · 43 + 1
+            (Load::from_ratio(3, 1001), 2_589), // 2 · 1,294 + 1
+            (Load::ZERO, 0),                    // every sum reaches it
+            (Load::new(1 << 62, 1), u64::MAX),  // saturated
+            (Load::new(1 << 100, 3), u64::MAX), // far beyond u64
+            // Just below 2⁶³ steps, off the grid: exactly u64::MAX.
+            (Load::new(i128::from(u64::MAX), 2 * i128::from(q)), u64::MAX),
+        ];
+        for (b, want) in cases {
+            let t = b.half_threshold(q);
+            assert_eq!(t, want, "threshold of {b}");
+            let at = b.floor_mul(q).clamp(0, i128::from(u64::MAX / 2 - 1)) as u64;
+            let probes = [0, 1, at.saturating_sub(1), at, at + 1, u64::MAX / 2];
+            for n in probes {
+                let x = Load::new(i128::from(n), i128::from(q));
+                // A group's accumulated cost, or a single set's cost.
+                assert_eq!(2 * n >= t, x >= b, "exhausted: {x} >= {b}");
+                assert_eq!(2 * n > t, x > b, "violating: {x} > {b}");
+                let (cost, unaffordable) = (2 * n, x > b);
+                assert_eq!(cost > t, unaffordable, "skip: {x} > {b}");
+            }
+        }
     }
 
     #[test]

@@ -55,25 +55,20 @@ pub fn solve_mla(inst: &Instance) -> Result<Solution, SolveError> {
 ///
 /// [`SolveError::Uncoverable`] if some user is out of range of every AP.
 pub fn solve_mla_with(inst: &Instance, algorithm: MlaAlgorithm) -> Result<Solution, SolveError> {
-    let red = Reduction::build(inst);
+    let red = Reduction::quantized(inst);
     let uncoverable = || SolveError::Uncoverable {
         users: red.uncoverable_users(),
     };
-    let (model_cost, assoc) = match algorithm {
-        MlaAlgorithm::Greedy => {
-            let cover = greedy_set_cover(red.system()).map_err(|_| uncoverable())?;
-            (*cover.total_cost(), red.to_association(&cover))
-        }
-        MlaAlgorithm::PrimalDual => {
-            let out = primal_dual_set_cover(red.system()).map_err(|_| uncoverable())?;
-            (*out.cover.total_cost(), red.to_association(&out.cover))
-        }
-    };
+    let cover = match algorithm {
+        MlaAlgorithm::Greedy => greedy_set_cover(red.system()),
+        MlaAlgorithm::PrimalDual => primal_dual_set_cover(red.system()).map(|out| out.cover),
+    }
+    .map_err(|_| uncoverable())?;
     Ok(Solution::evaluate(
         Objective::Mla,
-        assoc,
+        red.to_association(&cover),
         inst,
-        Some(model_cost),
+        Some(red.to_load(*cover.total_cost())),
     ))
 }
 

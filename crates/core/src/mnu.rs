@@ -43,10 +43,10 @@ pub fn solve_mnu(inst: &Instance) -> Solution {
 /// unsatisfied (`None` in the association) — unlike BLA/MLA this never
 /// fails on uncoverable users.
 pub fn solve_mnu_with(inst: &Instance, config: &MnuConfig) -> Solution {
-    let red = Reduction::build(inst);
+    let red = Reduction::quantized(inst);
     let sol = greedy_mcg(red.system(), red.budgets());
     let feasible = sol.feasible();
-    let model_cost = *feasible.total_cost();
+    let model_cost = red.to_load(*feasible.total_cost());
     let mut assoc = red.to_association(feasible);
 
     if config.augment {

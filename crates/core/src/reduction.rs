@@ -7,8 +7,14 @@
 //! from `a`, with cost `rate(s) / r`; the sets of AP `a` form group `a`.
 //! MNU adds per-group budgets (the AP load limits); BLA minimizes the
 //! maximum group cost; MLA ignores groups and minimizes total cost.
+//!
+//! The construction is generic over how a cost is written down
+//! ([`ModelCost`]). [`Reduction::build`] writes exact [`Load`] rationals;
+//! [`Reduction::quantized`] writes `u64` half-quanta, which the production
+//! solvers run on. Both describe the same set system, and every covering
+//! comparison gives the same answer on either.
 
-use mcast_covering::{Cover, SetId, SetSystem, SetSystemBuilder};
+use mcast_covering::{Cost, Cover, SetId, SetSystem, SetSystemBuilder};
 use serde::{Deserialize, Serialize};
 
 use crate::assoc::Association;
@@ -29,25 +35,99 @@ pub struct Choice {
     pub tx_rate: Kbps,
 }
 
+/// A cost type a [`Reduction`] can be written in: how a transmission's
+/// load and a rational threshold map onto it, and how a cost maps back.
+///
+/// The map must be exact for the covering solvers: it scales every load
+/// by one positive constant, so effectiveness ratios, and with them every
+/// greedy pick and tie-break, are unchanged; and for every sum `x` of set
+/// costs and every threshold `b`, `x ≥ threshold(b)` and
+/// `x > threshold(b)` hold exactly when the load of `x` is `≥` and `>`
+/// `b`.
+pub trait ModelCost: Cost + Copy {
+    /// The cost of multicasting session `s` at rate `tx`.
+    fn transmission(inst: &Instance, s: SessionId, tx: Kbps) -> Self;
+    /// The threshold `b` (an AP budget or a BLA candidate `B*`), in this
+    /// type's units, for an instance of load quantum `quantum`.
+    fn threshold(b: Load, quantum: u64) -> Self;
+    /// The exact load of this cost.
+    fn to_load(self, quantum: u64) -> Load;
+}
+
+/// Exact rationals: the identity map.
+impl ModelCost for Load {
+    fn transmission(inst: &Instance, s: SessionId, tx: Kbps) -> Load {
+        Load::per_transmission(inst.session_rate(s), tx)
+    }
+
+    fn threshold(b: Load, _: u64) -> Load {
+        b
+    }
+
+    fn to_load(self, _: u64) -> Load {
+        self
+    }
+}
+
+/// Half-quanta: a load `n/Q` is `2n`, and a threshold is
+/// [`Load::half_threshold`] (see [`Instance::quantum`]).
+impl ModelCost for u64 {
+    fn transmission(inst: &Instance, s: SessionId, tx: Kbps) -> u64 {
+        2 * inst.session_quanta(s, tx)
+    }
+
+    fn threshold(b: Load, quantum: u64) -> u64 {
+        b.half_threshold(quantum)
+    }
+
+    fn to_load(self, quantum: u64) -> Load {
+        Load::new(i128::from(self), 2 * i128::from(quantum))
+    }
+}
+
 /// The covering instance produced from a WLAN [`Instance`], with the
 /// mapping back from set ids to [`Choice`]s.
 #[derive(Debug, Clone)]
-pub struct Reduction {
-    system: SetSystem<Load>,
+pub struct Reduction<C = Load> {
+    system: SetSystem<C>,
     choices: Vec<Choice>,
-    budgets: Vec<Load>,
+    budgets: Vec<C>,
+    /// The instance's load quantum, for [`ModelCost`]'s maps.
+    quantum: u64,
 }
 
-impl Reduction {
-    /// Builds the covering instance (Theorem 1/3/5 construction) in
-    /// O(links × rates): each AP's row of reachable users is walked once
-    /// and bucketed by session.
+impl Reduction<Load> {
+    /// Builds the covering instance (Theorem 1/3/5 construction) with exact
+    /// [`Load`] costs, in O(links × rates): each AP's row of reachable
+    /// users is walked once and bucketed by session.
     ///
     /// Duplicate sets — e.g. two rates reaching exactly the same members —
     /// are pruned, keeping the cheaper (higher-rate) one; this never
     /// changes what any solver can achieve.
-    pub fn build(inst: &Instance) -> Reduction {
-        let mut builder = SetSystemBuilder::<Load>::new(inst.n_users());
+    pub fn build(inst: &Instance) -> Reduction<Load> {
+        Reduction::construct(inst)
+    }
+}
+
+impl Reduction<u64> {
+    /// The set system of [`Reduction::build`] with costs in `u64`
+    /// half-quanta: a set costs `2 · rate(s) · Q / r`, and each AP budget
+    /// `b` becomes [`Load::half_threshold`]. The covering solvers pick the
+    /// same sets, in the same order, on either system; this one compares
+    /// integers instead of `i128` rationals.
+    ///
+    /// Every covering sum fits `u64`
+    /// ([`InstanceError::LoadQuantumOverflow`](crate::InstanceError)).
+    pub fn quantized(inst: &Instance) -> Reduction<u64> {
+        Reduction::construct(inst)
+    }
+}
+
+impl<C: ModelCost> Reduction<C> {
+    /// The one construction body behind [`Reduction::build`] and
+    /// [`Reduction::quantized`].
+    fn construct(inst: &Instance) -> Reduction<C> {
+        let mut builder = SetSystemBuilder::<C>::new(inst.n_users());
         builder.ensure_groups(inst.n_aps());
         let mut choices: Vec<Choice> = Vec::new();
         let rates = inst.multicast_rates();
@@ -77,7 +157,6 @@ impl Reduction {
             seen.sort_unstable();
             for &s in &seen {
                 let bucket = &mut buckets[s.index()];
-                let stream = inst.session_rate(s);
                 top_at.fill(0);
                 for &(_, top) in bucket.iter() {
                     top_at[top] += 1;
@@ -93,7 +172,7 @@ impl Reduction {
                     }
                     let members = bucket.iter().filter(|&&(_, top)| top >= k).map(|&(u, _)| u);
                     builder
-                        .push_set(members, Load::per_transmission(stream, r), a.0)
+                        .push_set(members, C::transmission(inst, s, r), a.0)
                         .expect("reduction sets are valid by construction");
                     choices.push(Choice {
                         ap: a,
@@ -113,16 +192,21 @@ impl Reduction {
         let system = builder.build().expect("valid construction");
         debug_assert_eq!(system.n_sets(), choices.len());
 
-        let budgets = inst.aps().map(|a| inst.budget(a)).collect();
+        let quantum = inst.quantum();
+        let budgets = inst
+            .aps()
+            .map(|a| C::threshold(inst.budget(a), quantum))
+            .collect();
         Reduction {
             system,
             choices,
             budgets,
+            quantum,
         }
     }
 
     /// The covering instance.
-    pub fn system(&self) -> &SetSystem<Load> {
+    pub fn system(&self) -> &SetSystem<C> {
         &self.system
     }
 
@@ -136,8 +220,19 @@ impl Reduction {
     }
 
     /// Per-group (= per-AP) budgets for the MNU instance.
-    pub fn budgets(&self) -> &[Load] {
+    pub fn budgets(&self) -> &[C] {
         &self.budgets
+    }
+
+    /// The threshold `b` in this reduction's cost units (see
+    /// [`ModelCost::threshold`]).
+    pub fn threshold(&self, b: Load) -> C {
+        C::threshold(b, self.quantum)
+    }
+
+    /// The exact load of cost `c`.
+    pub fn to_load(&self, c: C) -> Load {
+        c.to_load(self.quantum)
     }
 
     /// Users no AP can reach — the instance is uncoverable if non-empty.
@@ -156,7 +251,7 @@ impl Reduction {
     /// session, Definition 1) is never more than the covering-model cost:
     /// if two sets for the same (AP, session) were chosen, the AP really
     /// transmits once, at the lower rate.
-    pub fn to_association(&self, cover: &Cover<Load>) -> Association {
+    pub fn to_association(&self, cover: &Cover<C>) -> Association {
         let mut assoc = Association::empty(self.system.n_elements());
         for (e, assigned) in cover.assignment().iter().enumerate() {
             if let Some(sid) = assigned {
@@ -237,6 +332,35 @@ mod tests {
                 && *set.cost() == Load::from_ratio(3, 4)
         });
         assert!(found, "expected the S4 set of Figure 2");
+    }
+
+    /// The half-quantum reduction is the exact one, set for set, with
+    /// each cost doubled on the quantum grid.
+    #[test]
+    fn quantized_mirrors_build() {
+        let inst = figure1_instance(mbps(3));
+        let exact = Reduction::build(&inst);
+        let quantized = Reduction::quantized(&inst);
+        assert_eq!(inst.quantum(), 60_000);
+        assert_eq!(exact.system().n_sets(), quantized.system().n_sets());
+        for (i, (x, q)) in exact
+            .system()
+            .sets()
+            .iter()
+            .zip(quantized.system().sets())
+            .enumerate()
+        {
+            assert_eq!(x.members(), q.members());
+            assert_eq!(x.group(), q.group());
+            assert_eq!(
+                exact.choice(SetId(i as u32)),
+                quantized.choice(SetId(i as u32))
+            );
+            assert_eq!(quantized.to_load(*q.cost()), *x.cost());
+        }
+        // Budget 1 is on the grid: 2 · 60,000 half-quanta.
+        assert_eq!(quantized.budgets(), &[120_000, 120_000]);
+        assert_eq!(quantized.threshold(Load::from_ratio(5, 7)), 85_715);
     }
 
     #[test]

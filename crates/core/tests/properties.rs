@@ -3,12 +3,15 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use mcast_core::bla::budget_grid;
+use mcast_core::reduction::Reduction;
 use mcast_core::{
     local_decision_reference, local_decision_with, run_distributed, run_distributed_reference,
-    solve_bla, solve_mla, solve_mnu, solve_ssa, ApId, Association, DecisionOrder,
-    DistributedConfig, ExecutionMode, Instance, InstanceBuilder, Kbps, Load, LoadLedger, Objective,
-    Policy, ReferenceLedger, UserId,
+    solve_bla, solve_bla_with, solve_mla, solve_mla_with, solve_mnu, solve_ssa, ApId, Association,
+    BlaConfig, DecisionOrder, DistributedConfig, ExecutionMode, Instance, InstanceBuilder, Kbps,
+    Load, LoadLedger, MlaAlgorithm, Objective, Policy, ReferenceLedger, UserId,
 };
+use mcast_covering::{greedy_mcg, greedy_set_cover, primal_dual_set_cover, GroupId};
 
 const RATES: [u32; 4] = [6, 12, 24, 54];
 
@@ -591,5 +594,102 @@ proptest! {
                 );
             }
         }
+    }
+
+    // ---- The covering layer on half-quanta vs exact rationals ----
+
+    /// MCG's three comparisons on half-quanta — a sum `≥` a threshold
+    /// (group exhausted), a sum `>` it (violating pick) and a set cost
+    /// `>` it (unaffordable) — give the exact rational answers, for
+    /// every set cost and every running group total of the reduction
+    /// against AP budgets, the off-lattice values, zero and BLA's
+    /// candidates.
+    #[test]
+    fn quantized_covering_thresholds_match_rational(inst in quantized_instance()) {
+        let exact = Reduction::build(&inst);
+        let quantized = Reduction::quantized(&inst);
+        let (xs, qs) = (exact.system(), quantized.system());
+        prop_assert_eq!(xs.n_sets(), qs.n_sets());
+        let mut sums: Vec<(Load, u64)> = Vec::new();
+        for g in 0..xs.n_groups() {
+            let (mut x, mut q) = (Load::ZERO, 0u64);
+            for &id in xs.group_sets(GroupId(g as u32)) {
+                let (cx, cq) = (*xs.set(id).cost(), *qs.set(id).cost());
+                prop_assert_eq!(xs.set(id).members(), qs.set(id).members());
+                prop_assert_eq!(quantized.to_load(cq), cx);
+                sums.push((cx, cq));
+                x += cx;
+                q += cq;
+                sums.push((x, q));
+            }
+        }
+        let mut thresholds: Vec<Load> = vec![Load::ZERO];
+        thresholds.extend(off_lattice());
+        thresholds.extend(inst.aps().map(|a| inst.budget(a)));
+        thresholds.extend(budget_grid(&exact, 16));
+        for b in thresholds {
+            let t = quantized.threshold(b);
+            for &(x, q) in &sums {
+                prop_assert_eq!(q >= t, x >= b, "{} >= {}", x, b);
+                prop_assert_eq!(q > t, x > b, "{} > {}", x, b);
+            }
+        }
+        let budgets: Vec<u64> = exact.budgets().iter().map(|&b| quantized.threshold(b)).collect();
+        prop_assert_eq!(quantized.budgets(), &budgets[..]);
+    }
+
+    /// MNU on half-quanta selects what the generic MCG greedy selects on
+    /// the exact reduction, under off-lattice budgets.
+    #[test]
+    fn quantized_covering_mnu_matches_rational(inst in quantized_instance()) {
+        let exact = Reduction::build(&inst);
+        let quantized = Reduction::quantized(&inst);
+        let want = greedy_mcg(exact.system(), exact.budgets());
+        let got = greedy_mcg(quantized.system(), quantized.budgets());
+        prop_assert_eq!(got.all(), want.all());
+        prop_assert_eq!(got.violating(), want.violating());
+        let sol = solve_mnu(&inst);
+        prop_assert_eq!(&sol.association, &exact.to_association(want.feasible()));
+        prop_assert_eq!(sol.model_cost, Some(*want.feasible().total_cost()));
+    }
+
+    /// MLA on half-quanta, under both algorithms, matches the generic
+    /// set-cover solvers on the exact reduction.
+    #[test]
+    fn quantized_covering_mla_matches_rational(inst in quantized_instance()) {
+        let exact = Reduction::build(&inst);
+        let greedy = greedy_set_cover(exact.system()).unwrap();
+        let sol = solve_mla_with(&inst, MlaAlgorithm::Greedy).unwrap();
+        prop_assert_eq!(&sol.association, &exact.to_association(&greedy));
+        prop_assert_eq!(sol.model_cost, Some(*greedy.total_cost()));
+
+        let primal_dual = primal_dual_set_cover(exact.system()).unwrap();
+        let sol = solve_mla_with(&inst, MlaAlgorithm::PrimalDual).unwrap();
+        prop_assert_eq!(&sol.association, &exact.to_association(&primal_dual.cover));
+        prop_assert_eq!(sol.model_cost, Some(*primal_dual.cover.total_cost()));
+        let quantized = Reduction::quantized(&inst);
+        let dual = primal_dual_set_cover(quantized.system()).unwrap().dual_lower_bound;
+        prop_assert_eq!(quantized.to_load(dual), primal_dual.dual_lower_bound);
+    }
+
+    /// BLA's half-quantum sweep, grid and prune included, matches the
+    /// unpruned rational sweep over the exact reduction's grid; the
+    /// half-quantum grid is the rational grid's thresholds.
+    #[test]
+    fn quantized_covering_bla_matches_rational(
+        inst in quantized_instance(),
+        grid_points in 0usize..20,
+    ) {
+        let exact = Reduction::build(&inst);
+        let candidates = budget_grid(&exact, grid_points);
+        let want = mcast_covering::reference::solve_scg(exact.system(), &candidates).unwrap();
+        let sol = solve_bla_with(&inst, &BlaConfig { grid_points }).unwrap();
+        prop_assert_eq!(&sol.association, &exact.to_association(want.cover()));
+        prop_assert_eq!(sol.model_cost, Some(*want.max_group_cost()));
+
+        let quantized = Reduction::quantized(&inst);
+        let mut thresholds: Vec<u64> = candidates.iter().map(|&b| quantized.threshold(b)).collect();
+        thresholds.dedup();
+        prop_assert_eq!(budget_grid(&quantized, grid_points), thresholds);
     }
 }

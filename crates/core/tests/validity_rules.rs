@@ -83,6 +83,7 @@ enum Malformation {
     DescendingRow,
     RepeatedAp,
     LoadQuantumOverflow,
+    CoveringTotalOverflow,
 }
 
 impl Malformation {
@@ -103,6 +104,13 @@ impl Malformation {
             Malformation::LoadQuantumOverflow => {
                 p.rates.extend([Kbps(u32::MAX - 1), Kbps(u32::MAX)]);
             }
+            // Two coprime rates near 1.5·10⁷ kbps keep the largest AP load
+            // (about 2.7·10¹⁸ quanta) within i64, but the reduction's
+            // sets, in half-quanta over three APs, total about 2.8·10¹⁹:
+            // beyond u64.
+            Malformation::CoveringTotalOverflow => {
+                p.rates.extend([Kbps(15_000_001), Kbps(15_000_007)]);
+            }
         }
         p
     }
@@ -122,7 +130,9 @@ impl Malformation {
             },
             Malformation::DescendingRow => InstanceError::UnsortedCandidates(UserId(3)),
             Malformation::RepeatedAp => InstanceError::UnsortedCandidates(UserId(0)),
-            Malformation::LoadQuantumOverflow => InstanceError::LoadQuantumOverflow,
+            Malformation::LoadQuantumOverflow | Malformation::CoveringTotalOverflow => {
+                InstanceError::LoadQuantumOverflow
+            }
         }
     }
 }
@@ -319,6 +329,11 @@ mod streaming {
     fn load_quantum_overflow() {
         check(Malformation::LoadQuantumOverflow);
     }
+
+    #[test]
+    fn covering_total_overflow() {
+        check(Malformation::CoveringTotalOverflow);
+    }
 }
 
 mod batch_builder {
@@ -367,6 +382,11 @@ mod batch_builder {
     #[test]
     fn load_quantum_overflow() {
         check(Malformation::LoadQuantumOverflow);
+    }
+
+    #[test]
+    fn covering_total_overflow() {
+        check(Malformation::CoveringTotalOverflow);
     }
 
     #[test]
@@ -441,6 +461,11 @@ mod from_csr {
     #[test]
     fn load_quantum_overflow() {
         check(Malformation::LoadQuantumOverflow);
+    }
+
+    #[test]
+    fn covering_total_overflow() {
+        check(Malformation::CoveringTotalOverflow);
     }
 
     #[test]
@@ -534,6 +559,11 @@ mod sparse_json {
     fn load_quantum_overflow() {
         check(Malformation::LoadQuantumOverflow);
     }
+
+    #[test]
+    fn covering_total_overflow() {
+        check(Malformation::CoveringTotalOverflow);
+    }
 }
 
 mod dense_json {
@@ -578,11 +608,112 @@ mod dense_json {
         check(Malformation::LoadQuantumOverflow);
     }
 
+    #[test]
+    fn covering_total_overflow() {
+        check(Malformation::CoveringTotalOverflow);
+    }
+
     /// The matrix has no row order of its own: a row written from a
     /// descending candidate list decodes ascending.
     #[test]
     fn descending_row_decodes_ascending() {
         let inst = dense_wire(&Malformation::DescendingRow.applied()).unwrap();
         assert_eq!(wire(&inst), reference());
+    }
+}
+
+/// The covering total at its limit. With rates `{1, a, b}` kbps, `a` and
+/// `b` the coprime `2³¹ − 1` and `2³¹ − 2`, and one 1 kbps session,
+/// `Q = ab` and the largest AP load is `Q` quanta, within i64. Three users
+/// top out at the three rates, so each AP holds a set per rate, costing
+/// `2(Q + a + b) = 2⁶³ − 2³² − 2` half-quanta together: two APs total
+/// `2⁶⁴ − 2³³ − 4`, just within u64, and a third AP overflows it.
+mod covering_total {
+    use super::*;
+    use mcast_core::bla::budget_grid;
+    use mcast_core::reduction::Reduction;
+    use mcast_core::{solve_bla, solve_mla_with, solve_mnu, MlaAlgorithm};
+    use mcast_covering::{
+        greedy_mcg, greedy_set_cover, primal_dual_set_cover, solve_scg, total_cost, SetId,
+    };
+
+    const A: u32 = (1 << 31) - 1;
+    const B: u32 = (1 << 31) - 2;
+
+    /// Three users, each in range of every AP at one of the three rates.
+    fn parts(n_aps: u32) -> Parts {
+        let user = UserSpec {
+            session: SessionId(0),
+        };
+        let row = |r| (0..n_aps).map(|a| (ApId(a), Kbps(r), -10)).collect();
+        Parts {
+            sessions: vec![SessionSpec { rate: Kbps(1) }],
+            users: vec![user; 3],
+            budgets: vec![Load::new(1 << 40, 1); n_aps as usize],
+            rows: vec![row(1), row(B), row(A)],
+            rates: vec![Kbps(1), Kbps(B), Kbps(A)],
+            policy: RatePolicy::MultiRate,
+        }
+    }
+
+    #[test]
+    fn every_constructor_accepts_two_aps_and_rejects_three() {
+        let two = parts(2);
+        let inst = streaming(&two).unwrap();
+        for other in [batch(&two).unwrap(), csr(&two).unwrap()] {
+            assert_eq!(wire(&other), wire(&inst));
+        }
+        for decoded in [sparse_wire(&two), dense_wire(&two)] {
+            assert_eq!(wire(&decoded.unwrap()), wire(&inst));
+        }
+
+        let three = parts(3);
+        let m = Malformation::LoadQuantumOverflow;
+        assert_eq!(streaming(&three).unwrap_err(), m.error());
+        assert_eq!(batch(&three).unwrap_err(), m.error());
+        assert_names(csr(&three), m);
+        assert_names(sparse_wire(&three), m);
+        assert_names(dense_wire(&three), m);
+    }
+
+    /// The two-AP instance's covering sums reach within 2³⁴ of
+    /// `u64::MAX`; the solvers run on it without overflow and agree with
+    /// the generic solvers on exact rationals.
+    #[test]
+    fn solvers_run_at_the_limit() {
+        let inst = streaming(&parts(2)).unwrap();
+        let q = Reduction::quantized(&inst);
+        let exact = Reduction::build(&inst);
+        let all: Vec<SetId> = (0..q.system().n_sets() as u32).map(SetId).collect();
+        assert_eq!(all.len(), 6);
+        assert_eq!(total_cost(q.system(), &all), u64::MAX - (1 << 33) - 3);
+        assert_eq!(
+            q.to_load(total_cost(q.system(), &all)),
+            total_cost(exact.system(), &all)
+        );
+        // Budgets far above any load saturate to the odd u64::MAX.
+        assert_eq!(q.budgets(), &[u64::MAX, u64::MAX]);
+
+        let mnu = solve_mnu(&inst);
+        let want = greedy_mcg(exact.system(), exact.budgets());
+        assert_eq!(mnu.satisfied, 3);
+        assert_eq!(mnu.model_cost, Some(*want.feasible().total_cost()));
+
+        let mla = solve_mla_with(&inst, MlaAlgorithm::Greedy).unwrap();
+        let want = greedy_set_cover(exact.system()).unwrap();
+        assert_eq!(mla.model_cost, Some(*want.total_cost()));
+        let mla = solve_mla_with(&inst, MlaAlgorithm::PrimalDual).unwrap();
+        let want = primal_dual_set_cover(exact.system()).unwrap();
+        assert_eq!(mla.model_cost, Some(*want.cover.total_cost()));
+
+        // BLA's grid ends in the all-sets total, so its sweep compares
+        // budgets up to 2⁶⁴ − 2³³ − 4.
+        let bla = solve_bla(&inst).unwrap();
+        let want = solve_scg(exact.system(), &budget_grid(&exact, 16)).unwrap();
+        assert_eq!(bla.model_cost, Some(*want.max_group_cost()));
+        assert_eq!(
+            budget_grid(&q, 16).last(),
+            Some(&(u64::MAX - (1 << 33) - 3))
+        );
     }
 }

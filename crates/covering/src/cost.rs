@@ -24,8 +24,9 @@ pub trait Cost: Clone + Ord + Debug {
     fn zero() -> Self;
 
     /// `self + other`. Must not saturate silently; implementations should
-    /// panic on overflow (covering instances in this workspace stay far
-    /// below any integer limits, so overflow indicates a logic error).
+    /// panic on overflow (callers bound their sums: the WLAN reduction's
+    /// are checked when its instance is built, so overflow indicates a
+    /// logic error).
     fn add(&self, other: &Self) -> Self;
 
     /// Compares the cost-effectiveness ratios `n1 / c1` and `n2 / c2`,

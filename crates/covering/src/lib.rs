@@ -19,8 +19,9 @@
 //!   the BLA objective (minimize the maximum AP load).
 //!
 //! Costs are generic over the [`Cost`] trait so that callers can plug in
-//! exact rational arithmetic; `u64` and `u32` implementations are provided
-//! for convenience and testing.
+//! exact rational arithmetic; `u64` and `u32` implementations are provided.
+//! The WLAN solvers run on `u64` (loads in integer half-steps of the
+//! instance's load quantum), and check against exact rationals in tests.
 //!
 //! # Example
 //!

@@ -18,7 +18,7 @@
 
 use crate::cost::Cost;
 use crate::mcg::{better_half, McgSolution};
-use crate::scg::{ScgError, ScgSolution};
+use crate::scg::{ScgError, ScgSolution, Sweep};
 use crate::set_cover::{Cover, CoverError};
 use crate::system::{ElementId, SetId, SetSystem};
 
@@ -213,8 +213,8 @@ pub fn greedy_mcg_opts<C: Cost>(
     McgSolution::new(all, all_news, violating, feasible)
 }
 
-/// SCG via the full-rescan MCG — the pre-CELF implementation of
-/// [`crate::solve_scg`].
+/// SCG via the full-rescan MCG, with every `(B*, rule)` run made — the
+/// pre-CELF, pre-pruning implementation of [`crate::solve_scg`].
 ///
 /// # Errors
 ///
@@ -223,7 +223,30 @@ pub fn solve_scg<C: Cost>(
     system: &SetSystem<C>,
     candidates: &[C],
 ) -> Result<ScgSolution<C>, ScgError> {
-    crate::scg::solve_scg_with(system, candidates, greedy_mcg_opts)
+    solve_scg_with(system, candidates, greedy_mcg_opts)
+}
+
+/// The unpruned SCG sweep over a given MCG subroutine: every candidate
+/// under the skip rule, then every candidate under the no-skip rule, the
+/// outer loop [`crate::solve_scg`] prunes. With [`crate::greedy_mcg_opts`]
+/// it is the lazy-greedy sweep before pruning, which `repro bench` times
+/// against BLA's production sweep.
+///
+/// # Errors
+///
+/// See [`ScgError`].
+pub fn solve_scg_with<C: Cost>(
+    system: &SetSystem<C>,
+    candidates: &[C],
+    mcg: impl Fn(&SetSystem<C>, &[C], &[bool], bool) -> McgSolution<C>,
+) -> Result<ScgSolution<C>, ScgError> {
+    let mut sweep = Sweep::new(system, candidates)?;
+    for skip_unaffordable in [true, false] {
+        for b_star in candidates {
+            sweep.run(b_star, skip_unaffordable, &mcg);
+        }
+    }
+    sweep.finish()
 }
 
 #[cfg(test)]

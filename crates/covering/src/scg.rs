@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::cost::Cost;
-use crate::mcg::greedy_mcg_opts;
+use crate::mcg::{greedy_mcg_opts, McgSolution};
 use crate::set_cover::Cover;
 use crate::system::{ElementId, SetId, SetSystem};
 use crate::verify::group_costs;
@@ -23,6 +23,8 @@ pub struct ScgSolution<C> {
     max_group_cost: C,
     budget_used: C,
     iterations: usize,
+    runs: usize,
+    mcg_calls: usize,
 }
 
 impl<C: Cost> ScgSolution<C> {
@@ -44,6 +46,16 @@ impl<C: Cost> ScgSolution<C> {
     /// How many MCG iterations the winning candidate needed.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// How many `(B*, rule)` runs the sweep made, over all candidates.
+    pub fn runs(&self) -> usize {
+        self.runs
+    }
+
+    /// How many MCG calls those runs made, the failing ones included.
+    pub fn mcg_calls(&self) -> usize {
+        self.mcg_calls
     }
 }
 
@@ -80,15 +92,36 @@ impl std::error::Error for ScgError {}
 /// Solves SCG: finds a cover of all elements (approximately) minimizing the
 /// maximum per-group cost, trying each candidate `B*` in `candidates`.
 ///
-/// For each candidate the MCG greedy runs on the residual instance until
-/// every element is covered; a candidate is abandoned as infeasible if an
+/// Each candidate `B*` is tried under both readings of Fig. 3's line 5:
+///
+/// * `skip_unaffordable = true` — sets costing more than `B*` are
+///   excluded; excludes tempting oversized sets, but a `B*` below the
+///   costliest *required* transmission becomes infeasible.
+/// * `skip_unaffordable = false` — a group under budget may take any set
+///   (the literal condition `c(H ∩ G_i) < B_i`); every positive `B*`
+///   stays feasible and small values drive maximal spreading.
+///
+/// All skip-rule runs come first, in candidate order, then all no-skip
+/// runs. For each, the MCG greedy runs on the residual instance until
+/// every element is covered; a run is abandoned as infeasible if an
 /// iteration makes no progress (this happens exactly when some uncovered
-/// element's every covering set costs more than `B*`). Among feasible
-/// candidates the solution with the smallest achieved `max_i c(H ∩ G_i)`
-/// wins (ties: the earlier candidate).
+/// element's every usable set costs more than `B*`). Among feasible runs
+/// the solution with the smallest achieved `max_i c(H ∩ G_i)` wins (ties:
+/// the earlier run); neither rule dominates across instances.
+///
+/// Two kinds of run are skipped because they cannot change the winner:
+///
+/// * a skip-rule run with `B*` below [`SetSystem::cover_lower_bound`]:
+///   some element has no set within `B*`, so the run must fail;
+/// * a no-skip run with `B*` at or above the costliest set: no set
+///   exceeds `B*`, so both rules build the same greedy, and this run can
+///   only tie the skip-rule run of the same `B*`, which came first.
+///
+/// [`reference::solve_scg`](crate::reference::solve_scg) makes every run,
+/// and the property tests pin the two to the same solution.
 ///
 /// The returned assignment maps every element to the set that first covered
-/// it, across all iterations of the winning candidate.
+/// it, across all iterations of the winning run.
 ///
 /// # Errors
 ///
@@ -97,93 +130,121 @@ pub fn solve_scg<C: Cost>(
     system: &SetSystem<C>,
     candidates: &[C],
 ) -> Result<ScgSolution<C>, ScgError> {
-    solve_scg_with(system, candidates, greedy_mcg_opts)
-}
-
-/// [`solve_scg`] parameterized over the MCG subroutine, so the reference
-/// (full-rescan) and lazy-greedy MCG drive the identical outer loop —
-/// used by `crate::reference` and the equivalence property tests.
-pub(crate) fn solve_scg_with<C: Cost>(
-    system: &SetSystem<C>,
-    candidates: &[C],
-    mcg: impl Fn(&SetSystem<C>, &[C], &[bool], bool) -> crate::mcg::McgSolution<C>,
-) -> Result<ScgSolution<C>, ScgError> {
-    if !system.all_coverable() {
-        return Err(ScgError::Uncoverable {
-            elements: system.uncoverable_elements(),
-        });
-    }
-    if candidates.is_empty() {
-        return Err(ScgError::NoCandidates);
-    }
-
-    let n = system.n_elements();
-    let mut best: Option<ScgSolution<C>> = None;
-
-    // Each candidate `B*` is tried under both readings of Fig. 3's line 5:
-    //
-    // * `skip_unaffordable = true` — sets costing more than `B*` are
-    //   excluded; excludes tempting oversized sets, but a `B*` below the
-    //   costliest *required* transmission becomes infeasible.
-    // * `skip_unaffordable = false` — a group under budget may take any
-    //   set (the literal condition `c(H ∩ G_i) < B_i`); every positive
-    //   `B*` stays feasible and small values drive maximal spreading.
-    //
-    // The best achieved max-group-cost over both rules and all candidates
-    // wins; neither rule dominates across instances.
+    let mut sweep = Sweep::new(system, candidates)?;
+    let low = system.cover_lower_bound();
+    let c_max = system.max_set_cost();
     for skip_unaffordable in [true, false] {
         for b_star in candidates {
-            let budgets = vec![b_star.clone(); system.n_groups()];
-            let mut covered = vec![false; n];
-            let mut picks: Vec<(SetId, Vec<ElementId>, C)> = Vec::new();
-            let mut iterations = 0usize;
-            let feasible = loop {
-                if covered.iter().all(|&c| c) {
-                    break true;
-                }
-                let sol = mcg(system, &budgets, &covered, skip_unaffordable);
-                // Per Fig. 6 (and the paper's worked example), each
-                // iteration contributes the *output* of Centralized MNU —
-                // the feasible half — which respects every group budget
-                // and covers at least 1/8 of the remaining elements when
-                // B* >= OPT.
-                let half = sol.feasible();
-                if half.covered_count() == 0 {
-                    break false; // B* too small for some remaining element
-                }
-                iterations += 1;
-                for (sid, news) in half.chosen().iter().zip(half.newly_covered()) {
-                    for e in news {
-                        covered[e.0 as usize] = true;
-                    }
-                    picks.push((*sid, news.clone(), system.set(*sid).cost().clone()));
-                }
-            };
-            if !feasible {
-                continue;
-            }
-            let chosen: Vec<SetId> = picks.iter().map(|(s, _, _)| *s).collect();
-            let gc = group_costs(system, &chosen);
-            let max_gc = gc.into_iter().max().unwrap_or_else(C::zero);
-            let cover = Cover::from_picks(n, picks);
-            debug_assert!(cover.covers_all());
-            let candidate_sol = ScgSolution {
-                cover,
-                max_group_cost: max_gc,
-                budget_used: b_star.clone(),
-                iterations,
-            };
-            let improves = match &best {
-                None => true,
-                Some(b) => candidate_sol.max_group_cost < b.max_group_cost,
-            };
-            if improves {
-                best = Some(candidate_sol);
+            let must_fail = skip_unaffordable && low.is_some_and(|low| b_star < low);
+            let ties_skip_run = !skip_unaffordable && c_max.is_some_and(|c| b_star >= c);
+            if !must_fail && !ties_skip_run {
+                sweep.run(b_star, skip_unaffordable, greedy_mcg_opts);
             }
         }
     }
+    sweep.finish()
+}
 
-    best.ok_or(ScgError::NoFeasibleBudget)
+/// The best-so-far state of an SCG sweep over `(B*, rule)` runs, shared
+/// by [`solve_scg`] and the unpruned
+/// [`reference::solve_scg_with`](crate::reference::solve_scg_with).
+pub(crate) struct Sweep<'a, C> {
+    system: &'a SetSystem<C>,
+    best: Option<ScgSolution<C>>,
+    runs: usize,
+    mcg_calls: usize,
+}
+
+impl<'a, C: Cost> Sweep<'a, C> {
+    /// Starts a sweep after checking that a cover exists and that there
+    /// is a candidate to try.
+    pub(crate) fn new(system: &'a SetSystem<C>, candidates: &[C]) -> Result<Self, ScgError> {
+        if !system.all_coverable() {
+            return Err(ScgError::Uncoverable {
+                elements: system.uncoverable_elements(),
+            });
+        }
+        if candidates.is_empty() {
+            return Err(ScgError::NoCandidates);
+        }
+        Ok(Sweep {
+            system,
+            best: None,
+            runs: 0,
+            mcg_calls: 0,
+        })
+    }
+
+    /// One run: the iterated MCG of Fig. 6 at budget `b_star` under one
+    /// reading of line 5, kept if it covers everything with a strictly
+    /// smaller maximum group cost than every earlier run.
+    pub(crate) fn run(
+        &mut self,
+        b_star: &C,
+        skip_unaffordable: bool,
+        mcg: impl Fn(&SetSystem<C>, &[C], &[bool], bool) -> McgSolution<C>,
+    ) {
+        let system = self.system;
+        let n = system.n_elements();
+        self.runs += 1;
+        let budgets = vec![b_star.clone(); system.n_groups()];
+        let mut covered = vec![false; n];
+        let mut picks: Vec<(SetId, Vec<ElementId>, C)> = Vec::new();
+        let mut iterations = 0usize;
+        while !covered.iter().all(|&c| c) {
+            self.mcg_calls += 1;
+            let sol = mcg(system, &budgets, &covered, skip_unaffordable);
+            // Per Fig. 6 (and the paper's worked example), each iteration
+            // contributes the *output* of Centralized MNU — the feasible
+            // half — which respects every group budget and covers at
+            // least 1/8 of the remaining elements when B* >= OPT.
+            let half = sol.feasible();
+            if half.covered_count() == 0 {
+                return; // B* too small for some remaining element
+            }
+            iterations += 1;
+            for (sid, news) in half.chosen().iter().zip(half.newly_covered()) {
+                for e in news {
+                    covered[e.0 as usize] = true;
+                }
+                picks.push((*sid, news.clone(), system.set(*sid).cost().clone()));
+            }
+        }
+        let chosen: Vec<SetId> = picks.iter().map(|(s, _, _)| *s).collect();
+        let max_group_cost = group_costs(system, &chosen)
+            .into_iter()
+            .max()
+            .unwrap_or_else(C::zero);
+        if self
+            .best
+            .as_ref()
+            .is_some_and(|b| b.max_group_cost <= max_group_cost)
+        {
+            return;
+        }
+        let cover = Cover::from_picks(n, picks);
+        debug_assert!(cover.covers_all());
+        self.best = Some(ScgSolution {
+            cover,
+            max_group_cost,
+            budget_used: b_star.clone(),
+            iterations,
+            runs: 0,
+            mcg_calls: 0,
+        });
+    }
+
+    /// The winning run, with the sweep's counters.
+    pub(crate) fn finish(self) -> Result<ScgSolution<C>, ScgError> {
+        let (runs, mcg_calls) = (self.runs, self.mcg_calls);
+        self.best
+            .map(|best| ScgSolution {
+                runs,
+                mcg_calls,
+                ..best
+            })
+            .ok_or(ScgError::NoFeasibleBudget)
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +280,27 @@ mod tests {
         let mut chosen = sol.cover().chosen().to_vec();
         chosen.sort();
         assert_eq!(chosen, vec![SetId(1), SetId(3)]); // {S2, S4}
+    }
+
+    #[test]
+    fn paper_figure5_sweep_counts_and_prunes() {
+        let system = figure5();
+        let candidates = [15, 20, 25, 30, 35, 40, 60];
+        // Cheapest options: u1 → 20 (S2 only), u2 → 10, u3 → 12, u4 → 12,
+        // u5 → 15; the costliest set is 20 as well.
+        assert_eq!(system.cover_lower_bound(), Some(&20));
+        let fast = solve_scg(&system, &candidates).unwrap();
+        let slow = crate::reference::solve_scg(&system, &candidates).unwrap();
+        assert_eq!(fast.cover(), slow.cover());
+        assert_eq!(fast.budget_used(), slow.budget_used());
+        // The reference makes all 2 × 7 runs. The prune drops the skip run
+        // of B* = 15 (u1 has no set within 15) and the no-skip runs of
+        // B* ≥ 20 (no set costs more than 20): 6 + 1 runs remain.
+        assert_eq!(slow.runs(), 14);
+        assert_eq!(fast.runs(), 7);
+        // Every run ends with a full cover or one MCG call that covers
+        // nothing; the seven dropped runs had spent half the calls.
+        assert_eq!((fast.mcg_calls(), slow.mcg_calls()), (11, 22));
     }
 
     #[test]

@@ -315,6 +315,17 @@ impl<C: Cost> SetSystem<C> {
     pub fn min_set_cost(&self) -> Option<&C> {
         self.sets.iter().map(|s| &s.cost).min()
     }
+
+    /// The largest, over coverable elements, of the element's cheapest
+    /// covering set: every cover holds a set at least this costly, so no
+    /// group budget below it admits a complete cover. `None` when no
+    /// element is coverable.
+    pub fn cover_lower_bound(&self) -> Option<&C> {
+        self.covering
+            .iter()
+            .filter_map(|sets| sets.iter().map(|id| &self.set(*id).cost).min())
+            .max()
+    }
 }
 
 #[cfg(test)]
@@ -414,5 +425,17 @@ mod tests {
         let s = small();
         assert_eq!(s.min_set_cost(), Some(&1));
         assert_eq!(s.max_set_cost(), Some(&3));
+    }
+
+    #[test]
+    fn cover_lower_bound_is_the_dearest_cheapest_option() {
+        // Cheapest options: e0 → 2, e1 → 2, e2 → 3, e3 → 1.
+        assert_eq!(small().cover_lower_bound(), Some(&3));
+        let mut b = SetSystemBuilder::<u64>::new(2);
+        b.push_set([0], 4, 0).unwrap();
+        // Element 1 is uncoverable and does not count.
+        assert_eq!(b.build().unwrap().cover_lower_bound(), Some(&4));
+        let empty = SetSystemBuilder::<u64>::new(0).build().unwrap();
+        assert_eq!(empty.cover_lower_bound(), None);
     }
 }

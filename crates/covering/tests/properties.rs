@@ -146,14 +146,28 @@ proptest! {
         prop_assert!(candidates.contains(sol.budget_used()));
     }
 
-    // ---- Lazy-greedy vs full-rescan reference equivalence ----
-    //
-    // The fast solvers (CELF heap + carried tie class, see
-    // `crates/covering/src/celf.rs`) must select the *identical* set
-    // sequence as the verbatim pre-optimization scans kept in
-    // `mcast_covering::reference` — not just equally good covers. These
-    // properties pin that bit-for-bit claim on random systems, where
-    // effectiveness ties and budget-exhaustion edge cases are common.
+}
+
+/// 64 cases, or as many as `PROPTEST_CASES` says: CI runs the
+/// equivalence properties below with more.
+fn equivalence_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+// ---- Lazy-greedy vs full-rescan reference equivalence ----
+//
+// The fast solvers (CELF heap + carried tie class, see
+// `crates/covering/src/celf.rs`) must select the *identical* set
+// sequence as the verbatim pre-optimization scans kept in
+// `mcast_covering::reference` — not just equally good covers. These
+// properties pin that bit-for-bit claim on random systems, where
+// effectiveness ties and budget-exhaustion edge cases are common.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(equivalence_cases()))]
 
     #[test]
     fn lazy_set_cover_selects_identical_sequence(system in coverable_system()) {
@@ -198,8 +212,19 @@ proptest! {
     }
 
     #[test]
-    fn lazy_scg_selects_identical_solution(system in coverable_system()) {
+    fn lazy_scg_selects_identical_solution(
+        system in coverable_system(),
+        extra in vec(0u64..45, 0..8),
+    ) {
+        // Set costs, values between and below them (the prune drops
+        // skip-rule runs below the cover lower bound, and no-skip runs at
+        // or above the costliest set), random extras, and the total cost
+        // so that some run succeeds.
         let mut candidates: Vec<u64> = system.sets().iter().map(|s| *s.cost()).collect();
+        let low = *system.cover_lower_bound().unwrap();
+        candidates.extend([low - 1, low / 2]);
+        candidates.extend(candidates.clone().iter().map(|&c| 2 * c + 1).collect::<Vec<_>>());
+        candidates.extend(extra);
         let all: Vec<SetId> = (0..system.n_sets()).map(|i| SetId(i as u32)).collect();
         candidates.push(total_cost(&system, &all));
         candidates.sort_unstable();
@@ -209,6 +234,20 @@ proptest! {
         prop_assert_eq!(fast.cover(), slow.cover());
         prop_assert_eq!(fast.max_group_cost(), slow.max_group_cost());
         prop_assert_eq!(fast.budget_used(), slow.budget_used());
+        prop_assert_eq!(fast.iterations(), slow.iterations());
+        // The reference makes every run; the prune skips exactly the
+        // skip-rule runs below `low` and the no-skip runs at or above
+        // the costliest set.
+        let c_max = *system.max_set_cost().unwrap();
+        let pruned = candidates.iter().filter(|&&b| b < low).count()
+            + candidates.iter().filter(|&&b| b >= c_max).count();
+        prop_assert_eq!(slow.runs(), 2 * candidates.len());
+        prop_assert_eq!(fast.runs(), slow.runs() - pruned);
+        prop_assert!(fast.mcg_calls() <= slow.mcg_calls());
+        // The unpruned sweep over the lazy MCG agrees as well.
+        let lazy = reference::solve_scg_with(&system, &candidates, greedy_mcg_opts).unwrap();
+        prop_assert_eq!(lazy.cover(), slow.cover());
+        prop_assert_eq!((lazy.runs(), lazy.mcg_calls()), (slow.runs(), slow.mcg_calls()));
     }
 
     #[test]

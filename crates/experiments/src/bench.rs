@@ -5,7 +5,8 @@
 //! recorded across PRs instead of living in commit messages:
 //!
 //! * `BENCH_greedy.json` — lazy-greedy (CELF) vs full-rescan greedy for
-//!   MCG, `CostSC` and SCG (the `crates/covering` fast paths);
+//!   MCG, `CostSC` and SCG (the `crates/covering` fast paths), and BLA's
+//!   pruned half-quantum budget sweep vs the unpruned rational sweep;
 //! * `BENCH_topology.json` — spatial-grid vs all-pairs scenario
 //!   generation (the `crates/topology` fast path);
 //! * `BENCH_distributed.json` — the incremental-ledger + delta-decision +
@@ -29,13 +30,17 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use mcast_core::reduction::Reduction;
+use mcast_core::bla::budget_grid;
+use mcast_core::reduction::{ModelCost, Reduction};
 use mcast_core::{
     resume_distributed_parallel, run_distributed, run_distributed_parallel,
-    run_distributed_reference, Association, DistributedConfig, DistributedOutcome, ExecutionMode,
-    Policy, SuperviseOptions,
+    run_distributed_reference, solve_bla, Association, BlaConfig, DistributedConfig,
+    DistributedOutcome, ExecutionMode, Instance, Objective, Policy, Solution, SuperviseOptions,
 };
-use mcast_covering::{greedy_mcg, greedy_set_cover, reference, solve_scg, SetSystemBuilder};
+use mcast_covering::{
+    greedy_mcg, greedy_mcg_opts, greedy_set_cover, reference, solve_scg, ScgSolution,
+    SetSystemBuilder,
+};
 use mcast_events::{load_checkpoints, RunCheckpointSink};
 use mcast_topology::{Placement, ScenarioConfig};
 use serde::Serialize;
@@ -59,6 +64,9 @@ pub struct BenchEntry {
     /// ran: the high-water mark is reset when the entry starts (see
     /// [`RowRss`]). `None` where the platform cannot reset or report it.
     pub peak_rss_bytes: Option<u64>,
+    /// Deterministic work counters of the row, by name (empty where the
+    /// row records none).
+    pub counters: BTreeMap<String, u64>,
 }
 
 impl BenchEntry {
@@ -76,6 +84,7 @@ impl BenchEntry {
             speedup: reference_ms / fast_ms,
             outputs_identical,
             peak_rss_bytes: row.peak(),
+            counters: BTreeMap::new(),
         }
     }
 }
@@ -159,7 +168,8 @@ fn time_best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best_ms, out)
 }
 
-/// The covering-layer report: lazy-greedy vs full-rescan greedy.
+/// The covering-layer report: lazy-greedy vs full-rescan greedy on the
+/// production (half-quantum) reduction, and BLA's sweep.
 pub fn greedy_report(opts: &Options) -> BenchReport {
     let (n_aps, n_users) = if opts.quick { (40, 150) } else { (200, 1000) };
     let scenario = ScenarioConfig {
@@ -169,7 +179,7 @@ pub fn greedy_report(opts: &Options) -> BenchReport {
     }
     .with_seed(0)
     .generate();
-    let red = Reduction::build(&scenario.instance);
+    let red = Reduction::quantized(&scenario.instance);
     let system = red.system();
     let budgets = red.budgets();
 
@@ -190,7 +200,7 @@ pub fn greedy_report(opts: &Options) -> BenchReport {
     );
 
     let row = RowRss::start();
-    let (ref_ms, ref_cover) = time_once(|| greedy_set_cover_ref(system));
+    let (ref_ms, ref_cover) = time_once(|| reference::greedy_set_cover(system).expect("coverable"));
     let (fast_ms, fast_cover) = time_best_of(3, || greedy_set_cover(system).expect("coverable"));
     benches.insert(
         "costsc".to_string(),
@@ -223,12 +233,79 @@ pub fn greedy_report(opts: &Options) -> BenchReport {
         ),
     );
 
+    benches.insert(
+        "bla".to_string(),
+        bla_entry(&scenario.instance, n_aps, n_users),
+    );
+
     BenchReport {
         schema: "mcast-bench-greedy/v2".to_string(),
         quick: opts.quick,
         host_threads: host_threads(),
         benches,
     }
+}
+
+/// BLA end to end: `solve_bla`'s pipeline (half-quanta, pruned sweep)
+/// against the same pipeline on exact rationals with every `(B*, rule)`
+/// run made. The timed fast side is checked against `solve_bla` itself,
+/// so its counters and timing come from the run that ships. Counters:
+/// each side's runs and MCG calls.
+fn bla_entry(inst: &Instance, n_aps: usize, n_users: usize) -> BenchEntry {
+    let row = RowRss::start();
+    let (ref_ms, (ref_sol, ref_scg)) = time_once(|| {
+        bla_pipeline(inst, Reduction::build(inst), |system, candidates| {
+            reference::solve_scg_with(system, candidates, greedy_mcg_opts)
+        })
+    });
+    let (fast_ms, (fast_sol, fast_scg)) = time_best_of(3, || {
+        bla_pipeline(inst, Reduction::quantized(inst), solve_scg)
+    });
+    let production = solve_bla(inst).expect("coverable");
+    let mut entry = BenchEntry::new(
+        format!(
+            "BLA budget sweep, paper-density WLAN, {n_aps} APs / {n_users} users: half-quanta \
+             and pruned runs vs exact rationals and every run"
+        ),
+        ref_ms,
+        fast_ms,
+        same_plan(&fast_sol, &ref_sol) && same_plan(&fast_sol, &production),
+        &row,
+    );
+    for (name, count) in [
+        ("fast_runs", fast_scg.runs()),
+        ("fast_mcg_calls", fast_scg.mcg_calls()),
+        ("reference_runs", ref_scg.runs()),
+        ("reference_mcg_calls", ref_scg.mcg_calls()),
+    ] {
+        entry.counters.insert(name.to_string(), count as u64);
+    }
+    entry
+}
+
+/// `solve_bla`'s steps on `red` with the given sweep, keeping the
+/// sweep's counters.
+fn bla_pipeline<C: ModelCost>(
+    inst: &Instance,
+    red: Reduction<C>,
+    sweep: impl Fn(
+        &mcast_covering::SetSystem<C>,
+        &[C],
+    ) -> Result<ScgSolution<C>, mcast_covering::ScgError>,
+) -> (Solution, ScgSolution<C>) {
+    let candidates = budget_grid(&red, BlaConfig::default().grid_points);
+    let scg = sweep(red.system(), &candidates).expect("coverable");
+    let sol = Solution::evaluate(
+        Objective::Bla,
+        red.to_association(scg.cover()),
+        inst,
+        Some(red.to_load(*scg.max_group_cost())),
+    );
+    (sol, scg)
+}
+
+fn same_plan(a: &Solution, b: &Solution) -> bool {
+    a.association == b.association && a.model_cost == b.model_cost
 }
 
 /// The topology-layer report: spatial-grid vs all-pairs generation.
@@ -925,6 +1002,9 @@ fn run_default(opts: &Options) -> Result<String, String> {
                     "DIFFER"
                 }
             ));
+            for (name, value) in &b.counters {
+                out.push_str(&format!("  {:<14} {name} {value}\n", ""));
+            }
         }
     }
     {
@@ -959,12 +1039,6 @@ fn run_default(opts: &Options) -> Result<String, String> {
     }
 }
 
-fn greedy_set_cover_ref(
-    system: &mcast_covering::SetSystem<mcast_core::Load>,
-) -> mcast_covering::Cover<mcast_core::Load> {
-    reference::greedy_set_cover(system).expect("coverable")
-}
-
 /// Deterministic synthetic system, mirroring `benches/covering.rs`.
 fn synthetic_system(n: usize, g: u32) -> mcast_covering::SetSystem<u64> {
     let mut b = SetSystemBuilder::<u64>::new(n);
@@ -995,7 +1069,7 @@ mod tests {
             ..Options::default()
         };
         let g = greedy_report(&opts);
-        assert!(["mcg", "costsc", "scg"]
+        assert!(["mcg", "costsc", "scg", "bla"]
             .iter()
             .all(|k| g.benches.contains_key(*k)));
         assert!(g.benches.values().all(|b| b.outputs_identical));
