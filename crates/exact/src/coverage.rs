@@ -1,17 +1,18 @@
 //! Exact maximum coverage under group budgets by branch-and-bound
 //! (optimal MNU).
 
-use mcast_covering::SetId;
+use mcast_covering::{ElementId, SetId, SetSystem};
 
-use crate::scaled::ScaledSystem;
+use crate::search::{retain_undominated_in_group, Covered};
 use crate::{BnbOutcome, SearchLimits};
 
 struct State<'a> {
-    sys: &'a ScaledSystem,
+    sys: &'a SetSystem<u64>,
+    /// Per group: the budget (`u64::MAX` = unconstrained).
+    budgets: &'a [u64],
     /// Elements given up by an ancestor give-up branch.
     given_up: Vec<bool>,
-    covered: Vec<bool>,
-    covered_count: usize,
+    covered: Covered,
     group_cost: Vec<u64>,
     chosen: Vec<SetId>,
     /// Sets excluded by give-up branches (no set containing a given-up
@@ -27,6 +28,14 @@ struct State<'a> {
 }
 
 impl State<'_> {
+    /// Whether set `s` is un-banned and fits its group's remaining budget.
+    fn affordable(&self, s: SetId) -> bool {
+        let set = self.sys.set(s);
+        let g = set.group().0 as usize;
+        !self.banned[s.0 as usize]
+            && self.group_cost[g].saturating_add(*set.cost()) <= self.budgets[g]
+    }
+
     /// Admissible upper bound on the coverage reachable from this node:
     /// the minimum of two over-estimates of the still-achievable extra —
     ///
@@ -37,49 +46,39 @@ impl State<'_> {
     ///   any budget-feasible selection from group `g` adds at most
     ///   `Σ cost × max-density ≤ b_g × max-density` elements.
     fn upper_bound(&self) -> usize {
-        let reachable = (0..self.sys.n_elements() as u32)
+        let reachable = self
+            .covered
+            .uncovered()
             .filter(|&e| {
-                !self.covered[e as usize]
-                    && self.sys.covering(e).iter().any(|&s| {
-                        if self.banned[s.0 as usize] {
-                            return false;
-                        }
-                        let g = self.sys.group(s);
-                        self.group_cost[g].saturating_add(self.sys.cost(s)) <= self.sys.budget(g)
-                    })
+                self.sys
+                    .covering_sets(e)
+                    .iter()
+                    .any(|&s| self.affordable(s))
             })
             .count();
 
         // Remaining budget per group; bail out to the reachability bound
         // if any group is unconstrained (the density bound degenerates).
-        let mut remaining = Vec::with_capacity(self.sys.n_groups());
-        for g in 0..self.sys.n_groups() {
-            let budget = self.sys.budget(g);
-            if budget == u64::MAX {
-                return self.covered_count + reachable;
-            }
-            remaining.push(budget.saturating_sub(self.group_cost[g]));
+        if self.budgets.contains(&u64::MAX) {
+            return self.covered.count() + reachable;
         }
+        let remaining: Vec<u64> = self
+            .budgets
+            .iter()
+            .zip(&self.group_cost)
+            .map(|(&b, &c)| b.saturating_sub(c))
+            .collect();
 
         // One pass over the sets: per group, the max (uncovered/cost)
         // density among affordable sets, as an exact fraction (c, w).
         let mut best: Vec<Option<(u64, u64)>> = vec![None; self.sys.n_groups()];
-        for s in 0..self.sys.n_sets() {
-            let s = SetId(s as u32);
-            if self.banned[s.0 as usize] {
+        for s in (0..self.sys.n_sets() as u32).map(SetId) {
+            if !self.affordable(s) {
                 continue;
             }
-            let g = self.sys.group(s);
-            let w = self.sys.cost(s);
-            if w > remaining[g] {
-                continue;
-            }
-            let c = self
-                .sys
-                .members(s)
-                .iter()
-                .filter(|&&m| !self.covered[m as usize])
-                .count() as u64;
+            let g = self.sys.set(s).group().0 as usize;
+            let w = *self.sys.set(s).cost();
+            let c = self.covered.fresh(self.sys, s).count() as u64;
             if c == 0 {
                 continue;
             }
@@ -97,37 +96,23 @@ impl State<'_> {
             .filter_map(|(b, &r)| b.map(|(c, w)| u128::from(r) * u128::from(c) / u128::from(w)))
             .sum();
         let density = usize::try_from(density_total.min(reachable as u128)).unwrap_or(reachable);
-        self.covered_count + reachable.min(density)
+        self.covered.count() + reachable.min(density)
     }
 
     fn record_leaf(&mut self) {
-        if self.covered_count > self.best_covered {
-            self.best_covered = self.covered_count;
+        if self.covered.count() > self.best_covered {
+            self.best_covered = self.covered.count();
             self.best_chosen = self.chosen.clone();
         }
     }
 
     /// Affordable, un-banned sets covering `e`, with their fresh coverage.
-    fn options_of(&self, e: u32) -> Vec<(SetId, usize)> {
+    fn options_of(&self, e: ElementId) -> Vec<(SetId, usize)> {
         self.sys
-            .covering(e)
+            .covering_sets(e)
             .iter()
-            .filter_map(|&s| {
-                if self.banned[s.0 as usize] {
-                    return None;
-                }
-                let g = self.sys.group(s);
-                if self.group_cost[g].saturating_add(self.sys.cost(s)) > self.sys.budget(g) {
-                    return None;
-                }
-                let news = self
-                    .sys
-                    .members(s)
-                    .iter()
-                    .filter(|&&m| !self.covered[m as usize])
-                    .count();
-                Some((s, news))
-            })
+            .filter(|&&s| self.affordable(s))
+            .map(|&s| (s, self.covered.fresh(self.sys, s).count()))
             .collect()
     }
 
@@ -141,16 +126,16 @@ impl State<'_> {
         // Forced give-ups: uncovered, undecided elements with zero
         // affordable options can never be covered in this subtree
         // (budgets only shrink and bans only accumulate).
-        let mut forced: Vec<u32> = Vec::new();
-        let mut branch_e: Option<(u32, usize)> = None;
-        for e in 0..self.sys.n_elements() as u32 {
-            if self.covered[e as usize] || self.given_up[e as usize] {
+        let mut forced: Vec<ElementId> = Vec::new();
+        let mut branch_e: Option<(ElementId, usize)> = None;
+        for e in (0..self.sys.n_elements() as u32).map(ElementId) {
+            if self.covered.contains(e) || self.given_up[e.0 as usize] {
                 continue;
             }
             let n_opts = self.options_of(e).len();
             if n_opts == 0 {
                 forced.push(e);
-                self.given_up[e as usize] = true;
+                self.given_up[e.0 as usize] = true;
                 continue;
             }
             // Dynamic branching: fewest options first.
@@ -159,8 +144,7 @@ impl State<'_> {
             }
         }
 
-        let result: Option<(u32, usize)> = branch_e;
-        match result {
+        match branch_e {
             None => self.record_leaf(),
             Some((e, _)) if self.upper_bound() > self.best_covered => {
                 self.branch_on(e);
@@ -168,63 +152,31 @@ impl State<'_> {
             Some(_) => {} // pruned
         }
         for e in forced {
-            self.given_up[e as usize] = false;
+            self.given_up[e.0 as usize] = false;
         }
     }
 
-    fn branch_on(&mut self, e: u32) {
+    fn branch_on(&mut self, e: ElementId) {
         let mut candidates = self.options_of(e);
-        // Same-group dominance on (cost, uncovered members).
-        let snapshot = candidates.clone();
-        candidates.retain(|&(s1, n1)| {
-            !snapshot.iter().any(|&(s2, n2)| {
-                if s2 == s1
-                    || self.sys.group(s2) != self.sys.group(s1)
-                    || self.sys.cost(s2) > self.sys.cost(s1)
-                    || n2 < n1
-                {
-                    return false;
-                }
-                let strictly = self.sys.cost(s2) < self.sys.cost(s1) || n2 > n1 || s2 < s1;
-                strictly
-                    && self
-                        .sys
-                        .members(s1)
-                        .iter()
-                        .filter(|&&m| !self.covered[m as usize])
-                        .all(|&m| self.sys.members(s2).binary_search(&m).is_ok())
-            })
-        });
+        retain_undominated_in_group(self.sys, &self.covered, &mut candidates);
         candidates.sort_by(|&(s1, n1), &(s2, n2)| {
-            let lhs = n1 as u128 * u128::from(self.sys.cost(s2));
-            let rhs = n2 as u128 * u128::from(self.sys.cost(s1));
+            let lhs = n1 as u128 * u128::from(*self.sys.set(s2).cost());
+            let rhs = n2 as u128 * u128::from(*self.sys.set(s1).cost());
             rhs.cmp(&lhs).then(s1.cmp(&s2))
         });
 
         for (s, _) in candidates {
-            let g = self.sys.group(s);
-            let news: Vec<u32> = self
-                .sys
-                .members(s)
-                .iter()
-                .copied()
-                .filter(|&m| !self.covered[m as usize])
-                .collect();
-            for &m in &news {
-                self.covered[m as usize] = true;
-            }
-            self.covered_count += news.len();
-            self.group_cost[g] += self.sys.cost(s);
+            let set = self.sys.set(s);
+            let (g, cost) = (set.group().0 as usize, *set.cost());
+            let taken = self.covered.take(self.sys, s);
+            self.group_cost[g] += cost;
             self.chosen.push(s);
 
             self.dfs();
 
             self.chosen.pop();
-            self.group_cost[g] -= self.sys.cost(s);
-            self.covered_count -= news.len();
-            for &m in &news {
-                self.covered[m as usize] = false;
-            }
+            self.group_cost[g] -= cost;
+            self.covered.untake(&taken);
             if !self.complete && self.nodes > self.max_nodes {
                 return;
             }
@@ -235,7 +187,7 @@ impl State<'_> {
         // by the set branches above, so the subtrees are disjoint).
         let newly_banned: Vec<SetId> = self
             .sys
-            .covering(e)
+            .covering_sets(e)
             .iter()
             .copied()
             .filter(|&s| !self.banned[s.0 as usize])
@@ -243,34 +195,39 @@ impl State<'_> {
         for &s in &newly_banned {
             self.banned[s.0 as usize] = true;
         }
-        self.given_up[e as usize] = true;
+        self.given_up[e.0 as usize] = true;
         self.dfs();
-        self.given_up[e as usize] = false;
+        self.given_up[e.0 as usize] = false;
         for &s in &newly_banned {
             self.banned[s.0 as usize] = false;
         }
     }
 }
 
-/// Finds a budget-feasible selection of sets covering a certified-maximum
-/// number of elements.
+/// Finds a selection of sets within the per-group `budgets` covering a
+/// certified-maximum number of elements. A group's sets fit its budget `b`
+/// when their costs sum to at most `b`; `u64::MAX` leaves a group
+/// unconstrained.
 ///
 /// `initial_lb`: a known feasible `(covered_count, sets)` incumbent (e.g.
 /// from the MCG greedy's feasible half).
+///
+/// # Panics
+///
+/// Panics if `budgets` does not hold one entry per group.
 pub fn optimal_max_coverage(
-    sys: &ScaledSystem,
+    sys: &SetSystem<u64>,
+    budgets: &[u64],
     initial_lb: Option<(usize, Vec<SetId>)>,
     limits: SearchLimits,
 ) -> BnbOutcome {
-    let (best_covered, best_chosen) = match initial_lb {
-        Some((c, sets)) => (c, sets),
-        None => (0, Vec::new()),
-    };
+    assert_eq!(budgets.len(), sys.n_groups(), "one budget per group");
+    let (best_covered, best_chosen) = initial_lb.unwrap_or((0, Vec::new()));
     let mut state = State {
         sys,
+        budgets,
         given_up: vec![false; sys.n_elements()],
-        covered: vec![false; sys.n_elements()],
-        covered_count: 0,
+        covered: Covered::new(sys.n_elements()),
         group_cost: vec![0; sys.n_groups()],
         chosen: Vec::new(),
         banned: vec![false; sys.n_sets()],
@@ -292,46 +249,49 @@ pub fn optimal_max_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcast_core::Load;
-    use mcast_covering::SetSystemBuilder;
+    use crate::search::system;
 
-    /// The paper's Figure 2 MCG instance: the greedy serves 3 users; the
-    /// optimum serves 4 (e.g. S4 on a1 and S5 on a2).
-    fn figure2() -> ScaledSystem {
-        let mut b = SetSystemBuilder::<Load>::new(5);
-        b.push_set([2], Load::from_ratio(3, 4), 0).unwrap(); // S1
-        b.push_set([0, 2], Load::from_ratio(3, 3), 0).unwrap(); // S2
-        b.push_set([1], Load::from_ratio(3, 6), 0).unwrap(); // S3
-        b.push_set([1, 3, 4], Load::from_ratio(3, 4), 0).unwrap(); // S4
-        b.push_set([2], Load::from_ratio(3, 5), 1).unwrap(); // S5
-        b.push_set([3], Load::from_ratio(3, 5), 1).unwrap(); // S6
-        b.push_set([3, 4], Load::from_ratio(3, 3), 1).unwrap(); // S7
-        let sys = b.build().unwrap();
-        ScaledSystem::new(&sys, Some(&[Load::ONE, Load::ONE]))
+    /// The paper's Figure 2 MCG instance, in sixtieths of the unit budget:
+    /// the greedy serves 3 users; the optimum serves 4 (e.g. S4 on a1 and
+    /// S5 on a2).
+    fn figure2() -> SetSystem<u64> {
+        system(
+            5,
+            &[
+                (&[2], 45, 0),       // S1
+                (&[0, 2], 60, 0),    // S2
+                (&[1], 30, 0),       // S3
+                (&[1, 3, 4], 45, 0), // S4
+                (&[2], 36, 1),       // S5
+                (&[3], 36, 1),       // S6
+                (&[3, 4], 60, 1),    // S7
+            ],
+        )
     }
 
     #[test]
     fn figure2_optimum_serves_four() {
-        let sys = figure2();
-        let out = optimal_max_coverage(&sys, None, SearchLimits::default());
+        let out = optimal_max_coverage(&figure2(), &[60, 60], None, SearchLimits::default());
         assert!(out.proved_optimal);
         assert_eq!(out.objective, 4);
     }
 
     #[test]
     fn incumbent_seeding_never_hurts() {
-        let sys = figure2();
-        let seeded = optimal_max_coverage(&sys, Some((3, vec![SetId(3)])), SearchLimits::default());
+        let seeded = optimal_max_coverage(
+            &figure2(),
+            &[60, 60],
+            Some((3, vec![SetId(3)])),
+            SearchLimits::default(),
+        );
         assert_eq!(seeded.objective, 4);
         assert!(seeded.proved_optimal);
     }
 
     #[test]
     fn zero_budget_covers_nothing() {
-        let mut b = SetSystemBuilder::<Load>::new(2);
-        b.push_set([0, 1], Load::from_ratio(1, 2), 0).unwrap();
-        let sys = ScaledSystem::new(&b.build().unwrap(), Some(&[Load::ZERO]));
-        let out = optimal_max_coverage(&sys, None, SearchLimits::default());
+        let sys = system(2, &[(&[0, 1], 1, 0)]);
+        let out = optimal_max_coverage(&sys, &[0], None, SearchLimits::default());
         assert_eq!(out.objective, 0);
         assert!(out.chosen.is_empty());
     }
@@ -340,24 +300,26 @@ mod tests {
     /// covers exactly 5 users.
     #[test]
     fn subset_sum_gadget_optimum() {
-        let mut b = SetSystemBuilder::<Load>::new(10);
         // Users 0-1 want s0 (load 2), 2-4 want s1 (load 3), 5-9 want s2
-        // (load 5); one AP, budget 5 (scaled /10).
-        b.push_set([0, 1], Load::from_ratio(2, 10), 0).unwrap();
-        b.push_set([2, 3, 4], Load::from_ratio(3, 10), 0).unwrap();
-        b.push_set([5, 6, 7, 8, 9], Load::from_ratio(5, 10), 0)
-            .unwrap();
-        let sys = ScaledSystem::new(&b.build().unwrap(), Some(&[Load::from_ratio(5, 10)]));
-        let out = optimal_max_coverage(&sys, None, SearchLimits::default());
+        // (load 5); one AP, budget 5.
+        let sys = system(
+            10,
+            &[
+                (&[0, 1], 2, 0),
+                (&[2, 3, 4], 3, 0),
+                (&[5, 6, 7, 8, 9], 5, 0),
+            ],
+        );
+        let out = optimal_max_coverage(&sys, &[5], None, SearchLimits::default());
         assert!(out.proved_optimal);
         assert_eq!(out.objective, 5);
     }
 
     #[test]
     fn node_cap_reports_incomplete() {
-        let sys = figure2();
         let out = optimal_max_coverage(
-            &sys,
+            &figure2(),
+            &[60, 60],
             Some((3, vec![SetId(3)])),
             SearchLimits { max_nodes: 1 },
         );
@@ -369,13 +331,10 @@ mod tests {
     /// element 0, then a set chosen for element 1 covers both.
     #[test]
     fn incidental_coverage_counts() {
-        let mut b = SetSystemBuilder::<Load>::new(2);
         // Element 0's only *direct* consideration comes first in order;
         // the pair set is affordable and covers both.
-        b.push_set([0, 1], Load::from_ratio(1, 2), 0).unwrap();
-        b.push_set([0], Load::from_ratio(1, 2), 0).unwrap();
-        let sys = ScaledSystem::new(&b.build().unwrap(), Some(&[Load::from_ratio(1, 2)]));
-        let out = optimal_max_coverage(&sys, None, SearchLimits::default());
+        let sys = system(2, &[(&[0, 1], 1, 0), (&[0], 1, 0)]);
+        let out = optimal_max_coverage(&sys, &[1], None, SearchLimits::default());
         assert!(out.proved_optimal);
         assert_eq!(out.objective, 2);
     }

@@ -16,22 +16,24 @@
 //! for all three objectives (total cost, max group cost, coverage under
 //! budgets).
 //!
-//! Costs are rescaled from exact rationals to exact `u64` integers by the
-//! least common denominator ([`ScaledSystem`]), so bounds and comparisons
-//! are pure integer arithmetic — fast and certified.
+//! The searches run on the production set system,
+//! `Reduction::quantized`: costs are `u64` half-quanta (a load `n/Q` is
+//! `2n`) and each AP budget is `Load::half_threshold`, so bounds and
+//! comparisons are pure integer arithmetic — fast and certified. Costs
+//! are even, so an odd half-threshold answers `group cost ≤ budget`
+//! exactly, and every sum of costs fits `u64`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod coverage;
 mod makespan;
-mod scaled;
+mod search;
 mod set_cover;
 mod wlan;
 
 pub use coverage::optimal_max_coverage;
 pub use makespan::optimal_min_max_cover;
-pub use scaled::ScaledSystem;
 pub use set_cover::optimal_set_cover;
 pub use wlan::{optimal_bla, optimal_mla, optimal_mnu, ExactError, ExactSolution};
 
@@ -54,10 +56,12 @@ impl Default for SearchLimits {
 /// Outcome of a branch-and-bound run over a covering instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BnbOutcome {
-    /// The selected sets (ids into the scaled system).
+    /// The selected sets (ids into the searched set system).
     pub chosen: Vec<mcast_covering::SetId>,
-    /// The objective in scaled integer units (total cost, max group cost,
-    /// or covered-element count depending on the solver).
+    /// The objective: the total cost or the largest group cost, in the
+    /// system's cost units (half-quanta on `Reduction::quantized`, mapped
+    /// back by `Reduction::to_load`), or the covered-element count,
+    /// depending on the solver.
     pub objective: u64,
     /// True if the search completed: `objective` is the certified optimum.
     pub proved_optimal: bool,

@@ -1,17 +1,17 @@
 //! Exact minimum-of-maximum group-cost cover by branch-and-bound
 //! (optimal BLA — the "makespan" of the multicast load schedule).
 
-use mcast_covering::SetId;
+use std::cmp::Reverse;
 
-use crate::scaled::ScaledSystem;
+use mcast_covering::{SetId, SetSystem};
+
+use crate::search::{fractional_shares, retain_undominated_in_group, Covered, SUB_UNIT};
 use crate::{BnbOutcome, SearchLimits};
 
 struct State<'a> {
-    sys: &'a ScaledSystem,
-    shares: Vec<u64>,
-    sub_unit: u128,
-    covered: Vec<bool>,
-    n_uncovered: usize,
+    sys: &'a SetSystem<u64>,
+    shares: Vec<u128>,
+    covered: Covered,
     group_cost: Vec<u64>,
     total_cost: u64,
     chosen: Vec<SetId>,
@@ -27,20 +27,24 @@ impl State<'_> {
         self.group_cost.iter().copied().max().unwrap_or(0)
     }
 
+    /// The group cost after adding set `s`.
+    fn cost_with(&self, s: SetId) -> u64 {
+        let set = self.sys.set(s);
+        self.group_cost[set.group().0 as usize].saturating_add(*set.cost())
+    }
+
     /// Admissible lower bound on the final maximum group cost:
     /// the larger of (a) the max already committed, and (b) the average
     /// bound `(total committed + fractional remaining) / n_groups`
     /// (the max is at least the average).
     fn lower_bound(&self) -> u128 {
-        let current = u128::from(self.current_max()) * self.sub_unit;
+        let current = u128::from(self.current_max()) * SUB_UNIT;
         let remaining: u128 = self
             .covered
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| !c)
-            .map(|(e, _)| u128::from(self.shares[e]))
+            .uncovered()
+            .map(|e| self.shares[e.0 as usize])
             .sum();
-        let avg = (u128::from(self.total_cost) * self.sub_unit + remaining)
+        let avg = (u128::from(self.total_cost) * SUB_UNIT + remaining)
             / self.sys.n_groups().max(1) as u128;
         current.max(avg)
     }
@@ -51,7 +55,7 @@ impl State<'_> {
             self.complete = false;
             return;
         }
-        if self.n_uncovered == 0 {
+        if self.covered.count() == self.sys.n_elements() {
             let max = self.current_max();
             if max < self.best_max {
                 self.best_max = max;
@@ -59,89 +63,43 @@ impl State<'_> {
             }
             return;
         }
-        if self.lower_bound() >= u128::from(self.best_max) * self.sub_unit {
+        if self.lower_bound() >= u128::from(self.best_max) * SUB_UNIT {
             return;
         }
 
-        let e = (0..self.sys.n_elements() as u32)
-            .filter(|&e| !self.covered[e as usize])
-            .min_by_key(|&e| self.sys.covering(e).len())
+        let e = self
+            .covered
+            .uncovered()
+            .min_by_key(|&e| self.sys.covering_sets(e).len())
             .expect("uncovered element exists");
 
-        let mut candidates: Vec<(SetId, usize, u64)> = self
+        let mut candidates: Vec<(SetId, usize)> = self
             .sys
-            .covering(e)
+            .covering_sets(e)
             .iter()
-            .filter_map(|&s| {
-                let g = self.sys.group(s);
-                let new_group_cost = self.group_cost[g].saturating_add(self.sys.cost(s));
-                // Adding this set must leave room to beat the incumbent.
-                if new_group_cost >= self.best_max {
-                    return None;
-                }
-                let news = self
-                    .sys
-                    .members(s)
-                    .iter()
-                    .filter(|&&m| !self.covered[m as usize])
-                    .count();
-                Some((s, news, new_group_cost))
-            })
+            // Adding this set must leave room to beat the incumbent.
+            .filter(|&&s| self.cost_with(s) < self.best_max)
+            .map(|&s| (s, self.covered.fresh(self.sys, s).count()))
             .collect();
-        // Same-group dominance: if S2 (same group) is no costlier and its
-        // uncovered members are a superset of S1's, S1 is redundant.
-        let snapshot = candidates.clone();
-        candidates.retain(|&(s1, n1, _)| {
-            !snapshot.iter().any(|&(s2, n2, _)| {
-                if s2 == s1
-                    || self.sys.group(s2) != self.sys.group(s1)
-                    || self.sys.cost(s2) > self.sys.cost(s1)
-                    || n2 < n1
-                {
-                    return false;
-                }
-                let strictly = self.sys.cost(s2) < self.sys.cost(s1) || n2 > n1 || s2 < s1;
-                strictly
-                    && self
-                        .sys
-                        .members(s1)
-                        .iter()
-                        .filter(|&&m| !self.covered[m as usize])
-                        .all(|&m| self.sys.members(s2).binary_search(&m).is_ok())
-            })
-        });
+        retain_undominated_in_group(self.sys, &self.covered, &mut candidates);
         // Best-first: the choice leading to the least-loaded group, then
         // the most new coverage.
-        candidates.sort_by(|&(s1, n1, g1), &(s2, n2, g2)| {
-            g1.cmp(&g2).then(n2.cmp(&n1)).then(s1.cmp(&s2))
-        });
+        candidates.sort_by_key(|&(s, n)| (self.cost_with(s), Reverse(n), s));
 
-        for (s, _, _) in candidates {
-            let g = self.sys.group(s);
-            let news: Vec<u32> = self
-                .sys
-                .members(s)
-                .iter()
-                .copied()
-                .filter(|&m| !self.covered[m as usize])
-                .collect();
-            for &m in &news {
-                self.covered[m as usize] = true;
-            }
-            self.n_uncovered -= news.len();
-            self.group_cost[g] += self.sys.cost(s);
-            self.total_cost += self.sys.cost(s);
+        for (s, _) in candidates {
+            let set = self.sys.set(s);
+            let (g, cost) = (set.group().0 as usize, *set.cost());
+            let taken = self.covered.take(self.sys, s);
+            self.group_cost[g] += cost;
+            self.total_cost += cost;
             self.chosen.push(s);
 
             self.dfs();
 
             self.chosen.pop();
-            self.total_cost -= self.sys.cost(s);
-            self.group_cost[g] -= self.sys.cost(s);
-            self.n_uncovered += news.len();
-            for &m in &news {
-                self.covered[m as usize] = false;
-            }
+            self.total_cost -= cost;
+            self.group_cost[g] -= cost;
+            self.covered.untake(&taken);
             if !self.complete && self.nodes > self.max_nodes {
                 return;
             }
@@ -155,26 +113,20 @@ impl State<'_> {
 /// `initial_ub`: a known feasible `(max_group_cost, sets)` incumbent
 /// (e.g. from the SCG heuristic). Returns `None` if uncoverable.
 pub fn optimal_min_max_cover(
-    sys: &ScaledSystem,
+    sys: &SetSystem<u64>,
     initial_ub: Option<(u64, Vec<SetId>)>,
     limits: SearchLimits,
 ) -> Option<BnbOutcome> {
     if !sys.all_coverable() {
         return None;
     }
-    let (shares, sub_unit) = sys.fractional_shares();
-    let (best_max, best_chosen) = match initial_ub {
-        // +1: the search looks for strictly better, so keep the incumbent
-        // reachable as "equal" only through best_chosen.
-        Some((c, sets)) => (c, sets),
-        None => (u64::MAX, Vec::new()),
-    };
+    // `u64::MAX` cannot be a real group's cost: the reduction's costs are
+    // even half-quanta and every sum of them fits `u64`.
+    let (best_max, best_chosen) = initial_ub.unwrap_or((u64::MAX, Vec::new()));
     let mut state = State {
         sys,
-        shares,
-        sub_unit: u128::from(sub_unit),
-        covered: vec![false; sys.n_elements()],
-        n_uncovered: sys.n_elements(),
+        shares: fractional_shares(sys),
+        covered: Covered::new(sys.n_elements()),
         group_cost: vec![0; sys.n_groups()],
         total_cost: 0,
         chosen: Vec::new(),
@@ -184,7 +136,7 @@ pub fn optimal_min_max_cover(
         max_nodes: limits.max_nodes,
         complete: true,
     };
-    if state.n_uncovered == 0 {
+    if sys.n_elements() == 0 {
         return Some(BnbOutcome {
             chosen: Vec::new(),
             objective: 0,
@@ -208,18 +160,16 @@ pub fn optimal_min_max_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcast_core::Load;
-    use mcast_covering::SetSystemBuilder;
+    use crate::search::system;
+    use mcast_core::examples_paper::figure1_instance;
+    use mcast_core::reduction::Reduction;
+    use mcast_core::{Kbps, Load};
 
     #[test]
     fn spreads_load_across_groups() {
         // Two groups; the one-set-covers-all option loads group 0 with 10;
         // splitting across groups achieves max 6.
-        let mut b = SetSystemBuilder::<Load>::new(2);
-        b.push_set([0, 1], Load::from_ratio(10, 1), 0).unwrap();
-        b.push_set([0], Load::from_ratio(6, 1), 0).unwrap();
-        b.push_set([1], Load::from_ratio(6, 1), 1).unwrap();
-        let sys = ScaledSystem::new(&b.build().unwrap(), None);
+        let sys = system(2, &[(&[0, 1], 10, 0), (&[0], 6, 0), (&[1], 6, 1)]);
         let out = optimal_min_max_cover(&sys, None, SearchLimits::default()).unwrap();
         assert!(out.proved_optimal);
         assert_eq!(out.objective, 6);
@@ -228,29 +178,21 @@ mod tests {
         assert_eq!(chosen, vec![SetId(1), SetId(2)]);
     }
 
-    /// The paper's Figure 5 instance: the optimum is max load 1/2
-    /// ({S2, S3, S7}), strictly better than the greedy's 7/12.
+    /// The paper's Figure 5 instance (the reduction of Figure 1 at
+    /// 1 Mbps): the optimum is max load 1/2 ({S2, S3, S7}), strictly
+    /// better than the greedy's 7/12.
     #[test]
     fn figure5_optimum_is_one_half() {
-        let mut b = SetSystemBuilder::<Load>::new(5);
-        b.push_set([2], Load::from_ratio(1, 4), 0).unwrap(); // S1
-        b.push_set([0, 2], Load::from_ratio(1, 3), 0).unwrap(); // S2
-        b.push_set([1], Load::from_ratio(1, 6), 0).unwrap(); // S3
-        b.push_set([1, 3, 4], Load::from_ratio(1, 4), 0).unwrap(); // S4
-        b.push_set([2], Load::from_ratio(1, 5), 1).unwrap(); // S5
-        b.push_set([3], Load::from_ratio(1, 5), 1).unwrap(); // S6
-        b.push_set([3, 4], Load::from_ratio(1, 3), 1).unwrap(); // S7
-        let sys = ScaledSystem::new(&b.build().unwrap(), None);
-        let out = optimal_min_max_cover(&sys, None, SearchLimits::default()).unwrap();
+        let red = Reduction::quantized(&figure1_instance(Kbps::from_mbps(1)));
+        assert_eq!(red.system().n_sets(), 7);
+        let out = optimal_min_max_cover(red.system(), None, SearchLimits::default()).unwrap();
         assert!(out.proved_optimal);
-        assert_eq!(sys.to_load(out.objective), Load::from_ratio(1, 2));
+        assert_eq!(red.to_load(out.objective), Load::from_ratio(1, 2));
     }
 
     #[test]
     fn uncoverable_returns_none() {
-        let mut b = SetSystemBuilder::<Load>::new(2);
-        b.push_set([0], Load::ONE, 0).unwrap();
-        let sys = ScaledSystem::new(&b.build().unwrap(), None);
+        let sys = system(2, &[(&[0], 1, 0)]);
         assert!(optimal_min_max_cover(&sys, None, SearchLimits::default()).is_none());
     }
 
@@ -259,15 +201,15 @@ mod tests {
     #[test]
     fn makespan_gadget() {
         let jobs = [3u64, 3, 2, 2, 2];
-        let mut b = SetSystemBuilder::<Load>::new(jobs.len());
+        let mut sets: Vec<(&[u32], u64, u32)> = Vec::new();
+        let members: Vec<[u32; 1]> = (0..jobs.len() as u32).map(|i| [i]).collect();
         for (i, &p) in jobs.iter().enumerate() {
             for machine in 0..2u32 {
-                b.push_set([i as u32], Load::from_ratio(p, 1), machine)
-                    .unwrap();
+                sets.push((&members[i], p, machine));
             }
         }
-        let sys = ScaledSystem::new(&b.build().unwrap(), None);
-        let out = optimal_min_max_cover(&sys, None, SearchLimits::default()).unwrap();
+        let out = optimal_min_max_cover(&system(jobs.len(), &sets), None, SearchLimits::default())
+            .unwrap();
         assert!(out.proved_optimal);
         assert_eq!(out.objective, 6);
     }

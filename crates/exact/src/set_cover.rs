@@ -1,16 +1,14 @@
 //! Exact minimum-cost set cover by branch-and-bound (optimal MLA).
 
-use mcast_covering::SetId;
+use mcast_covering::{SetId, SetSystem};
 
-use crate::scaled::ScaledSystem;
+use crate::search::{fractional_shares, Covered, SUB_UNIT};
 use crate::{BnbOutcome, SearchLimits};
 
 struct State<'a> {
-    sys: &'a ScaledSystem,
-    shares: Vec<u64>,
-    sub_unit: u128,
-    covered: Vec<bool>,
-    n_uncovered: usize,
+    sys: &'a SetSystem<u64>,
+    shares: Vec<u128>,
+    covered: Covered,
     chosen: Vec<SetId>,
     cost: u64,
     best_cost: u64,
@@ -24,10 +22,8 @@ impl State<'_> {
     /// Admissible lower bound on the remaining cost, in sub-units.
     fn remaining_lb(&self) -> u128 {
         self.covered
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| !c)
-            .map(|(e, _)| u128::from(self.shares[e]))
+            .uncovered()
+            .map(|e| self.shares[e.0 as usize])
             .sum()
     }
 
@@ -37,7 +33,7 @@ impl State<'_> {
             self.complete = false;
             return;
         }
-        if self.n_uncovered == 0 {
+        if self.covered.count() == self.sys.n_elements() {
             if self.cost < self.best_cost {
                 self.best_cost = self.cost;
                 self.best_chosen = self.chosen.clone();
@@ -45,97 +41,67 @@ impl State<'_> {
             return;
         }
         // Prune: current + admissible remaining bound must beat the best.
-        if u128::from(self.cost) * self.sub_unit + self.remaining_lb()
-            >= u128::from(self.best_cost) * self.sub_unit
+        if u128::from(self.cost) * SUB_UNIT + self.remaining_lb()
+            >= u128::from(self.best_cost) * SUB_UNIT
         {
             return;
         }
 
         // Branch on the uncovered element with the fewest covering sets.
-        let e = (0..self.sys.n_elements() as u32)
-            .filter(|&e| !self.covered[e as usize])
-            .min_by_key(|&e| self.sys.covering(e).len())
+        let e = self
+            .covered
+            .uncovered()
+            .min_by_key(|&e| self.sys.covering_sets(e).len())
             .expect("uncovered element exists");
 
         // Candidate sets, best-first: highest (newly covered / cost).
         let mut candidates: Vec<(SetId, usize)> = self
             .sys
-            .covering(e)
+            .covering_sets(e)
             .iter()
-            .map(|&s| {
-                let news = self
-                    .sys
-                    .members(s)
-                    .iter()
-                    .filter(|&&m| !self.covered[m as usize])
-                    .count();
-                (s, news)
-            })
+            .map(|&s| (s, self.covered.fresh(self.sys, s).count()))
             .collect();
         // Dominance: drop S1 if some S2 also covering `e` has
         // cost <= cost(S1) and covers a superset of S1's uncovered members.
         let snapshot = candidates.clone();
-        candidates
-            .retain(|&(s1, n1)| !candidates_dominated(self.sys, &self.covered, &snapshot, s1, n1));
+        candidates.retain(|&(s1, n1)| !self.dominated(&snapshot, s1, n1));
         candidates.sort_by(|&(s1, n1), &(s2, n2)| {
             // n/c descending: n1*c2 > n2*c1 first.
-            let lhs = n1 as u128 * u128::from(self.sys.cost(s2));
-            let rhs = n2 as u128 * u128::from(self.sys.cost(s1));
+            let lhs = n1 as u128 * u128::from(*self.sys.set(s2).cost());
+            let rhs = n2 as u128 * u128::from(*self.sys.set(s1).cost());
             rhs.cmp(&lhs).then(s1.cmp(&s2))
         });
 
         for (s, _) in candidates {
-            let news: Vec<u32> = self
-                .sys
-                .members(s)
-                .iter()
-                .copied()
-                .filter(|&m| !self.covered[m as usize])
-                .collect();
-            for &m in &news {
-                self.covered[m as usize] = true;
-            }
-            self.n_uncovered -= news.len();
-            self.cost += self.sys.cost(s);
+            let cost = *self.sys.set(s).cost();
+            let taken = self.covered.take(self.sys, s);
+            self.cost += cost;
             self.chosen.push(s);
 
             self.dfs();
 
             self.chosen.pop();
-            self.cost -= self.sys.cost(s);
-            self.n_uncovered += news.len();
-            for &m in &news {
-                self.covered[m as usize] = false;
-            }
+            self.cost -= cost;
+            self.covered.untake(&taken);
             if !self.complete && self.nodes > self.max_nodes {
                 return;
             }
         }
     }
-}
 
-fn candidates_dominated(
-    sys: &ScaledSystem,
-    covered: &[bool],
-    candidates: &[(SetId, usize)],
-    s1: SetId,
-    n1: usize,
-) -> bool {
-    candidates.iter().any(|&(s2, n2)| {
-        if s2 == s1 || sys.cost(s2) > sys.cost(s1) || n2 < n1 {
-            return false;
-        }
-        // Equal cost and members: keep the lower id only.
-        let strictly_better = sys.cost(s2) < sys.cost(s1) || n2 > n1 || s2 < s1;
-        if !strictly_better {
-            return false;
-        }
-        // Subset test on uncovered members.
-        sys.members(s1)
-            .iter()
-            .filter(|&&m| !covered[m as usize])
-            .all(|&m| sys.members(s2).binary_search(&m).is_ok())
-    })
+    /// Whether another candidate, of any group, is no costlier and covers
+    /// at least `s1`'s fresh members (equals: the lower id survives).
+    fn dominated(&self, candidates: &[(SetId, usize)], s1: SetId, n1: usize) -> bool {
+        let c1 = self.sys.set(s1).cost();
+        candidates.iter().any(|&(s2, n2)| {
+            let c2 = self.sys.set(s2).cost();
+            if s2 == s1 || c2 > c1 || n2 < n1 {
+                return false;
+            }
+            let strictly_better = c2 < c1 || n2 > n1 || s2 < s1;
+            strictly_better && self.covered.fresh_within(self.sys, s1, s2)
+        })
+    }
 }
 
 /// Finds a certified-minimum-cost cover of all elements.
@@ -146,24 +112,20 @@ fn candidates_dominated(
 ///
 /// Returns `None` if some element is uncoverable.
 pub fn optimal_set_cover(
-    sys: &ScaledSystem,
+    sys: &SetSystem<u64>,
     initial_ub: Option<(u64, Vec<SetId>)>,
     limits: SearchLimits,
 ) -> Option<BnbOutcome> {
     if !sys.all_coverable() {
         return None;
     }
-    let (shares, sub_unit) = sys.fractional_shares();
-    let (best_cost, best_chosen) = match initial_ub {
-        Some((c, sets)) => (c, sets),
-        None => (u64::MAX, Vec::new()),
-    };
+    // `u64::MAX` cannot be a real cover's cost: the reduction's costs are
+    // even half-quanta and every sum of them fits `u64`.
+    let (best_cost, best_chosen) = initial_ub.unwrap_or((u64::MAX, Vec::new()));
     let mut state = State {
         sys,
-        shares,
-        sub_unit: u128::from(sub_unit),
-        covered: vec![false; sys.n_elements()],
-        n_uncovered: sys.n_elements(),
+        shares: fractional_shares(sys),
+        covered: Covered::new(sys.n_elements()),
         chosen: Vec::new(),
         cost: 0,
         best_cost,
@@ -172,7 +134,7 @@ pub fn optimal_set_cover(
         max_nodes: limits.max_nodes,
         complete: true,
     };
-    if state.n_uncovered == 0 {
+    if sys.n_elements() == 0 {
         return Some(BnbOutcome {
             chosen: Vec::new(),
             objective: 0,
@@ -196,55 +158,44 @@ pub fn optimal_set_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcast_core::Load;
-    use mcast_covering::{SetSystem, SetSystemBuilder};
-
-    fn scaled(sets: &[(&[u32], (u64, u64))], n: usize) -> ScaledSystem {
-        let mut b = SetSystemBuilder::<Load>::new(n);
-        for (members, (num, den)) in sets {
-            b.push_set(members.iter().copied(), Load::from_ratio(*num, *den), 0)
-                .unwrap();
-        }
-        let sys: SetSystem<Load> = b.build().unwrap();
-        ScaledSystem::new(&sys, None)
-    }
+    use crate::search::system;
+    use mcast_core::reduction::Reduction;
+    use mcast_core::{InstanceBuilder, Kbps, Load};
 
     #[test]
     fn beats_greedy_on_classic_counterexample() {
         // Greedy picks the big set then patches; optimum is the two sides.
         // X = {0..5}; S0 = {0,1,2} cost 1; S1 = {3,4,5} cost 1;
         // S2 = {0,1,2,3} cost 1 (tempting), S3 = {4}, S4 = {5} cost 1 each.
-        let sys = scaled(
-            &[
-                (&[0, 1, 2], (1, 1)),
-                (&[3, 4, 5], (1, 1)),
-                (&[0, 1, 2, 3], (1, 1)),
-                (&[4], (1, 1)),
-                (&[5], (1, 1)),
-            ],
+        let sys = system(
             6,
+            &[
+                (&[0, 1, 2], 1, 0),
+                (&[3, 4, 5], 1, 0),
+                (&[0, 1, 2, 3], 1, 0),
+                (&[4], 1, 0),
+                (&[5], 1, 0),
+            ],
         );
         let out = optimal_set_cover(&sys, None, SearchLimits::default()).unwrap();
         assert!(out.proved_optimal);
         assert_eq!(out.objective, 2); // e.g. {S0, S1} or {S1, S2}
-        let mut covered = vec![false; 6];
-        for s in &out.chosen {
-            for &m in sys.members(*s) {
-                covered[m as usize] = true;
-            }
+        let mut covered = Covered::new(6);
+        for &s in &out.chosen {
+            covered.take(&sys, s);
         }
-        assert!(covered.into_iter().all(|c| c));
+        assert_eq!(covered.count(), 6);
     }
 
     #[test]
     fn uncoverable_returns_none() {
-        let sys = scaled(&[(&[0], (1, 1))], 2);
+        let sys = system(2, &[(&[0], 1, 0)]);
         assert!(optimal_set_cover(&sys, None, SearchLimits::default()).is_none());
     }
 
     #[test]
     fn empty_ground_set_costs_zero() {
-        let sys = scaled(&[], 0);
+        let sys = system(0, &[]);
         let out = optimal_set_cover(&sys, None, SearchLimits::default()).unwrap();
         assert_eq!(out.objective, 0);
         assert!(out.chosen.is_empty());
@@ -252,11 +203,10 @@ mod tests {
 
     #[test]
     fn initial_ub_preserved_when_already_optimal() {
-        let sys = scaled(&[(&[0, 1], (1, 2))], 2);
+        let sys = system(2, &[(&[0, 1], 1, 0)]);
         let out =
             optimal_set_cover(&sys, Some((1, vec![SetId(0)])), SearchLimits::default()).unwrap();
-        // Scaled unit is 2, so the set costs 1 scaled unit; the UB equals
-        // the optimum and the incumbent stands.
+        // The UB equals the optimum and the incumbent stands.
         assert_eq!(out.objective, 1);
         assert!(out.proved_optimal);
     }
@@ -265,15 +215,15 @@ mod tests {
     fn node_cap_degrades_gracefully() {
         // A chain of overlapping sets with a tiny node budget: the search
         // must stop, flag incompleteness, and still return the seeded UB.
-        let sys = scaled(
-            &[
-                (&[0, 1], (1, 1)),
-                (&[1, 2], (1, 1)),
-                (&[2, 3], (1, 1)),
-                (&[0], (1, 1)),
-                (&[3], (1, 1)),
-            ],
+        let sys = system(
             4,
+            &[
+                (&[0, 1], 1, 0),
+                (&[1, 2], 1, 0),
+                (&[2, 3], 1, 0),
+                (&[0], 1, 0),
+                (&[3], 1, 0),
+            ],
         );
         let ub = (3, vec![SetId(0), SetId(1), SetId(2)]);
         let out = optimal_set_cover(&sys, Some(ub), SearchLimits { max_nodes: 1 }).unwrap();
@@ -283,12 +233,21 @@ mod tests {
 
     #[test]
     fn fractional_costs_handled_exactly() {
-        // Costs 1/6 and 1/4 vs a 5/12 "both" set: optimum picks the pair
-        // (1/6 + 1/4 = 5/12, tie) or the single set — objective is 5 in
-        // 1/12 units either way.
-        let sys = scaled(&[(&[0], (1, 6)), (&[1], (1, 4)), (&[0, 1], (5, 12))], 2);
-        let out = optimal_set_cover(&sys, None, SearchLimits::default()).unwrap();
-        assert_eq!(out.objective, 5);
-        assert_eq!(sys.to_load(out.objective), Load::from_ratio(5, 12));
+        // A 1 Mbps session: AP 0 reaches u0 at 6 Mbps ({u0}, load 1/6) and
+        // u1 at 2.4 Mbps ({u0, u1}, 5/12); AP 1 reaches u1 at 4 Mbps
+        // ({u1}, 1/4). The optimum is 5/12 either way (a tie).
+        let mut b = InstanceBuilder::new();
+        b.supported_rates([2_400, 4_000, 6_000].map(Kbps));
+        let s = b.add_session(Kbps(1_000));
+        let (a0, a1) = (b.add_ap(Load::ONE), b.add_ap(Load::ONE));
+        let (u0, u1) = (b.add_user(s), b.add_user(s));
+        b.link(a0, u0, Kbps(6_000)).unwrap();
+        b.link(a0, u1, Kbps(2_400)).unwrap();
+        b.link(a1, u1, Kbps(4_000)).unwrap();
+        let red = Reduction::quantized(&b.build().unwrap());
+        assert_eq!(red.system().n_sets(), 3);
+        let out = optimal_set_cover(red.system(), None, SearchLimits::default()).unwrap();
+        assert!(out.proved_optimal);
+        assert_eq!(red.to_load(out.objective), Load::from_ratio(5, 12));
     }
 }

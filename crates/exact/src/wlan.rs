@@ -1,19 +1,20 @@
 //! WLAN-level wrappers: optimal MNU / BLA / MLA on an [`Instance`],
 //! seeded with the corresponding approximation algorithm's solution.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use mcast_core::reduction::Reduction;
 use mcast_core::{
-    solve_bla, solve_mla, solve_mnu, Association, Instance, Load, Objective, Solution, UserId,
+    solve_bla, solve_mla, solve_mnu, ApId, Association, Instance, Kbps, Objective, SessionId,
+    Solution, UserId,
 };
-use mcast_covering::SetId;
+use mcast_covering::{group_costs, total_cost, ElementId, SetId};
 
 use crate::coverage::optimal_max_coverage;
 use crate::makespan::optimal_min_max_cover;
-use crate::scaled::ScaledSystem;
 use crate::set_cover::optimal_set_cover;
-use crate::SearchLimits;
+use crate::{BnbOutcome, SearchLimits};
 
 /// An exact solver outcome: a [`Solution`] plus the optimality certificate.
 #[derive(Debug, Clone)]
@@ -52,7 +53,7 @@ impl std::error::Error for ExactError {}
 
 /// Builds an association from chosen covering sets: iterate the sets,
 /// assigning each still-unassigned member to the set's AP.
-fn association_from(red: &Reduction, chosen: &[SetId]) -> Association {
+fn association_from(red: &Reduction<u64>, chosen: &[SetId]) -> Association {
     let mut assoc = Association::empty(red.system().n_elements());
     for &sid in chosen {
         let choice = red.choice(sid);
@@ -72,30 +73,20 @@ fn association_from(red: &Reduction, chosen: &[SetId]) -> Association {
 ///
 /// [`ExactError::Uncoverable`] if some user is out of range of every AP.
 pub fn optimal_mla(inst: &Instance, limits: SearchLimits) -> Result<ExactSolution, ExactError> {
-    let red = Reduction::build(inst);
-    let sys = ScaledSystem::new(red.system(), None);
+    let red = Reduction::quantized(inst);
     // Seed with the greedy incumbent (consolidated transmissions, whose
     // model cost equals the realized total load).
     let seed = solve_mla(inst).ok().map(|s| {
-        (
-            load_to_scaled(&sys, s.total_load),
-            collect_transmissions(&red, &s.association),
-        )
+        let sets = transmissions(inst, &red, &s.association);
+        let cost = total_cost(red.system(), &sets);
+        debug_assert_eq!(red.to_load(cost), s.total_load);
+        (cost, sets)
     });
-    let out = optimal_set_cover(&sys, seed, limits).ok_or_else(|| ExactError::Uncoverable {
-        users: red.uncoverable_users(),
-    })?;
-    let assoc = association_from(&red, &out.chosen);
-    Ok(ExactSolution {
-        solution: Solution::evaluate(
-            Objective::Mla,
-            assoc,
-            inst,
-            Some(sys.to_load(out.objective)),
-        ),
-        proved_optimal: out.proved_optimal,
-        nodes: out.nodes,
-    })
+    let out =
+        optimal_set_cover(red.system(), seed, limits).ok_or_else(|| ExactError::Uncoverable {
+            users: red.uncoverable_users(),
+        })?;
+    Ok(exact(Objective::Mla, inst, &red, out))
 }
 
 /// Certified-optimal BLA (minimum maximum AP load).
@@ -104,121 +95,95 @@ pub fn optimal_mla(inst: &Instance, limits: SearchLimits) -> Result<ExactSolutio
 ///
 /// [`ExactError::Uncoverable`] if some user is out of range of every AP.
 pub fn optimal_bla(inst: &Instance, limits: SearchLimits) -> Result<ExactSolution, ExactError> {
-    let red = Reduction::build(inst);
-    let sys = ScaledSystem::new(red.system(), None);
+    let red = Reduction::quantized(inst);
     let seed = solve_bla(inst).ok().map(|s| {
-        (
-            load_to_scaled(&sys, s.max_load),
-            collect_transmissions(&red, &s.association),
-        )
+        let sets = transmissions(inst, &red, &s.association);
+        let max = group_costs(red.system(), &sets)
+            .into_iter()
+            .max()
+            .unwrap_or(0);
+        debug_assert_eq!(red.to_load(max), s.max_load);
+        (max, sets)
     });
-    let out = optimal_min_max_cover(&sys, seed, limits).ok_or_else(|| ExactError::Uncoverable {
-        users: red.uncoverable_users(),
+    let out = optimal_min_max_cover(red.system(), seed, limits).ok_or_else(|| {
+        ExactError::Uncoverable {
+            users: red.uncoverable_users(),
+        }
     })?;
-    let assoc = association_from(&red, &out.chosen);
-    Ok(ExactSolution {
-        solution: Solution::evaluate(
-            Objective::Bla,
-            assoc,
-            inst,
-            Some(sys.to_load(out.objective)),
-        ),
-        proved_optimal: out.proved_optimal,
-        nodes: out.nodes,
-    })
+    Ok(exact(Objective::Bla, inst, &red, out))
 }
 
 /// Certified-optimal MNU (maximum satisfied users under AP budgets).
 pub fn optimal_mnu(inst: &Instance, limits: SearchLimits) -> ExactSolution {
-    let red = Reduction::build(inst);
-    let sys = ScaledSystem::new(red.system(), Some(red.budgets()));
+    let red = Reduction::quantized(inst);
     let greedy = solve_mnu(inst);
     let seed = (
         greedy.satisfied,
-        collect_transmissions(&red, &greedy.association),
+        transmissions(inst, &red, &greedy.association),
     );
-    let out = optimal_max_coverage(&sys, Some(seed), limits);
-    let assoc = association_from(&red, &out.chosen);
-    debug_assert!(assoc.is_feasible(inst));
+    let out = optimal_max_coverage(red.system(), red.budgets(), Some(seed), limits);
+    let solution = exact(Objective::Mnu, inst, &red, out);
+    debug_assert!(solution.solution.association.is_feasible(inst));
+    solution
+}
+
+/// Evaluates a search outcome's association. The MLA and BLA objectives
+/// are model costs; MNU's is a user count.
+fn exact(
+    objective: Objective,
+    inst: &Instance,
+    red: &Reduction<u64>,
+    out: BnbOutcome,
+) -> ExactSolution {
+    let assoc = association_from(red, &out.chosen);
+    let model_cost = (objective != Objective::Mnu).then(|| red.to_load(out.objective));
     ExactSolution {
-        solution: Solution::evaluate(Objective::Mnu, assoc, inst, None),
+        solution: Solution::evaluate(objective, assoc, inst, model_cost),
         proved_optimal: out.proved_optimal,
         nodes: out.nodes,
     }
 }
 
-fn load_to_scaled(sys: &ScaledSystem, l: Load) -> u64 {
-    let v = l
-        .numer()
-        .checked_mul(sys.unit() / l.denom())
-        .expect("seed cost scales");
-    u64::try_from(v).expect("seed cost fits")
-}
-
-/// For each (AP, session) an association actually serves, find the
-/// reduction set matching the transmission (the one whose rate equals the
-/// minimum member rate). Panics are impossible: the reduction contains a
-/// set for every (AP, session, achievable min rate).
-fn collect_transmissions(red: &Reduction, assoc: &Association) -> Vec<SetId> {
+/// The reduction sets an association actually transmits, ascending: one
+/// per served (AP, session).
+///
+/// The sets of one (AP, session) form a chain that shrinks as the rate
+/// climbs, so the transmission is the cheapest set of that (AP, session)
+/// holding its served user of lowest link rate.
+fn transmissions(inst: &Instance, red: &Reduction<u64>, assoc: &Association) -> Vec<SetId> {
     let sys = red.system();
-    let mut result = Vec::new();
-    // Group associated users by (ap, session) and find min rates using the
-    // reduction's choices: iterate sets and pick those whose (ap, session)
-    // is served and whose rate is the served minimum and whose members
-    // include all served users of that (ap, session).
-    // Compute served (ap, session) -> min rate over the instance encoded in
-    // the reduction choices is not directly available here, so match by
-    // member containment: the correct set is the cheapest set of the
-    // (ap, session) whose members contain every served user.
-    use std::collections::HashMap;
-    let mut served: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+    let mut slowest: BTreeMap<(ApId, SessionId), (Kbps, UserId)> = BTreeMap::new();
     for (u, ap) in assoc.iter().enumerate() {
-        if let Some(a) = ap {
-            // The session of user u: find any set containing u for AP a —
-            // all such sets share the user's session.
-            let mut session = None;
-            for &sid in sys.covering_sets(mcast_covering::ElementId(u as u32)) {
-                let c = red.choice(sid);
-                if c.ap == a {
-                    session = Some(c.session.0);
-                    break;
-                }
-            }
-            let session = session.expect("associated user has a set at its AP");
-            served.entry((a.0, session)).or_default().push(u as u32);
-        }
+        let Some(a) = ap else { continue };
+        let u = UserId(u as u32);
+        let rate = inst
+            .multicast_rate_to(a, u)
+            .expect("associated users are in range");
+        let lowest = slowest
+            .entry((a, inst.user_session(u)))
+            .or_insert((rate, u));
+        *lowest = (*lowest).min((rate, u));
     }
-    for ((ap, session), users) in served {
-        // Candidate sets of this (ap, session) containing all users;
-        // pick the cheapest (highest rate) — that is the real transmission.
-        let mut best: Option<(SetId, Load)> = None;
-        for sid in 0..sys.n_sets() {
-            let sid = SetId(sid as u32);
-            let c = red.choice(sid);
-            if c.ap.0 != ap || c.session.0 != session {
-                continue;
-            }
-            let covers_all = users
+    let mut sets: Vec<SetId> = slowest
+        .into_iter()
+        .map(|((a, _), (_, u))| {
+            sys.covering_sets(ElementId(u.0))
                 .iter()
-                .all(|&u| sys.set(sid).contains(mcast_covering::ElementId(u)));
-            if covers_all {
-                let cost = *sys.set(sid).cost();
-                if best.is_none_or(|(_, bc)| cost < bc) {
-                    best = Some((sid, cost));
-                }
-            }
-        }
-        result.push(best.expect("transmission set exists").0);
-    }
-    result.sort();
-    result
+                .copied()
+                .filter(|&s| red.choice(s).ap == a)
+                .min_by_key(|&s| *sys.set(s).cost())
+                .expect("a served user has a set at its AP")
+        })
+        .collect();
+    sets.sort_unstable();
+    sets
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcast_core::examples_paper::figure1_instance;
-    use mcast_core::Kbps;
+    use mcast_core::Load;
 
     fn mbps(m: u32) -> Kbps {
         Kbps::from_mbps(m)
