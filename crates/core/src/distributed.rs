@@ -33,14 +33,14 @@
 //! rounds are one decision sequence in which each user sees every earlier
 //! move, so they stay on one thread.
 //!
-//! Supervision is what still applies without message passing: decide
-//! workers run under `catch_unwind` (a panicked worker's blocks are
-//! re-decided inline against the same ledger), checkpoints are written
-//! every K rounds through a [`CheckpointSink`], and a [`ChaosPlan`] can
-//! inject worker panics and torn checkpoint writes.
+//! Supervision is what still applies without message passing:
+//! checkpoints are written every K rounds through a [`CheckpointSink`],
+//! and a [`ChaosPlan`] can tear them. Decide workers run unsupervised:
+//! a decision is a pure function of the ledger, so a panicking block
+//! would panic again if re-run, and a worker's panic is re-raised on the
+//! caller.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -50,7 +50,7 @@ use crate::checkpoint::{CheckpointSink, RunCheckpoint, CHECKPOINT_SCHEMA};
 use crate::ids::{ApId, UserId};
 use crate::instance::{Instance, SignalStrength};
 use crate::load::Load;
-use crate::supervise::{splitmix64, ChaosPlan, RecoveryReport, SuperviseOptions, WorkerFailure};
+use crate::supervise::{splitmix64, ChaosPlan, RecoveryReport, SuperviseOptions};
 
 /// The local decision rule a user applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -635,7 +635,7 @@ pub struct SupervisedOutcome {
     /// [`SuperviseOptions::trace`] (or the resumed checkpoint's `traced`)
     /// was set.
     pub trace: Vec<MoveRec>,
-    /// Worker failures observed and checkpoints written.
+    /// Checkpoints written.
     pub recovery: RecoveryReport,
 }
 
@@ -643,10 +643,9 @@ pub struct SupervisedOutcome {
 /// over `workers` scoped threads (`0` counts as `1`; Serial rounds always
 /// run on the calling thread). The outcome and trace are identical to
 /// [`run_distributed_traced`]'s for every worker count (see the
-/// [module docs](self)). Decide workers run under `catch_unwind`,
-/// checkpoints are written every [`SuperviseOptions::checkpoint_every`]
-/// rounds, and a [`ChaosPlan`] can inject worker panics and torn
-/// checkpoint writes; neither changes the outcome or the trace.
+/// [module docs](self)). Checkpoints are written every
+/// [`SuperviseOptions::checkpoint_every`] rounds, and a [`ChaosPlan`] can
+/// tear them; neither changes the outcome or the trace.
 ///
 /// # Errors
 ///
@@ -656,7 +655,8 @@ pub struct SupervisedOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `initial` has the wrong size.
+/// Panics if `initial` has the wrong size, and re-raises a decide
+/// worker's panic.
 pub fn run_distributed_parallel(
     inst: &Instance,
     config: &DistributedConfig,
@@ -728,8 +728,8 @@ impl RunStart {
 }
 
 /// Users per block of the parallel decide phase: the unit a worker
-/// claims, and the unit re-decided when a worker panics. Unit tests use
-/// tiny blocks so their small instances still spread over every worker.
+/// claims. Unit tests use tiny blocks so their small instances still
+/// spread over every worker.
 const BLOCK: usize = if cfg!(test) { 2 } else { 512 };
 
 /// Rounds with fewer dirty users than this decide on the calling thread:
@@ -813,17 +813,16 @@ fn continue_distributed(
                     inst.users()
                         .filter(|u| std::mem::replace(&mut dirty[u.index()], false)),
                 );
-                let decisions = decide_simultaneous(
-                    &ledger,
-                    config,
-                    hysteresis,
-                    &deciding,
-                    workers,
-                    round as u32,
-                    opts.chaos,
-                    &mut scratch,
-                    &mut recovery.failures,
-                );
+                let decisions = decide_simultaneous(&deciding, workers, &mut scratch, |u, s| {
+                    local_decision_scratch(
+                        &ledger,
+                        u,
+                        config.policy,
+                        config.respect_budget,
+                        hysteresis,
+                        s,
+                    )
+                });
                 for (u, a) in decisions {
                     let from = ledger.ap_of(u);
                     ledger.reassociate(u, a);
@@ -908,29 +907,24 @@ fn write_checkpoint(
     }
 }
 
-/// The Simultaneous decide phase: the moves `users` (ascending) make
-/// against `ledger`, in ascending user order.
+/// The Simultaneous decide phase: the moves `users` (ascending) make,
+/// in ascending user order, where `decide` is the local decision rule
+/// against the round-start ledger.
 ///
-/// The users are cut into [`BLOCK`]-sized blocks. Worker `w` decides
-/// block `w` first — so every worker that runs has work, and a chaos
-/// panic for `(w, round)` fires deterministically — then claims further
-/// blocks from a shared cursor. Worker 0 is the calling thread; the rest
-/// are scoped threads. A worker that panics loses every block it claimed;
-/// those blocks are re-decided inline against the same ledger and the
-/// panic is recorded in `failures`. Blocks merge in ascending order, so
-/// the result does not depend on `workers` or the schedule.
-#[allow(clippy::too_many_arguments)]
-fn decide_simultaneous(
-    ledger: &LoadLedger<'_>,
-    config: &DistributedConfig,
-    hysteresis: i64,
+/// The users are cut into [`BLOCK`]-sized blocks that workers claim from
+/// a shared cursor. Worker 0 is the calling thread; the rest are scoped
+/// threads, and a panic in one is re-raised here with its own payload.
+/// Blocks merge in ascending order, so the result does not depend on
+/// `workers` or the schedule.
+fn decide_simultaneous<F>(
     users: &[UserId],
     workers: usize,
-    round: u32,
-    chaos: Option<&ChaosPlan>,
     scratch: &mut DecisionScratch,
-    failures: &mut Vec<WorkerFailure>,
-) -> Vec<(UserId, ApId)> {
+    decide: F,
+) -> Vec<(UserId, ApId)>
+where
+    F: Fn(UserId, &mut DecisionScratch) -> Option<ApId> + Sync,
+{
     type Decided = Vec<(UserId, ApId)>;
     let blocks: Vec<&[UserId]> = users.chunks(BLOCK).collect();
     let n_workers = if users.len() < INLINE_BELOW {
@@ -938,71 +932,38 @@ fn decide_simultaneous(
     } else {
         workers.clamp(1, blocks.len())
     };
-    let decide = |block: &[UserId], scratch: &mut DecisionScratch| -> Decided {
-        block
-            .iter()
-            .filter_map(|&u| {
-                local_decision_scratch(
-                    ledger,
-                    u,
-                    config.policy,
-                    config.respect_budget,
-                    hysteresis,
-                    scratch,
-                )
-                .map(|a| (u, a))
-            })
-            .collect()
+    let cursor = AtomicUsize::new(0);
+    let work = |scratch: &mut DecisionScratch| {
+        let mut done: Vec<(usize, Decided)> = Vec::new();
+        loop {
+            let b = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(block) = blocks.get(b) else {
+                return done;
+            };
+            let decided = block
+                .iter()
+                .filter_map(|&u| decide(u, scratch).map(|a| (u, a)))
+                .collect();
+            done.push((b, decided));
+        }
     };
-    let cursor = AtomicUsize::new(n_workers);
-    let work = |w: usize, scratch: &mut DecisionScratch| {
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut done: Vec<(usize, Decided)> = Vec::new();
-            let mut b = w;
-            while b < blocks.len() {
-                done.push((b, decide(blocks[b], scratch)));
-                if chaos.is_some_and(|c| c.panic_due(w as u32, round)) {
-                    panic!("chaos: injected worker panic");
-                }
-                b = cursor.fetch_add(1, Ordering::Relaxed);
-            }
-            done
-        }))
-    };
-    let results = if n_workers == 1 {
-        vec![work(0, scratch)]
+    let mut done = if n_workers == 1 {
+        work(scratch)
     } else {
         std::thread::scope(|s| {
             let work = &work;
             let spawned: Vec<_> = (1..n_workers)
-                .map(|w| s.spawn(move || work(w, &mut DecisionScratch::default())))
+                .map(|_| s.spawn(move || work(&mut DecisionScratch::default())))
                 .collect();
-            let mut results = vec![work(0, &mut *scratch)];
-            results.extend(
-                spawned
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panics are caught")),
-            );
-            results
+            let mut done = work(&mut *scratch);
+            for h in spawned {
+                done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            done
         })
     };
-
-    let mut per_block: Vec<Option<Decided>> = vec![None; blocks.len()];
-    for (w, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(done) => {
-                for (b, decided) in done {
-                    per_block[b] = Some(decided);
-                }
-            }
-            Err(payload) => failures.push(WorkerFailure::from_panic(w, round, payload.as_ref())),
-        }
-    }
-    per_block
-        .into_iter()
-        .zip(&blocks)
-        .flat_map(|(decided, block)| decided.unwrap_or_else(|| decide(block, scratch)))
-        .collect()
+    done.sort_unstable_by_key(|&(b, _)| b);
+    done.into_iter().flat_map(|(_, decided)| decided).collect()
 }
 
 /// Marks every user whose local view a move `from → to` could have
@@ -1271,7 +1232,7 @@ mod tests {
     use crate::checkpoint::{CheckpointError, RunCheckpoint};
     use crate::instance::InstanceBuilder;
     use crate::reference::run_distributed_reference_traced;
-    use crate::supervise::{ChaosOp, ChaosPlan};
+    use crate::supervise::ChaosPlan;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -1353,7 +1314,7 @@ mod tests {
                             .unwrap();
                     outcomes_match(&par.outcome, &single);
                     assert_eq!(par.trace, strace, "{mode:?}/{policy:?} W={w}");
-                    assert!(par.recovery.clean());
+                    assert_eq!(par.recovery, RecoveryReport::default());
                 }
             }
         }
@@ -1455,51 +1416,28 @@ mod tests {
         }
     }
 
-    /// A worker panic in any round, on any worker, leaves the outcome and
-    /// the trace byte-identical: the worker's blocks are re-decided
-    /// inline. Round 1 has every user dirty, so every worker runs and the
-    /// panic is always recorded there. Serial rounds have no decide
-    /// workers, so a plan never fires in them.
+    /// A spawned decide worker's panic reaches the caller with its own
+    /// message: it is neither caught nor re-decided. The calling thread
+    /// (worker 0) holds its first block until a spawned worker has taken
+    /// one, so the panic always comes from a spawned thread.
     #[test]
-    fn injected_panic_leaves_outcome_and_trace_identical() {
-        let inst = grid_fixture();
-        for mode in [ExecutionMode::Simultaneous, ExecutionMode::Serial] {
-            let config = DistributedConfig {
-                mode,
-                max_rounds: 30,
-                ..DistributedConfig::default()
-            };
-            let initial = Association::empty(inst.n_users());
-            let (single, strace) =
-                run_distributed_reference_traced(&inst, &config, initial.clone());
-            for round in 1..=single.rounds as u32 {
-                for worker in 0..4 {
-                    let chaos = ChaosPlan::new(vec![ChaosOp::WorkerPanic { worker, round }]);
-                    let opts = SuperviseOptions {
-                        chaos: Some(&chaos),
-                        ..traced()
-                    };
-                    let sup = run_distributed_parallel(&inst, &config, initial.clone(), 4, &opts)
-                        .unwrap();
-                    outcomes_match(&sup.outcome, &single);
-                    assert_eq!(sup.trace, strace, "{mode:?} panic ({worker}, {round})");
-                    let expected = WorkerFailure {
-                        worker: worker as usize,
-                        round,
-                        message: "chaos: injected worker panic".to_string(),
-                    };
-                    match mode {
-                        ExecutionMode::Simultaneous if round == 1 => {
-                            assert_eq!(sup.recovery.failures, vec![expected]);
-                        }
-                        ExecutionMode::Simultaneous => {
-                            assert!(sup.recovery.failures.iter().all(|f| *f == expected));
-                        }
-                        ExecutionMode::Serial => assert!(sup.recovery.clean()),
-                    }
+    #[should_panic(expected = "decision bug at user")]
+    fn decide_worker_panic_is_reraised() {
+        use std::sync::atomic::AtomicBool;
+        let users: Vec<UserId> = (0..64).map(UserId).collect();
+        let caller = std::thread::current().id();
+        let spawned_ran = AtomicBool::new(false);
+        decide_simultaneous(&users, 4, &mut DecisionScratch::default(), |u, _| {
+            if std::thread::current().id() == caller {
+                while !spawned_ran.load(Ordering::Acquire) {
+                    std::thread::yield_now();
                 }
+                None
+            } else {
+                spawned_ran.store(true, Ordering::Release);
+                panic!("decision bug at user {}", u.0)
             }
-        }
+        });
     }
 
     /// An in-memory sink recording every whole checkpoint; torn writes
@@ -1533,7 +1471,7 @@ mod tests {
                 ..DistributedConfig::default()
             };
             let sink = MemSink::new();
-            let chaos = ChaosPlan::new(vec![ChaosOp::TornCheckpoint { round: 2 }]);
+            let chaos = ChaosPlan::new(vec![2]);
             let opts = SuperviseOptions {
                 checkpoint_every: Some(1),
                 trace: true,
@@ -1746,10 +1684,10 @@ mod tests {
             prop_assert_eq!(a.trace, b.trace);
         }
 
-        /// Chaos equivalence: a run under a seeded fault plan (a worker
-        /// panic, possibly a torn checkpoint) recovers to the exact
-        /// fault-free outcome and decision trace — for both modes, both
-        /// policies, W ∈ {2, 4} — and records at most the planned panic.
+        /// Chaos equivalence: a run under a seeded fault plan (possibly a
+        /// torn checkpoint) recovers to the exact fault-free outcome and
+        /// decision trace — for both modes, both policies, W ∈ {2, 4} —
+        /// and counts only whole checkpoints as written.
         #[test]
         fn chaos_recovers_to_the_fault_free_run(
             inst in coverable_instance(),
@@ -1769,7 +1707,7 @@ mod tests {
                     for w in [2usize, 4] {
                         // Seed faults only into rounds the run executes.
                         let chaos =
-                            ChaosPlan::seeded(chaos_seed, w, single.rounds.max(1) as u32);
+                            ChaosPlan::seeded(chaos_seed, single.rounds.max(1) as u32);
                         let sink = MemSink::new();
                         let opts = SuperviseOptions {
                             checkpoint_every: Some(1),
@@ -1793,13 +1731,6 @@ mod tests {
                         );
                         prop_assert_eq!(out.outcome.moves, single.moves, "moves: {}", ctx);
                         prop_assert_eq!(&out.trace, &strace, "trace: {}", ctx);
-                        let ChaosOp::WorkerPanic { worker, round } = chaos.ops()[0] else {
-                            panic!("a seeded plan starts with its worker panic");
-                        };
-                        prop_assert!(out.recovery.failures.len() <= 1, "{}", ctx);
-                        for f in &out.recovery.failures {
-                            prop_assert_eq!((f.worker, f.round), (worker as usize, round));
-                        }
                         prop_assert_eq!(
                             sink.0.lock().unwrap().len(),
                             out.recovery.checkpoints_written

@@ -87,6 +87,4 @@ pub use repair::{best_rehome_target, repair_user, strongest_allowed_ap};
 pub use solution::{Objective, Solution, SolveError};
 pub use ssa::solve_ssa;
 pub use stats::InstanceStats;
-pub use supervise::{
-    splitmix64, ChaosOp, ChaosPlan, RecoveryReport, SuperviseOptions, WorkerFailure,
-};
+pub use supervise::{splitmix64, ChaosPlan, RecoveryReport, SuperviseOptions};

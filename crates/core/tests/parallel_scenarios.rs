@@ -2,16 +2,15 @@
 //! production block size: the paper's AP density, enough users that the
 //! Simultaneous decide phase really spreads over worker threads. Every
 //! worker count must reproduce the single-threaded outcome and decision
-//! trace byte-identically, and a decide-worker panic must not change
-//! them.
+//! trace byte-identically.
 //!
 //! The unit and property suites in `distributed.rs` cover random
 //! hand-built instances with tiny blocks; this test covers the block size
 //! the binaries run.
 
 use mcast_core::{
-    run_distributed_parallel, run_distributed_traced, Association, ChaosOp, ChaosPlan,
-    DistributedConfig, DistributedOutcome, ExecutionMode, Instance, Policy, SuperviseOptions,
+    run_distributed_parallel, run_distributed_traced, Association, DistributedConfig,
+    DistributedOutcome, ExecutionMode, Instance, Policy, SuperviseOptions,
 };
 use mcast_topology::ScenarioConfig;
 
@@ -67,36 +66,4 @@ fn generated_scenarios_byte_identical() {
             assert_eq!(par.trace, strace, "decision sequence diverged: {ctx}");
         }
     }
-}
-
-#[test]
-fn worker_panic_on_a_generated_scenario_is_recovered() {
-    let inst = scenario();
-    let config = DistributedConfig {
-        policy: Policy::MinMaxVector,
-        mode: ExecutionMode::Simultaneous,
-        max_rounds: 8,
-        ..DistributedConfig::default()
-    };
-    let initial = Association::empty(inst.n_users());
-    let (single, strace) = run_distributed_traced(&inst, &config, initial.clone());
-    let chaos = ChaosPlan::new(vec![ChaosOp::WorkerPanic {
-        worker: 3,
-        round: 1,
-    }]);
-    let opts = SuperviseOptions {
-        trace: true,
-        chaos: Some(&chaos),
-        ..SuperviseOptions::default()
-    };
-    let out = run_distributed_parallel(&inst, &config, initial, 4, &opts).unwrap();
-    outcomes_match(&out.outcome, &single, "worker 3 panics in round 1");
-    assert_eq!(out.trace, strace);
-    let failures: Vec<_> = out
-        .recovery
-        .failures
-        .iter()
-        .map(|f| (f.worker, f.round))
-        .collect();
-    assert_eq!(failures, vec![(3, 1)]);
 }

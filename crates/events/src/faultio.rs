@@ -2,8 +2,8 @@
 //! failures injected under the journal, the snapshot appender, the
 //! atomic-write protocol, and any [`EventPublisher`] (via [`FaultSink`]).
 //!
-//! The design copies the supervision runtime's `ChaosPlan` idiom: the
-//! plan is computed up front from a seed with splitmix64, each scripted
+//! The plan is computed up front from a seed with splitmix64, as
+//! `mcast_core::ChaosPlan`'s torn-checkpoint script is; each scripted
 //! fault is a one-shot latch keyed by the *operation index* in its
 //! category (write/sync/rename), and firing is an atomic swap — so the
 //! same seed injects the same faults at the same operations on every

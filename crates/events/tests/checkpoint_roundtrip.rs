@@ -19,7 +19,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mcast_core::{
-    resume_distributed_parallel, run_distributed_parallel, ApId, Association, ChaosOp, ChaosPlan,
+    resume_distributed_parallel, run_distributed_parallel, ApId, Association, ChaosPlan,
     CheckpointSink, DistributedConfig, ExecutionMode, Instance, InstanceBuilder, Kbps, Load,
     Policy, RunCheckpoint, SuperviseOptions, CHECKPOINT_SCHEMA,
 };
@@ -249,7 +249,7 @@ proptest! {
                 let ctx = format!("{policy:?}/{mode:?} torn={torn_round}");
                 let path = scratch_path();
                 let sink = RunCheckpointSink::create(&path).unwrap();
-                let chaos = ChaosPlan::new(vec![ChaosOp::TornCheckpoint { round: torn_round }]);
+                let chaos = ChaosPlan::new(vec![torn_round]);
                 let opts = SuperviseOptions {
                     trace: true,
                     checkpoint_every: Some(1),

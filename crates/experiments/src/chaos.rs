@@ -2,9 +2,9 @@
 //!
 //! The command runs the parallel distributed engine
 //! ([`mcast_core::run_distributed_parallel`]) on a pinned scenario under
-//! a seeded [`ChaosPlan`] — a decide-worker panic, torn checkpoint
-//! writes — while writing recovery snapshots to `<out>/chaos_<mode>.ckpt`
-//! (crc32-framed, the journal format). It then proves the robustness contract end to end: the
+//! a seeded [`ChaosPlan`] of torn checkpoint writes, while writing
+//! recovery snapshots to `<out>/chaos_<mode>.ckpt` (crc32-framed, the
+//! journal format). It then proves the robustness contract end to end: the
 //! recovered outcome **and the full decision trace** must be
 //! byte-identical to the fault-free single-threaded oracle
 //! ([`mcast_core::run_distributed_traced`]); any divergence is a hard
@@ -81,7 +81,7 @@ struct ChaosJson {
 /// The pinned chaos workload. Quick mode is smoke-scale and exercises
 /// both execution modes; the full shape is sized so the run takes long
 /// enough for CI's kill -9 to land mid-run, and sticks to Simultaneous
-/// (the mode with decide workers to panic).
+/// (the mode whose decide phase runs on workers).
 struct ChaosShape {
     n_aps: usize,
     n_users: usize,
@@ -167,9 +167,8 @@ pub fn run_chaos(opts: &Options) -> Result<String, CliError> {
         // and decision trace ARE the specification of the recovered run.
         let (oracle, oracle_trace) = run_distributed_traced(inst, &config, initial.clone());
 
-        // Faults land only in rounds the run executes, so every seed
-        // injects something.
-        let plan = ChaosPlan::seeded(seed, shape.workers, oracle.rounds.max(1) as u32);
+        // Tears land only in rounds the run executes.
+        let plan = ChaosPlan::seeded(seed, oracle.rounds.max(1) as u32);
 
         let ckpt_path = opts.out_dir.join(format!("chaos_{key}.ckpt"));
         let (sink, restored) = if opts.resume {
@@ -215,18 +214,11 @@ pub fn run_chaos(opts: &Options) -> Result<String, CliError> {
 
         let r = &out.recovery;
         summary.push_str(&format!(
-            "chaos [{key}]: {} rounds, {} moves, {} injected ops -> \
-             {} worker panics recovered {:?}\n\
+            "chaos [{key}]: {} rounds, {} moves\n\
              checkpoints: {} written to {} ({} errors){}\n\
              verified: outcome and decision trace byte-identical to the fault-free run\n",
             out.outcome.rounds,
             out.outcome.moves,
-            plan.ops().len(),
-            r.failures.len(),
-            r.failures
-                .iter()
-                .map(|f| (f.worker, f.round))
-                .collect::<Vec<_>>(),
             r.checkpoints_written,
             ckpt_path.display(),
             r.checkpoint_errors,

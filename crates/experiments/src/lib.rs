@@ -43,8 +43,6 @@ pub struct Options {
     pub quick: bool,
     /// Resume from the journal of a previous (interrupted) run.
     pub resume: bool,
-    /// Total attempts per trial (1 = no retries).
-    pub retries: u32,
     /// Soft per-trial deadline in seconds (0 disables the watchdog).
     pub deadline_s: u64,
     /// Worker threads for parallel sweeps (`--threads N`); 0 means auto
@@ -74,7 +72,6 @@ impl Default for Options {
             max_nodes: 2_000_000,
             quick: false,
             resume: false,
-            retries: 2,
             deadline_s: 300,
             threads: 0,
             chaos_seed: None,

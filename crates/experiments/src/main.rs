@@ -18,7 +18,7 @@
 //!               (--io-chaos SEED: seeded IO faults against the sink; the
 //!               run must still lose zero decisions)
 //!   replay      fold <out>/events.jsonl back into a report (no solvers)
-//!   chaos       fault-injected parallel run; proves recovery is exact
+//!   chaos       parallel run with torn checkpoints; proves recovery is exact
 //!   revenue     the §3.2 revenue models across algorithms
 //!   bench       time fast paths vs reference, write BENCH_*.json
 //!               (--suite scale: million-user end-to-end pass -> BENCH_scale.json)
@@ -37,7 +37,7 @@ use mcast_experiments::figures::{
     validate,
 };
 use mcast_experiments::report::{render_table, write_csv};
-use mcast_experiments::runner::{RetryPolicy, Runner};
+use mcast_experiments::runner::Runner;
 use mcast_experiments::stats::Figure;
 use mcast_experiments::Options;
 
@@ -59,7 +59,7 @@ fn fail_io(e: String) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else {
-        eprintln!("usage: repro <table1|fig9|fig10|fig11|fig12|ablations|channels|mobility|faults|controller|serve|replay|chaos|revenue|bench|validate|all|gen|solve|compare> [--seeds N] [--out DIR] [--max-nodes N] [--quick] [--plot] [--resume] [--retries N] [--deadline SECS] [--threads N] [--chaos SEED] [--checkpoint-every K] [--suite NAME] [--io-chaos SEED]");
+        eprintln!("usage: repro <table1|fig9|fig10|fig11|fig12|ablations|channels|mobility|faults|controller|serve|replay|chaos|revenue|bench|validate|all|gen|solve|compare> [--seeds N] [--out DIR] [--max-nodes N] [--quick] [--plot] [--resume] [--deadline SECS] [--threads N] [--chaos SEED] [--checkpoint-every K] [--suite NAME] [--io-chaos SEED]");
         return ExitCode::from(2);
     };
     let mut opts = Options::default();
@@ -94,13 +94,6 @@ fn main() -> ExitCode {
             "--quick" => opts.quick = true,
             "--plot" => plot = true,
             "--resume" => opts.resume = true,
-            "--retries" => {
-                i += 1;
-                opts.retries = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| bad_flag("--retries"));
-            }
             "--deadline" => {
                 i += 1;
                 opts.deadline_s = args
@@ -208,12 +201,8 @@ fn main() -> ExitCode {
     );
     let runner = if sweeping {
         let journal_path = opts.out_dir.join(".runstate").join("journal.jsonl");
-        let policy = RetryPolicy {
-            max_attempts: opts.retries.max(1),
-            ..RetryPolicy::default()
-        };
         let deadline = Duration::from_secs(opts.deadline_s);
-        match Runner::with_journal(&journal_path, opts.resume, policy, deadline) {
+        match Runner::with_journal(&journal_path, opts.resume, deadline) {
             Ok(r) => r,
             Err(e) => {
                 // An unusable journal degrades durability, not the run:

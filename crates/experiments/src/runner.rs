@@ -1,5 +1,5 @@
-//! Resilient run orchestration: trial isolation, bounded retries, a
-//! soft-deadline watchdog, and journal-backed resume.
+//! Resilient run orchestration: trial isolation, a soft-deadline
+//! watchdog, and journal-backed resume.
 //!
 //! The sweep harness runs thousands of independent (figure, point, seed,
 //! algorithm) trials. Before this module, one panicking trial tore down
@@ -10,9 +10,9 @@
 //!   [`std::panic::catch_unwind`]; a panic (or a solver `Err`) becomes a
 //!   typed [`TrialError`] for that trial alone. The sweep keeps going and
 //!   the failure is accounted for in the [`RunReport`].
-//! * **Retry** — failed trials are retried a bounded number of times with
-//!   capped exponential backoff ([`RetryPolicy`]), so transient failures
-//!   do not cost a whole sweep.
+//!   A trial runs once: it is a pure function of its key, so a failure
+//!   would repeat on a re-run. Failed trials are never journaled, so
+//!   `--resume` re-runs exactly them (e.g. after fixing the bug).
 //! * **Watchdog** — a trial that runs past the soft deadline is reported
 //!   (it is never killed: trials are pure compute and forcibly stopping a
 //!   thread is unsound; the deadline surfaces stuck work, it does not
@@ -130,82 +130,24 @@ impl From<JournalError> for RunError {
     }
 }
 
-/// Bounded-retry policy with capped exponential backoff.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per trial (1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff before retry `k` is `base * 2^(k-1)`, capped at `max`.
-    pub base_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
+/// Parses `REPRO_FAIL_TRIALS`, the fault injection for crash-safety
+/// testing: `;`-separated patterns, and every trial whose
+/// [`TrialKey::id`] contains one of them panics.
+fn injected_patterns(spec: &str) -> Vec<String> {
+    spec.split(';')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(str::to_string)
+        .collect()
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
-        }
-    }
-}
-
-impl RetryPolicy {
-    fn backoff(&self, retry_index: u32) -> Duration {
-        let factor = 1u32 << retry_index.min(16);
-        (self.base_backoff * factor).min(self.max_backoff)
-    }
-}
-
-/// An injected fault for crash-safety testing: any trial whose
-/// [`TrialKey::id`] contains `pattern` panics on its first
-/// `fail_attempts` attempts. Parsed from `REPRO_FAIL_TRIALS`
-/// (`pattern[:attempts]`, `;`-separated, `attempts` defaulting to 1 and
-/// `*` meaning every attempt).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Injection {
-    /// Substring matched against the trial id.
-    pub pattern: String,
-    /// How many leading attempts fail (`u32::MAX` = all).
-    pub fail_attempts: u32,
-}
-
-impl Injection {
-    /// Parses the `REPRO_FAIL_TRIALS` syntax.
-    pub fn parse_list(spec: &str) -> Vec<Injection> {
-        spec.split(';')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                let (pattern, attempts) = match s.rsplit_once(':') {
-                    Some((p, n)) => {
-                        let attempts = if n.trim() == "*" {
-                            u32::MAX
-                        } else {
-                            n.trim().parse().unwrap_or(1)
-                        };
-                        (p, attempts)
-                    }
-                    None => (s, 1),
-                };
-                Injection {
-                    pattern: pattern.trim().to_string(),
-                    fail_attempts: attempts,
-                }
-            })
-            .collect()
-    }
-}
-
-/// One permanently failed trial, for the run report.
+/// One failed trial, for the run report.
 #[derive(Debug, Clone, Serialize)]
 pub struct FailedTrial {
     /// The trial id ([`TrialKey::id`]).
     pub key: String,
-    /// The final error, rendered.
+    /// The error, rendered.
     pub error: String,
-    /// Attempts consumed (including the first).
-    pub attempts: u32,
 }
 
 /// Aggregate accounting for one `repro` run. Lives in
@@ -217,8 +159,6 @@ pub struct RunReport {
     pub executed: u64,
     /// Trials replayed from the journal (resume).
     pub replayed: u64,
-    /// Retry attempts performed (beyond each trial's first attempt).
-    pub retries: u64,
     /// Panics caught and converted to [`TrialError::Panicked`].
     pub panics_caught: u64,
     /// Trials that exceeded the soft deadline (reported, never killed).
@@ -230,7 +170,7 @@ pub struct RunReport {
     pub replay_rejected: u64,
     /// Bytes of crash-damaged journal tail dropped on resume.
     pub journal_tail_dropped: u64,
-    /// Trials that failed permanently (after all retries).
+    /// Trials that failed.
     pub failed: Vec<FailedTrial>,
     /// Sweep points left without any successful trial, as
     /// `"ctx|x=..|algo=.."` — rendered as holes, not aborts.
@@ -255,9 +195,6 @@ impl RunReport {
             }
             out.push('\n');
         }
-        if self.retries > 0 {
-            out.push_str(&format!("retries: {} retry attempt(s)\n", self.retries));
-        }
         if self.deadline_exceeded > 0 {
             out.push_str(&format!(
                 "watchdog: {} trial(s) exceeded the soft deadline\n",
@@ -276,10 +213,7 @@ impl RunReport {
                 self.failed.len()
             ));
             for f in self.failed.iter().take(20) {
-                out.push_str(&format!(
-                    "  {} [{} attempt(s)]: {}\n",
-                    f.key, f.attempts, f.error
-                ));
+                out.push_str(&format!("  {}: {}\n", f.key, f.error));
             }
             if self.failed.len() > 20 {
                 out.push_str(&format!("  ... and {} more\n", self.failed.len() - 20));
@@ -363,9 +297,8 @@ struct Stats {
 pub struct Runner {
     journal: Option<Journal>,
     cache: HashMap<String, Value>,
-    policy: RetryPolicy,
     soft_deadline: Duration,
-    injections: Vec<Injection>,
+    injections: Vec<String>,
     stats: Mutex<Stats>,
     watchdog: Option<Watchdog>,
     next_trial_token: std::sync::atomic::AtomicU64,
@@ -376,7 +309,6 @@ impl std::fmt::Debug for Runner {
         f.debug_struct("Runner")
             .field("journaled", &self.journal.is_some())
             .field("cached", &self.cache.len())
-            .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
 }
@@ -388,25 +320,19 @@ impl Default for Runner {
 }
 
 impl Runner {
-    /// A runner with no journal: trials are isolated and retried but
-    /// nothing is persisted. Used by tests and one-shot commands.
+    /// A runner with no journal: trials are isolated but nothing is
+    /// persisted. Used by tests and one-shot commands.
     pub fn ephemeral() -> Runner {
-        Runner::build(
-            None,
-            HashMap::new(),
-            RetryPolicy::default(),
-            Duration::ZERO,
-            Vec::new(),
-            0,
-        )
+        Runner::build(None, HashMap::new(), Duration::ZERO, Vec::new(), 0)
     }
 
     /// A journaled runner. `resume = false` truncates any existing
     /// journal (fresh run); `resume = true` replays it, seeds the trial
     /// cache, and truncates a crash-damaged tail.
     ///
-    /// Injections are read from the `REPRO_FAIL_TRIALS` environment
-    /// variable (see [`Injection`]).
+    /// Injected faults are read from the `REPRO_FAIL_TRIALS` environment
+    /// variable (`;`-separated patterns; every trial whose id contains
+    /// one panics).
     ///
     /// # Errors
     ///
@@ -414,11 +340,10 @@ impl Runner {
     pub fn with_journal(
         path: &Path,
         resume: bool,
-        policy: RetryPolicy,
         soft_deadline: Duration,
     ) -> Result<Runner, RunError> {
         let injections = std::env::var("REPRO_FAIL_TRIALS")
-            .map(|s| Injection::parse_list(&s))
+            .map(|s| injected_patterns(&s))
             .unwrap_or_default();
         let (journal, cache, tail_dropped) = if resume {
             let (journal, replay) = Journal::resume(path)?;
@@ -442,25 +367,24 @@ impl Runner {
         Ok(Runner::build(
             journal,
             cache,
-            policy,
             soft_deadline,
             injections,
             tail_dropped,
         ))
     }
 
-    /// An ephemeral runner with explicit retry policy and injections —
-    /// the constructor crash-safety tests drive directly.
-    pub fn with_config(policy: RetryPolicy, injections: Vec<Injection>) -> Runner {
-        Runner::build(None, HashMap::new(), policy, Duration::ZERO, injections, 0)
+    /// An ephemeral runner under which every trial whose id contains one
+    /// of `injections` panics — the constructor crash-safety tests drive
+    /// directly.
+    pub fn with_injections(injections: Vec<String>) -> Runner {
+        Runner::build(None, HashMap::new(), Duration::ZERO, injections, 0)
     }
 
     fn build(
         journal: Option<Journal>,
         cache: HashMap<String, Value>,
-        policy: RetryPolicy,
         soft_deadline: Duration,
-        injections: Vec<Injection>,
+        injections: Vec<String>,
         tail_dropped: u64,
     ) -> Runner {
         let watchdog = (soft_deadline > Duration::ZERO).then(|| Watchdog::spawn(soft_deadline));
@@ -469,7 +393,6 @@ impl Runner {
         Runner {
             journal,
             cache,
-            policy,
             soft_deadline,
             injections,
             stats: Mutex::new(stats),
@@ -490,17 +413,17 @@ impl Runner {
     }
 
     /// Runs one trial: replays it from the journal if finished, otherwise
-    /// executes `f` under `catch_unwind` with bounded retries, journaling
-    /// the result on success.
+    /// executes `f` once under `catch_unwind`, journaling the result on
+    /// success.
     ///
     /// # Errors
     ///
-    /// The final [`TrialError`] after all attempts are exhausted. The
+    /// The trial's [`TrialError`]: its own `Err`, or its panic. The
     /// failure is also recorded in the run report.
     pub fn trial<T, F>(&self, key: &TrialKey, f: F) -> Result<T, TrialError>
     where
         T: Serialize + Deserialize,
-        F: Fn() -> Result<T, TrialError>,
+        F: FnOnce() -> Result<T, TrialError>,
     {
         let id = key.id();
         if let Some(value) = self.cache.get(&id) {
@@ -518,51 +441,39 @@ impl Runner {
             }
         }
 
-        let mut attempt = 0u32;
-        loop {
-            let inject = self
-                .injections
-                .iter()
-                .any(|i| attempt < i.fail_attempts && id.contains(&i.pattern));
-            let token = self.watch_start(&id);
-            let started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                assert!(!inject, "injected fault (REPRO_FAIL_TRIALS) for trial {id}");
-                f()
-            }));
-            let elapsed = started.elapsed();
-            self.watch_end(token);
-            if self.soft_deadline > Duration::ZERO && elapsed > self.soft_deadline {
-                self.stat(|r| r.deadline_exceeded += 1);
-            }
-            let error = match outcome {
-                Ok(Ok(value)) => {
-                    self.journal_result(key, &value);
-                    self.stat(|r| r.executed += 1);
-                    return Ok(value);
-                }
-                Ok(Err(e)) => e,
-                Err(payload) => {
-                    self.stat(|r| r.panics_caught += 1);
-                    TrialError::Panicked {
-                        message: panic_message(payload),
-                    }
-                }
-            };
-            attempt += 1;
-            if attempt >= self.policy.max_attempts {
-                self.stat(|r| {
-                    r.failed.push(FailedTrial {
-                        key: id.clone(),
-                        error: error.to_string(),
-                        attempts: attempt,
-                    });
-                });
-                return Err(error);
-            }
-            self.stat(|r| r.retries += 1);
-            std::thread::sleep(self.policy.backoff(attempt - 1));
+        let inject = self.injections.iter().any(|p| id.contains(p.as_str()));
+        let token = self.watch_start(&id);
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            assert!(!inject, "injected fault (REPRO_FAIL_TRIALS) for trial {id}");
+            f()
+        }));
+        let elapsed = started.elapsed();
+        self.watch_end(token);
+        if self.soft_deadline > Duration::ZERO && elapsed > self.soft_deadline {
+            self.stat(|r| r.deadline_exceeded += 1);
         }
+        let error = match outcome {
+            Ok(Ok(value)) => {
+                self.journal_result(key, &value);
+                self.stat(|r| r.executed += 1);
+                return Ok(value);
+            }
+            Ok(Err(e)) => e,
+            Err(payload) => {
+                self.stat(|r| r.panics_caught += 1);
+                TrialError::Panicked {
+                    message: panic_message(payload),
+                }
+            }
+        };
+        self.stat(|r| {
+            r.failed.push(FailedTrial {
+                key: id,
+                error: error.to_string(),
+            });
+        });
+        Err(error)
     }
 
     /// Records that a sweep point ended with zero successful trials and
@@ -660,80 +571,34 @@ mod tests {
         }
         let report = runner.report();
         assert_eq!(report.failed.len(), 1);
-        assert_eq!(
-            report.panics_caught as usize,
-            report.failed[0].attempts as usize
-        );
-        // Default policy: 2 attempts => 1 retry.
-        assert_eq!(report.retries, 1);
+        assert_eq!(report.panics_caught, 1);
     }
 
+    /// Trials are deterministic, so a failed one is not re-run: the
+    /// closure is called exactly once and the failure is reported.
     #[test]
-    fn transient_failure_recovers_on_retry() {
-        let runner = Runner::with_config(
-            RetryPolicy {
-                max_attempts: 3,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-            },
-            Vec::new(),
-        );
+    fn failed_trial_runs_once() {
+        let runner = Runner::ephemeral();
         let calls = AtomicU32::new(0);
         let out: Result<u64, _> = runner.trial(&key(1), || {
-            if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                Err(TrialError::failed("transient"))
-            } else {
-                Ok(7)
-            }
+            calls.fetch_add(1, Ordering::Relaxed);
+            Err(TrialError::failed("deterministic"))
         });
-        assert_eq!(out.unwrap(), 7);
+        assert_eq!(out, Err(TrialError::failed("deterministic")));
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
         let report = runner.report();
-        assert_eq!(report.retries, 1);
-        assert_eq!(report.executed, 1);
-        assert!(report.failed.is_empty());
-    }
-
-    #[test]
-    fn injection_fails_first_attempts_then_recovers() {
-        let runner = Runner::with_config(
-            RetryPolicy {
-                max_attempts: 3,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(1),
-            },
-            Injection::parse_list("seed=5:2"),
-        );
-        let out: Result<u64, _> = runner.trial(&key(5), || Ok(9));
-        assert_eq!(out.unwrap(), 9);
-        let report = runner.report();
-        assert_eq!(report.retries, 2);
-        assert_eq!(report.panics_caught, 2);
-        // A non-matching trial is untouched.
-        let out: Result<u64, _> = runner.trial(&key(6), || Ok(1));
-        assert_eq!(out.unwrap(), 1);
-        assert_eq!(runner.report().panics_caught, 2);
+        assert_eq!(report.failed.len(), 1);
+        assert_eq!(report.failed[0].key, key(1).id());
+        assert_eq!((report.executed, report.panics_caught), (0, 0));
     }
 
     #[test]
     fn injection_parsing() {
-        let list = Injection::parse_list("fig9a;seed=3:*;algo=MLA-C:4");
-        assert_eq!(list.len(), 3);
         assert_eq!(
-            list[0],
-            Injection {
-                pattern: "fig9a".into(),
-                fail_attempts: 1
-            }
+            injected_patterns("fig9a; seed=3;;algo=MLA-C"),
+            ["fig9a", "seed=3", "algo=MLA-C"]
         );
-        assert_eq!(list[1].fail_attempts, u32::MAX);
-        assert_eq!(
-            list[2],
-            Injection {
-                pattern: "algo=MLA-C".into(),
-                fail_attempts: 4
-            }
-        );
-        assert!(Injection::parse_list("").is_empty());
+        assert!(injected_patterns("").is_empty());
     }
 
     #[test]
@@ -741,8 +606,7 @@ mod tests {
         let path = tmp("replay.jsonl");
         let _ = std::fs::remove_file(&path);
         {
-            let runner =
-                Runner::with_journal(&path, false, RetryPolicy::default(), Duration::ZERO).unwrap();
+            let runner = Runner::with_journal(&path, false, Duration::ZERO).unwrap();
             for seed in 0..4u64 {
                 let v: Result<f64, _> = runner.trial(&key(seed), || Ok(seed as f64 * 0.1 + 0.05));
                 v.unwrap();
@@ -750,8 +614,7 @@ mod tests {
             assert_eq!(runner.report().executed, 4);
         }
         {
-            let runner =
-                Runner::with_journal(&path, true, RetryPolicy::default(), Duration::ZERO).unwrap();
+            let runner = Runner::with_journal(&path, true, Duration::ZERO).unwrap();
             for seed in 0..4u64 {
                 let v: f64 = runner
                     .trial(&key(seed), || -> Result<f64, TrialError> {
@@ -772,13 +635,11 @@ mod tests {
     fn fresh_run_truncates_previous_journal() {
         let path = tmp("fresh.jsonl");
         {
-            let runner =
-                Runner::with_journal(&path, false, RetryPolicy::default(), Duration::ZERO).unwrap();
+            let runner = Runner::with_journal(&path, false, Duration::ZERO).unwrap();
             let _ = runner.trial(&key(0), || Ok(1u64));
         }
         {
-            let runner =
-                Runner::with_journal(&path, false, RetryPolicy::default(), Duration::ZERO).unwrap();
+            let runner = Runner::with_journal(&path, false, Duration::ZERO).unwrap();
             assert!(!runner.is_cached(&key(0)));
         }
         let _ = std::fs::remove_file(path);

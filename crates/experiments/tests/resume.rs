@@ -1,13 +1,13 @@
 //! Crash-recovery end-to-end tests: a journaled sweep interrupted at an
 //! arbitrary byte offset must, after `--resume`, produce output
 //! byte-identical to an uninterrupted run — and injected trial panics
-//! must degrade to typed, retry-accounted errors, never a torn run.
+//! must degrade to typed errors and holes, never a torn run.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use mcast_experiments::report::write_csv;
-use mcast_experiments::runner::{Injection, RetryPolicy, Runner, TrialKey};
+use mcast_experiments::runner::{Runner, TrialError, TrialKey};
 use mcast_experiments::stats::{Figure, Series, Summary};
 
 const XS: [f64; 3] = [10.0, 20.0, 40.0];
@@ -71,13 +71,7 @@ fn journal_path(dir: &Path) -> PathBuf {
 
 /// One full run into `dir` (fresh or resumed); returns the CSV bytes.
 fn run_to_csv(dir: &Path, resume: bool) -> Vec<u8> {
-    let runner = Runner::with_journal(
-        &journal_path(dir),
-        resume,
-        RetryPolicy::default(),
-        Duration::ZERO,
-    )
-    .unwrap();
+    let runner = Runner::with_journal(&journal_path(dir), resume, Duration::ZERO).unwrap();
     let fig = run_sweep(&runner);
     write_csv(&fig, dir).unwrap();
     std::fs::read(dir.join("resume_it.csv")).unwrap()
@@ -117,13 +111,7 @@ fn resume_after_truncation_at_any_offset_is_byte_identical() {
         std::fs::create_dir_all(dir.join(".runstate")).unwrap();
         std::fs::write(journal_path(&dir), &full_journal[..cut]).unwrap();
 
-        let runner = Runner::with_journal(
-            &journal_path(&dir),
-            true,
-            RetryPolicy::default(),
-            Duration::ZERO,
-        )
-        .unwrap();
+        let runner = Runner::with_journal(&journal_path(&dir), true, Duration::ZERO).unwrap();
         let fig = run_sweep(&runner);
         write_csv(&fig, &dir).unwrap();
         let resumed_csv = std::fs::read(dir.join("resume_it.csv")).unwrap();
@@ -145,13 +133,7 @@ fn resume_after_truncation_at_any_offset_is_byte_identical() {
 
         // The healed journal must now replay completely: a second resume
         // sees every trial cached and executes nothing.
-        let again = Runner::with_journal(
-            &journal_path(&dir),
-            true,
-            RetryPolicy::default(),
-            Duration::ZERO,
-        )
-        .unwrap();
+        let again = Runner::with_journal(&journal_path(&dir), true, Duration::ZERO).unwrap();
         let fig = run_sweep(&again);
         write_csv(&fig, &dir).unwrap();
         assert_eq!(std::fs::read(dir.join("resume_it.csv")).unwrap(), clean_csv);
@@ -164,28 +146,22 @@ fn resume_after_truncation_at_any_offset_is_byte_identical() {
 }
 
 #[test]
-fn injected_panic_becomes_typed_error_with_retry_accounting() {
-    // One trial panics on every attempt: it must come back as a typed
-    // TrialError::Panicked, with every attempt accounted, while the rest
-    // of the sweep completes and the point renders as a hole.
-    let runner = Runner::with_config(
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-        },
-        Injection::parse_list("x=20|seed=1|algo=B:*"),
-    );
+fn injected_panic_becomes_typed_error_and_siblings_survive() {
+    // One trial panics: it comes back as a typed TrialError::Panicked,
+    // counted once, while the rest of the sweep completes and the point
+    // keeps its sibling seeds.
+    let runner = Runner::with_injections(vec!["x=20|seed=1|algo=B".into()]);
     let fig = run_sweep(&runner);
 
     let report = runner.report();
     assert_eq!(report.failed.len(), 1, "report: {report:?}");
     let failed = &report.failed[0];
-    assert!(failed.key.contains("x=20") && failed.key.contains("algo=B"));
-    assert_eq!(failed.attempts, 3);
+    assert_eq!(failed.key, "resume_it|x=20|seed=1|algo=B");
     assert!(failed.error.contains("panicked"), "error: {}", failed.error);
-    assert_eq!(report.panics_caught, 3);
-    assert_eq!(report.retries, 2);
+    assert_eq!(report.panics_caught, 1);
+    let key = TrialKey::new("resume_it", 20.0, 1, "B");
+    let out = runner.trial(&key, || Ok(measure(20.0, 1, "B")));
+    assert!(matches!(out, Err(TrialError::Panicked { .. })), "{out:?}");
 
     // The sibling seeds survived: the (x=20, B) point still has data.
     let b = fig.series.iter().find(|s| s.label == "B").unwrap();
@@ -195,37 +171,15 @@ fn injected_panic_becomes_typed_error_with_retry_accounting() {
 }
 
 #[test]
-fn transient_injected_failure_recovers_and_whole_point_fails_to_a_hole() {
-    // (a) A trial that panics only on its first attempt recovers.
-    let runner = Runner::with_config(
-        RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-        },
-        Injection::parse_list("x=10|seed=2|algo=A:1"),
-    );
+fn whole_point_failing_becomes_a_hole() {
+    // Every seed of a point failing leaves a hole, not an abort. The
+    // pattern matches every x=40 trial (all seeds, both algos).
+    let runner = Runner::with_injections(vec!["x=40|seed".into()]);
     let fig = run_sweep(&runner);
     let report = runner.report();
-    assert!(report.failed.is_empty(), "report: {report:?}");
-    assert_eq!(report.retries, 1);
-    let a = fig.series.iter().find(|s| s.label == "A").unwrap();
-    let (_, sum) = a.points.iter().find(|(x, _)| *x == 10.0).unwrap();
-    assert_eq!(sum.n as u64, SEEDS, "recovered trial must contribute");
-
-    // (b) Every seed of a point failing leaves a hole, not an abort.
-    // The pattern matches every x=40 trial (all seeds, both algos).
-    let runner = Runner::with_config(
-        RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-        },
-        Injection::parse_list("x=40|seed:*"),
-    );
-    let fig = run_sweep(&runner);
-    let report = runner.report();
-    assert_eq!(report.failed.len(), ALGOS.len() * SEEDS as usize);
+    let injected = ALGOS.len() * SEEDS as usize;
+    assert_eq!(report.failed.len(), injected);
+    assert_eq!(report.panics_caught as usize, injected);
     assert_eq!(
         report.holes,
         vec![
@@ -236,6 +190,9 @@ fn transient_injected_failure_recovers_and_whole_point_fails_to_a_hole() {
     let a = fig.series.iter().find(|s| s.label == "A").unwrap();
     let (_, sum) = a.points.iter().find(|(x, _)| *x == 40.0).unwrap();
     assert_eq!(sum.n, 0, "all-failed point must be a hole");
+    // The other points keep every seed.
+    let (_, sum) = a.points.iter().find(|(x, _)| *x == 20.0).unwrap();
+    assert_eq!(sum.n as u64, SEEDS);
     // And the renderer shows the hole instead of fake zeros.
     let table = mcast_experiments::report::render_table(&fig);
     assert!(table.contains("(no data)"), "table: {table}");
