@@ -222,7 +222,7 @@ impl Load {
     /// cannot overflow and needs no checked multiplication. Reduced WLAN
     /// fractions are tiny (rate ratios in lowest terms), so this is the
     /// hot case — `i128::checked_mul` lowers to a slow overflow-detecting
-    /// routine that dominates comparison-heavy loops like the CELF heap.
+    /// routine that dominates comparison-heavy loops like the rank sort.
     #[inline]
     fn fits_i64(&self) -> bool {
         const LIM: i128 = i64::MAX as i128;
@@ -371,8 +371,9 @@ impl mcast_covering::Cost for Load {
         debug_assert!(c1.num > 0 && c2.num > 0);
         // Fast path: three factors each below 2^42 keep the triple product
         // under 2^126, so unchecked i128 multiplies are exact. This is the
-        // hot comparison of the lazy-greedy heap (see crates/covering), and
-        // WLAN instances (gains ≤ users, reduced rate ratios) always hit it.
+        // hot comparison of the covering greedies' rank-table build (see
+        // crates/covering), and WLAN instances (gains ≤ users, reduced rate
+        // ratios) always hit it.
         const LIM: i128 = 1 << 42;
         let (a1, d1, m1) = (n1 as i128, c1.den, c1.num);
         let (a2, d2, m2) = (n2 as i128, c2.den, c2.num);

@@ -23,6 +23,14 @@
 //! The WLAN solvers run on `u64` (loads in integer half-steps of the
 //! instance's load quantum), and check against exact rationals in tests.
 //!
+//! The greedies pick from *rank buckets*. [`SetSystemBuilder::build`] ranks
+//! every effectiveness `gain / cost` a set can reach, once per system, with
+//! equal ratios sharing a rank. `CostSC` and MCG file each set under the
+//! rank of its residual gain and scan only the top bucket, whose live sets
+//! are exactly the tie class the full-rescan [`reference`] scans choose
+//! from, so every pick is the reference's pick. [`solve_scg`] carries each
+//! run's residuals from one MCG iteration to the next.
+//!
 //! # Example
 //!
 //! ```
@@ -43,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod celf;
 mod cost;
 mod mcg;
 mod primal_dual;

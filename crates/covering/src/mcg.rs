@@ -1,23 +1,17 @@
 //! Greedy **Maximum Coverage with Group Budgets** — paper Fig. 3, after
 //! Chekuri & Kumar (APPROX 2004), cost version with no overall budget.
 //!
-//! The selection loop is a lazy greedy (see [`crate::celf`]): stale
-//! marginal gains live in a max-heap and only the popped top is
-//! re-evaluated. Because the naive scan's tie-break consults the *current*
-//! group costs, a fresh top entry alone does not determine the pick — all
-//! entries tying on effectiveness are drained, re-evaluated, and the
-//! winner chosen by `(group cost, group, set id)` ascending, which is
-//! exactly the order the reference scan's "strictly smaller group cost
-//! replaces, first scanned wins" rule induces. The selected sequence is
-//! bit-for-bit identical to [`crate::reference::greedy_mcg_opts`].
+//! The selection loop scans the system's rank buckets (see
+//! [`crate::system::RankQueue`]): the sets left in the top bucket are
+//! exactly the sets of greatest effectiveness, and the winner among them
+//! is the `(group cost, group, set id)`-minimal one, which is the order
+//! the reference scan's "strictly smaller group cost replaces, first
+//! scanned wins" rule induces. The selected sequence is bit-for-bit
+//! identical to [`crate::reference::greedy_mcg_opts`].
 
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
-
-use crate::celf::GainEntry;
 use crate::cost::Cost;
 use crate::set_cover::Cover;
-use crate::system::{ElementId, SetId, SetSystem};
+use crate::system::{ElementId, RankQueue, SetId, SetSystem};
 
 /// Outcome of [`greedy_mcg`].
 ///
@@ -123,161 +117,78 @@ pub fn greedy_mcg_opts<C: Cost>(
     );
     assert_eq!(initially_covered.len(), system.n_elements());
 
-    let n = system.n_elements();
-    let mut covered = initially_covered.to_vec();
-    let mut n_uncovered = covered.iter().filter(|&&c| !c).count();
     // Residual |S ∩ X'| per set. With nothing initially covered (the plain
     // `greedy_mcg` entry) that is just the set size — skip the O(total
     // membership) per-element scan.
-    let mut residual: Vec<u64> = if n_uncovered == n {
-        system
-            .sets()
-            .iter()
-            .map(|s| s.members().len() as u64)
-            .collect()
-    } else {
+    let residual: Vec<u64> = if initially_covered.iter().any(|&c| c) {
         system
             .sets()
             .iter()
             .map(|s| {
                 s.members()
                     .iter()
-                    .filter(|e| !covered[e.0 as usize])
+                    .filter(|e| !initially_covered[e.0 as usize])
                     .count() as u64
             })
             .collect()
+    } else {
+        system.set_sizes()
     };
+    greedy_mcg_from(
+        system,
+        budgets,
+        initially_covered,
+        &residual,
+        skip_unaffordable,
+        &mut RankQueue::default(),
+    )
+}
+
+/// The body of [`greedy_mcg_opts`], given each set's residual over the
+/// elements not `initially_covered` and a queue whose storage it reuses.
+/// The SCG sweep calls it with residuals it carries between iterations.
+pub(crate) fn greedy_mcg_from<C: Cost>(
+    system: &SetSystem<C>,
+    budgets: &[C],
+    initially_covered: &[bool],
+    residual: &[u64],
+    skip_unaffordable: bool,
+    queue: &mut RankQueue,
+) -> McgSolution<C> {
+    let n = system.n_elements();
+    let mut residual = residual.to_vec();
+    let mut covered = initially_covered.to_vec();
+    let mut n_uncovered = covered.iter().filter(|&&c| !c).count();
     let mut group_cost: Vec<C> = vec![C::zero(); system.n_groups()];
     let mut all: Vec<SetId> = Vec::new();
     let mut all_news: Vec<Vec<ElementId>> = Vec::new();
     let mut violating: Vec<bool> = Vec::new();
 
-    // Lazy-greedy heap over every potentially usable set. Unaffordable
-    // sets (under the skip rule) are excluded up front — budgets never
-    // change, so the naive scan would skip them on every pick anyway.
-    // Zero-gain sets are excluded too; gains only shrink.
-    let mut heap: BinaryHeap<GainEntry<C>> = system
-        .sets()
-        .iter()
-        .enumerate()
-        .filter(|&(i, set)| {
-            residual[i] > 0 && !(skip_unaffordable && *set.cost() > budgets[set.group().0 as usize])
-        })
-        .map(|(i, set)| GainEntry {
-            gain: residual[i],
-            cost: set.cost().clone(),
-            tie: (set.group().0, i as u32),
-        })
-        .collect();
-    // The current effectiveness-tie class, kept *outside* the heap across
-    // picks. Invariant at each pick: every heap entry's stored (stale,
-    // upper-bound) effectiveness is strictly below the class's, so any
-    // class member that re-validates (gain unchanged, group within budget)
-    // is still a true maximum and the next winner comes from the class with
-    // no heap traffic at all. Draining the often-large tie class back and
-    // forth through the heap was the dominant cost of this loop.
-    let mut tied: Vec<GainEntry<C>> = Vec::new();
+    // Unaffordable sets (under the skip rule) are never filed: budgets
+    // never change, so the reference scan skips them on every pick.
+    let group_of = |s: usize| system.sets()[s].group().0 as usize;
+    queue.fill(system, &residual, |s| {
+        !(skip_unaffordable && *system.sets()[s].cost() > budgets[group_of(s)])
+    });
 
     while n_uncovered > 0 {
-        // Re-validate the carried class against the previous pick: discard
-        // members whose group is now exhausted or whose gain hit zero, and
-        // demote members whose gain shrank back into the heap (their fresh
-        // effectiveness is strictly below the class's, and it is exact, so
-        // the stale-upper-bound heap invariant holds).
-        let mut i = 0;
-        while i < tied.len() {
-            let g = tied[i].group_index();
-            let fresh = residual[tied[i].set_index()];
-            if group_cost[g] >= budgets[g] || fresh == 0 {
-                tied.swap_remove(i); // never usable again
-            } else if fresh < tied[i].gain {
-                let mut e = tied.swap_remove(i);
-                e.gain = fresh;
-                heap.push(e);
-            } else {
-                i += 1;
-            }
-        }
+        // Line 4–10 of Fig. 3: each group whose budget is not exhausted
+        // proposes its most cost-effective set; we additionally require
+        // the proposal to cover at least one new element (a zero-gain set
+        // can never improve coverage, only burn budget). Effectiveness
+        // ties go to the less-loaded group, then the earlier scan position.
+        let Some(s) = queue.pick(
+            system,
+            &residual,
+            |s| group_cost[group_of(s)] < budgets[group_of(s)],
+            |s| (&group_cost[group_of(s)], group_of(s), s),
+        ) else {
+            break;
+        };
 
-        if tied.is_empty() {
-            // Line 4–10 of Fig. 3: each group whose budget is not exhausted
-            // proposes its most cost-effective set; we additionally require
-            // the proposal to cover at least one new element (a zero-gain
-            // set can never improve coverage, only burn budget). Lazily:
-            // re-evaluate the top until it is current — it is then the true
-            // maximum. `peek_mut` refreshes stale gains in place (sift-down
-            // on drop), halving the heap traffic of a pop + push.
-            let lead = loop {
-                let Some(mut top) = heap.peek_mut() else {
-                    break None;
-                };
-                if group_cost[top.group_index()] >= budgets[top.group_index()] {
-                    PeekMut::pop(top); // group exhausted for good (costs only grow)
-                    continue;
-                }
-                let fresh = residual[top.set_index()];
-                if fresh == 0 {
-                    PeekMut::pop(top); // gains only shrink: never usable again
-                    continue;
-                }
-                if fresh < top.gain {
-                    top.gain = fresh; // drop re-sifts the refreshed entry
-                    continue;
-                }
-                break Some(PeekMut::pop(top));
-            };
-            let Some(lead) = lead else { break };
-
-            // The naive scan breaks effectiveness ties by the *current*
-            // group cost (prefer the less-loaded group, then scan order).
-            // Drain every entry whose stale gain still ties the lead — a
-            // stale tie's fresh effectiveness is strictly lower, so only
-            // up-to-date entries compete.
-            tied.push(lead);
-            loop {
-                let Some(mut top) = heap.peek_mut() else {
-                    break;
-                };
-                if top.cmp_effectiveness(&tied[0]) != std::cmp::Ordering::Equal {
-                    break;
-                }
-                if group_cost[top.group_index()] >= budgets[top.group_index()] {
-                    PeekMut::pop(top);
-                    continue;
-                }
-                let fresh = residual[top.set_index()];
-                if fresh == 0 {
-                    PeekMut::pop(top);
-                    continue;
-                }
-                if fresh < top.gain {
-                    // Strictly worse once refreshed, so it leaves the tie;
-                    // the drop sifts it down and the loop re-examines the
-                    // new top.
-                    top.gain = fresh;
-                    continue;
-                }
-                tied.push(PeekMut::pop(top));
-            }
-        }
-
-        // Pick the (group cost, group, id)-minimal class member — exactly
-        // the winner the reference scan's "strictly smaller group cost
-        // replaces, first scanned wins" rule induces. The rest of the class
-        // stays in `tied` for the next pick.
-        let wi = tied
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                (&group_cost[a.group_index()], a.tie).cmp(&(&group_cost[b.group_index()], b.tie))
-            })
-            .map(|(i, _)| i)
-            .expect("tied contains at least the lead");
-        let winner = tied.swap_remove(wi);
-
-        let sid = SetId(winner.tie.1);
+        let sid = SetId(s as u32);
         let set = system.set(sid);
-        let g = set.group().0 as usize;
+        let g = group_of(s);
         let news: Vec<ElementId> = set
             .members()
             .iter()

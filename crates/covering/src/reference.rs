@@ -1,13 +1,14 @@
 //! Textbook reference implementations of the three solvers.
 //!
 //! These are the original O(picks × sets) full-rescan greedy loops that the
-//! lazy-greedy (CELF) fast paths in [`greedy_set_cover`], [`greedy_mcg`]
-//! and [`solve_scg`] replaced. They are kept because they define the
+//! rank-bucket fast paths in [`greedy_set_cover`], [`greedy_mcg`] and
+//! [`solve_scg`] replaced. They are kept because they define the
 //! *semantics* the fast paths must reproduce bit for bit:
 //!
-//! * the property tests (`tests/properties.rs`) assert that lazy and naive
-//!   select the identical set sequence on random systems;
-//! * `repro bench` times naive vs lazy on pinned workloads to record the
+//! * the property tests (`tests/properties.rs`) and the named tie cases
+//!   (`tests/ties.rs`) assert that fast and naive select the identical
+//!   set sequence;
+//! * `repro bench` times naive vs fast on pinned workloads to record the
 //!   speedup trajectory in `BENCH_greedy.json`.
 //!
 //! Do not use these in production paths — they exist to be slow.
@@ -23,7 +24,7 @@ use crate::set_cover::{Cover, CoverError};
 use crate::system::{ElementId, SetId, SetSystem};
 
 /// The classic full-rescan cost-effectiveness greedy for weighted set
-/// cover — the pre-CELF implementation of [`crate::greedy_set_cover`],
+/// cover — the original implementation of [`crate::greedy_set_cover`],
 /// selecting by a linear scan over every set each pick.
 ///
 /// # Errors
@@ -88,7 +89,7 @@ pub fn greedy_set_cover<C: Cost>(system: &SetSystem<C>) -> Result<Cover<C>, Cove
     Ok(Cover::from_picks(n, picks))
 }
 
-/// The full-rescan MCG greedy — the pre-CELF implementation of
+/// The full-rescan MCG greedy — the original implementation of
 /// [`crate::greedy_mcg`] (every element initially uncovered, unaffordable
 /// sets skipped).
 ///
@@ -214,7 +215,7 @@ pub fn greedy_mcg_opts<C: Cost>(
 }
 
 /// SCG via the full-rescan MCG, with every `(B*, rule)` run made — the
-/// pre-CELF, pre-pruning implementation of [`crate::solve_scg`].
+/// original, unpruned implementation of [`crate::solve_scg`].
 ///
 /// # Errors
 ///
@@ -229,8 +230,8 @@ pub fn solve_scg<C: Cost>(
 /// The unpruned SCG sweep over a given MCG subroutine: every candidate
 /// under the skip rule, then every candidate under the no-skip rule, the
 /// outer loop [`crate::solve_scg`] prunes. With [`crate::greedy_mcg_opts`]
-/// it is the lazy-greedy sweep before pruning, which `repro bench` times
-/// against BLA's production sweep.
+/// it is the rank-bucket sweep before pruning and without carried
+/// residuals, which `repro bench` times against BLA's production sweep.
 ///
 /// # Errors
 ///
@@ -243,7 +244,11 @@ pub fn solve_scg_with<C: Cost>(
     let mut sweep = Sweep::new(system, candidates)?;
     for skip_unaffordable in [true, false] {
         for b_star in candidates {
-            sweep.run(b_star, skip_unaffordable, &mcg);
+            sweep.run(
+                b_star,
+                skip_unaffordable,
+                |system, budgets, covered, _, skip| mcg(system, budgets, covered, skip),
+            );
         }
     }
     sweep.finish()

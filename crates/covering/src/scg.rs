@@ -11,9 +11,9 @@
 use std::fmt;
 
 use crate::cost::Cost;
-use crate::mcg::{greedy_mcg_opts, McgSolution};
+use crate::mcg::{greedy_mcg_from, McgSolution};
 use crate::set_cover::Cover;
-use crate::system::{ElementId, SetId, SetSystem};
+use crate::system::{ElementId, RankQueue, SetId, SetSystem};
 use crate::verify::group_costs;
 
 /// Result of [`solve_scg`].
@@ -23,8 +23,17 @@ pub struct ScgSolution<C> {
     max_group_cost: C,
     budget_used: C,
     iterations: usize,
+    counts: SweepCounts,
+}
+
+/// What a sweep spent, over all its runs.
+#[derive(Debug, Clone, Copy, Default)]
+struct SweepCounts {
     runs: usize,
     mcg_calls: usize,
+    failed_runs: usize,
+    lost_runs: usize,
+    failed_mcg_calls: usize,
 }
 
 impl<C: Cost> ScgSolution<C> {
@@ -50,12 +59,29 @@ impl<C: Cost> ScgSolution<C> {
 
     /// How many `(B*, rule)` runs the sweep made, over all candidates.
     pub fn runs(&self) -> usize {
-        self.runs
+        self.counts.runs
     }
 
     /// How many MCG calls those runs made, the failing ones included.
     pub fn mcg_calls(&self) -> usize {
-        self.mcg_calls
+        self.counts.mcg_calls
+    }
+
+    /// How many runs failed: an iteration covered nothing.
+    pub fn failed_runs(&self) -> usize {
+        self.counts.failed_runs
+    }
+
+    /// How many runs covered everything but lost: their maximum group
+    /// cost was no smaller than the best of the runs before them. The
+    /// remaining `runs - failed_runs - lost_runs` each became the best.
+    pub fn lost_runs(&self) -> usize {
+        self.counts.lost_runs
+    }
+
+    /// How many of the MCG calls were spent in failed runs.
+    pub fn failed_mcg_calls(&self) -> usize {
+        self.counts.failed_mcg_calls
     }
 }
 
@@ -133,12 +159,19 @@ pub fn solve_scg<C: Cost>(
     let mut sweep = Sweep::new(system, candidates)?;
     let low = system.cover_lower_bound();
     let c_max = system.max_set_cost();
+    let mut queue = RankQueue::default();
     for skip_unaffordable in [true, false] {
         for b_star in candidates {
             let must_fail = skip_unaffordable && low.is_some_and(|low| b_star < low);
             let ties_skip_run = !skip_unaffordable && c_max.is_some_and(|c| b_star >= c);
             if !must_fail && !ties_skip_run {
-                sweep.run(b_star, skip_unaffordable, greedy_mcg_opts);
+                sweep.run(
+                    b_star,
+                    skip_unaffordable,
+                    |system, budgets, covered, residual, skip| {
+                        greedy_mcg_from(system, budgets, covered, residual, skip, &mut queue)
+                    },
+                );
             }
         }
     }
@@ -151,8 +184,7 @@ pub fn solve_scg<C: Cost>(
 pub(crate) struct Sweep<'a, C> {
     system: &'a SetSystem<C>,
     best: Option<ScgSolution<C>>,
-    runs: usize,
-    mcg_calls: usize,
+    counts: SweepCounts,
 }
 
 impl<'a, C: Cost> Sweep<'a, C> {
@@ -170,42 +202,54 @@ impl<'a, C: Cost> Sweep<'a, C> {
         Ok(Sweep {
             system,
             best: None,
-            runs: 0,
-            mcg_calls: 0,
+            counts: SweepCounts::default(),
         })
     }
 
     /// One run: the iterated MCG of Fig. 6 at budget `b_star` under one
     /// reading of line 5, kept if it covers everything with a strictly
     /// smaller maximum group cost than every earlier run.
+    ///
+    /// The run carries each set's residual `|S ∩ X'|` from one iteration
+    /// to the next, so `mcg` is handed the covered flags and the matching
+    /// residuals and need not rescan every membership.
     pub(crate) fn run(
         &mut self,
         b_star: &C,
         skip_unaffordable: bool,
-        mcg: impl Fn(&SetSystem<C>, &[C], &[bool], bool) -> McgSolution<C>,
+        mut mcg: impl FnMut(&SetSystem<C>, &[C], &[bool], &[u64], bool) -> McgSolution<C>,
     ) {
         let system = self.system;
         let n = system.n_elements();
-        self.runs += 1;
+        self.counts.runs += 1;
         let budgets = vec![b_star.clone(); system.n_groups()];
         let mut covered = vec![false; n];
+        let mut residual = system.set_sizes();
+        let mut n_uncovered = n;
         let mut picks: Vec<(SetId, Vec<ElementId>, C)> = Vec::new();
         let mut iterations = 0usize;
-        while !covered.iter().all(|&c| c) {
-            self.mcg_calls += 1;
-            let sol = mcg(system, &budgets, &covered, skip_unaffordable);
+        while n_uncovered > 0 {
+            self.counts.mcg_calls += 1;
+            let sol = mcg(system, &budgets, &covered, &residual, skip_unaffordable);
             // Per Fig. 6 (and the paper's worked example), each iteration
             // contributes the *output* of Centralized MNU — the feasible
             // half — which respects every group budget and covers at
             // least 1/8 of the remaining elements when B* >= OPT.
             let half = sol.feasible();
             if half.covered_count() == 0 {
-                return; // B* too small for some remaining element
+                // B* too small for some remaining element.
+                self.counts.failed_runs += 1;
+                self.counts.failed_mcg_calls += iterations + 1;
+                return;
             }
             iterations += 1;
             for (sid, news) in half.chosen().iter().zip(half.newly_covered()) {
                 for e in news {
                     covered[e.0 as usize] = true;
+                    n_uncovered -= 1;
+                    for &other in system.covering_sets(*e) {
+                        residual[other.0 as usize] -= 1;
+                    }
                 }
                 picks.push((*sid, news.clone(), system.set(*sid).cost().clone()));
             }
@@ -220,6 +264,7 @@ impl<'a, C: Cost> Sweep<'a, C> {
             .as_ref()
             .is_some_and(|b| b.max_group_cost <= max_group_cost)
         {
+            self.counts.lost_runs += 1;
             return;
         }
         let cover = Cover::from_picks(n, picks);
@@ -229,20 +274,15 @@ impl<'a, C: Cost> Sweep<'a, C> {
             max_group_cost,
             budget_used: b_star.clone(),
             iterations,
-            runs: 0,
-            mcg_calls: 0,
+            counts: SweepCounts::default(),
         });
     }
 
     /// The winning run, with the sweep's counters.
     pub(crate) fn finish(self) -> Result<ScgSolution<C>, ScgError> {
-        let (runs, mcg_calls) = (self.runs, self.mcg_calls);
+        let counts = self.counts;
         self.best
-            .map(|best| ScgSolution {
-                runs,
-                mcg_calls,
-                ..best
-            })
+            .map(|best| ScgSolution { counts, ..best })
             .ok_or(ScgError::NoFeasibleBudget)
     }
 }
@@ -301,6 +341,12 @@ mod tests {
         // Every run ends with a full cover or one MCG call that covers
         // nothing; the seven dropped runs had spent half the calls.
         assert_eq!((fast.mcg_calls(), slow.mcg_calls()), (11, 22));
+        // Fates: the first complete run (skip rule, B* = 20) wins and
+        // every later run ties or loses. Only the reference makes the
+        // skip run of B* = 15, which covers u2..u5 and then fails on u1.
+        let fates = |s: &ScgSolution<u64>| (s.failed_runs(), s.lost_runs(), s.failed_mcg_calls());
+        assert_eq!(fates(&fast), (0, 6, 0));
+        assert_eq!(fates(&slow), (1, 12, 2));
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Greedy weighted set cover — the paper's `CostSC` (Fig. 8).
 
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::celf::GainEntry;
 use crate::cost::Cost;
-use crate::system::{ElementId, SetId, SetSystem};
+use crate::system::{ElementId, RankQueue, SetId, SetSystem};
 
 /// The result of a covering run: which sets were chosen, in order, and which
 /// elements each chosen set newly covered.
@@ -149,45 +146,19 @@ pub fn greedy_set_cover<C: Cost>(system: &SetSystem<C>) -> Result<Cover<C>, Cove
     let mut covered = vec![false; n];
     let mut n_uncovered = n;
     // Residual |S ∩ X'| per set, maintained incrementally.
-    let mut residual: Vec<u64> = system
-        .sets()
-        .iter()
-        .map(|s| s.members().len() as u64)
-        .collect();
+    let mut residual = system.set_sizes();
     let mut picks = Vec::new();
 
-    // Lazy greedy (CELF): gains are submodular, so a stale heap entry is an
-    // upper bound on the fresh gain. A popped entry whose gain is current is
-    // the true maximum — and the heap's (effectiveness desc, id asc) order
-    // matches the naive scan's "strictly greater replaces" rule exactly.
-    let mut heap: BinaryHeap<GainEntry<C>> = system
-        .sets()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| residual[i] > 0)
-        .map(|(i, set)| GainEntry {
-            gain: residual[i],
-            cost: set.cost().clone(),
-            tie: (0, i as u32),
-        })
-        .collect();
+    // Rank buckets: the most effective class is scanned and its lowest id
+    // taken, matching the reference scan's "strictly greater replaces".
+    let mut queue = RankQueue::default();
+    queue.fill(system, &residual, |_| true);
 
     while n_uncovered > 0 {
-        let id = loop {
-            let mut top = heap
-                .peek_mut()
-                .expect("all elements coverable implies progress");
-            let fresh = residual[top.set_index()];
-            if fresh == 0 {
-                PeekMut::pop(top); // gains only shrink: never usable again
-                continue;
-            }
-            if fresh < top.gain {
-                top.gain = fresh; // drop re-sifts the refreshed entry
-                continue;
-            }
-            break SetId(PeekMut::pop(top).tie.1);
-        };
+        let id = queue
+            .pick(system, &residual, |_| true, |s| s)
+            .map(|s| SetId(s as u32))
+            .expect("all elements coverable implies progress");
         let news: Vec<ElementId> = system
             .set(id)
             .members()

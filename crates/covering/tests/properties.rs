@@ -157,14 +157,16 @@ fn equivalence_cases() -> u32 {
         .unwrap_or(64)
 }
 
-// ---- Lazy-greedy vs full-rescan reference equivalence ----
+// ---- Rank-bucket greedy vs full-rescan reference equivalence ----
 //
-// The fast solvers (CELF heap + carried tie class, see
-// `crates/covering/src/celf.rs`) must select the *identical* set
-// sequence as the verbatim pre-optimization scans kept in
-// `mcast_covering::reference` — not just equally good covers. These
-// properties pin that bit-for-bit claim on random systems, where
-// effectiveness ties and budget-exhaustion edge cases are common.
+// The fast solvers (rank buckets built once per system, see `RankQueue`
+// in `crates/covering/src/system.rs`, and SCG runs that carry their
+// residuals) must select the *identical* set sequence as the verbatim
+// full-rescan scans kept in `mcast_covering::reference` — not just
+// equally good covers. These properties pin that bit-for-bit claim on
+// random systems, where effectiveness ties across cost classes and
+// budget-exhaustion edge cases are common; `tests/ties.rs` names the
+// tie cases one by one.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(equivalence_cases()))]
@@ -244,6 +246,18 @@ proptest! {
         prop_assert_eq!(slow.runs(), 2 * candidates.len());
         prop_assert_eq!(fast.runs(), slow.runs() - pruned);
         prop_assert!(fast.mcg_calls() <= slow.mcg_calls());
+        // A run fails exactly when some element has no usable set: under
+        // the skip rule when B* is below `low`, under the no-skip rule
+        // when B* = 0 leaves no group under budget. The pruned sweep
+        // makes none of the first kind. Some run wins.
+        let zero = candidates.iter().filter(|&&b| b == 0).count();
+        let below_low = candidates.iter().filter(|&&b| b < low).count();
+        prop_assert_eq!(slow.failed_runs(), below_low + zero);
+        prop_assert_eq!(fast.failed_runs(), zero);
+        for sol in [&fast, &slow] {
+            prop_assert!(sol.failed_mcg_calls() >= sol.failed_runs());
+            prop_assert!(sol.failed_runs() + sol.lost_runs() < sol.runs());
+        }
         // The unpruned sweep over the lazy MCG agrees as well.
         let lazy = reference::solve_scg_with(&system, &candidates, greedy_mcg_opts).unwrap();
         prop_assert_eq!(lazy.cover(), slow.cover());

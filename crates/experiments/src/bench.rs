@@ -4,8 +4,8 @@
 //! on pinned workloads, and writes the results as JSON so the speedups are
 //! recorded across PRs instead of living in commit messages:
 //!
-//! * `BENCH_greedy.json` — lazy-greedy (CELF) vs full-rescan greedy for
-//!   MCG, `CostSC` and SCG (the `crates/covering` fast paths), and BLA's
+//! * `BENCH_greedy.json` — rank-bucket vs full-rescan greedy for MCG,
+//!   `CostSC` and SCG (the `crates/covering` fast paths), and BLA's
 //!   pruned half-quantum budget sweep vs the unpruned rational sweep;
 //! * `BENCH_topology.json` — spatial-grid vs all-pairs scenario
 //!   generation (the `crates/topology` fast path);
@@ -168,7 +168,7 @@ fn time_best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best_ms, out)
 }
 
-/// The covering-layer report: lazy-greedy vs full-rescan greedy on the
+/// The covering-layer report: rank-bucket vs full-rescan greedy on the
 /// production (half-quantum) reduction, and BLA's sweep.
 pub fn greedy_report(opts: &Options) -> BenchReport {
     let (n_aps, n_users) = if opts.quick { (40, 150) } else { (200, 1000) };
@@ -250,7 +250,9 @@ pub fn greedy_report(opts: &Options) -> BenchReport {
 /// against the same pipeline on exact rationals with every `(B*, rule)`
 /// run made. The timed fast side is checked against `solve_bla` itself,
 /// so its counters and timing come from the run that ships. Counters:
-/// each side's runs and MCG calls.
+/// each side's runs and MCG calls, and the fates of its runs: how many
+/// failed, how many lost to an earlier run, and the MCG calls the failed
+/// ones spent.
 fn bla_entry(inst: &Instance, n_aps: usize, n_users: usize) -> BenchEntry {
     let row = RowRss::start();
     let (ref_ms, (ref_sol, ref_scg)) = time_once(|| {
@@ -272,15 +274,28 @@ fn bla_entry(inst: &Instance, n_aps: usize, n_users: usize) -> BenchEntry {
         same_plan(&fast_sol, &ref_sol) && same_plan(&fast_sol, &production),
         &row,
     );
-    for (name, count) in [
-        ("fast_runs", fast_scg.runs()),
-        ("fast_mcg_calls", fast_scg.mcg_calls()),
-        ("reference_runs", ref_scg.runs()),
-        ("reference_mcg_calls", ref_scg.mcg_calls()),
+    for (side, counts) in [
+        ("fast", sweep_counts(&fast_scg)),
+        ("reference", sweep_counts(&ref_scg)),
     ] {
-        entry.counters.insert(name.to_string(), count as u64);
+        for (name, count) in counts {
+            entry
+                .counters
+                .insert(format!("{side}_{name}"), count as u64);
+        }
     }
     entry
+}
+
+/// An SCG sweep's counters, by name.
+fn sweep_counts<C: mcast_covering::Cost>(scg: &ScgSolution<C>) -> [(&'static str, usize); 5] {
+    [
+        ("runs", scg.runs()),
+        ("mcg_calls", scg.mcg_calls()),
+        ("failed_runs", scg.failed_runs()),
+        ("lost_runs", scg.lost_runs()),
+        ("failed_mcg_calls", scg.failed_mcg_calls()),
+    ]
 }
 
 /// `solve_bla`'s steps on `red` with the given sweep, keeping the
@@ -1073,6 +1088,12 @@ mod tests {
             .iter()
             .all(|k| g.benches.contains_key(*k)));
         assert!(g.benches.values().all(|b| b.outputs_identical));
+        let bla = &g.benches["bla"].counters;
+        for side in ["fast", "reference"] {
+            let count = |name: &str| bla[&format!("{side}_{name}")];
+            assert!(count("failed_runs") + count("lost_runs") < count("runs"));
+            assert!(count("failed_mcg_calls") <= count("mcg_calls"));
+        }
         let t = topology_report(&opts);
         assert!(t.benches.contains_key("scenario_gen"));
         assert!(t.benches.values().all(|b| b.outputs_identical));

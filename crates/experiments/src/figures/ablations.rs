@@ -189,9 +189,10 @@ fn popularity(opts: &Options, runner: &Runner) -> Figure {
 
 /// Greedy (`ln n + 1`) vs primal–dual layering (`f`) MLA — the §6.1
 /// remark. Over 40 seeds the two cross over: the primal–dual variant
-/// (with reverse delete) edges out the greedy up to ~200 users and falls
-/// ~5% behind at 400, while always carrying a certified dual lower
-/// bound — worth more than the paper's "can also be used" suggests.
+/// (with reverse delete) edges out the greedy at 100 users, is within 1%
+/// at 200 and falls ~5% behind at 400, while always carrying a certified
+/// dual lower bound — worth more than the paper's "can also be used"
+/// suggests.
 fn mla_algorithms(opts: &Options, runner: &Runner) -> Figure {
     let xs = if opts.quick {
         vec![100.0, 300.0]
