@@ -40,7 +40,7 @@ use crate::rate::Kbps;
 /// assert_eq!(assoc.ap_load(ApId(0), &inst), Load::from_ratio(1, 3));
 /// assert_eq!(assoc.satisfied_count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Association {
     /// `NO_AP` = unsatisfied, anything else = the AP's index.
     by_user: Vec<u32>,
@@ -466,9 +466,14 @@ impl<'a> LoadLedger<'a> {
     /// User `u`'s session, (AP, session) slot on `a`, and the index of its
     /// multicast rate to `a` — `None` if `u` is out of `a`'s range.
     fn member(&self, u: UserId, a: ApId) -> Option<(SessionId, usize, usize)> {
-        let s = self.inst.user_session(u);
-        let k = self.rate_idx(self.inst.multicast_rate_to(a, u)?);
-        Some((s, self.slot(a, s), k))
+        Some(self.member_over(self.inst.user_session(u), a, self.inst.link_rate(a, u)?))
+    }
+
+    /// [`member`](LoadLedger::member) for a user of session `s` whose link
+    /// to `a` runs at `link`, under the instance's rate policy.
+    fn member_over(&self, s: SessionId, a: ApId, link: Kbps) -> (SessionId, usize, usize) {
+        let k = self.rate_idx(self.inst.multicast_rate_over(link));
+        (s, self.slot(a, s), k)
     }
 
     /// The load AP `a` currently carries.
@@ -526,6 +531,13 @@ impl<'a> LoadLedger<'a> {
     /// [`load_if_joined`](LoadLedger::load_if_joined) in quanta.
     pub fn quanta_if_joined(&self, u: UserId, a: ApId) -> Option<u64> {
         Some(self.joined_quanta(a, self.member(u, a)?))
+    }
+
+    /// [`quanta_if_joined`](LoadLedger::quanta_if_joined) for a user of
+    /// session `s` whose link to `a` runs at `link`: the rate already read
+    /// from the user's row, so no search of it.
+    pub(crate) fn quanta_if_joined_over(&self, s: SessionId, a: ApId, link: Kbps) -> u64 {
+        self.joined_quanta(a, self.member_over(s, a, link))
     }
 
     /// AP `a`'s quanta once a new member `(s, slot, k)` joins.

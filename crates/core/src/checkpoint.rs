@@ -8,7 +8,7 @@
 //! makes it history-independent), and the "RNG stream position" is the
 //! run's [`DecisionOrder`](crate::DecisionOrder) seed, which lives in the
 //! config and is re-expanded on resume. A resume therefore rebuilds the
-//! ledger from the checkpointed association with an all-dirty worklist,
+//! ledger from the checkpointed association with every user stale,
 //! which is outcome- and trace-neutral (a user whose neighborhood did not
 //! change re-decides "stay").
 //!

@@ -24,7 +24,7 @@
 //!
 //! In a Simultaneous round every user decides against the same
 //! round-start state, and nothing changes the ledger until every decision
-//! is in. [`run_distributed_parallel`] therefore splits a round's dirty
+//! is in. [`run_distributed_parallel`] therefore splits a round's stale
 //! users into fixed-size blocks and lets `workers` scoped threads decide
 //! them against the shared ledger, each with its own [`DecisionScratch`].
 //! The moves are applied in ascending block order, which is ascending
@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use crate::assoc::{Association, LoadLedger};
 use crate::checkpoint::{CheckpointSink, RunCheckpoint, CHECKPOINT_SCHEMA};
 use crate::ids::{ApId, UserId};
-use crate::instance::{Instance, SignalStrength};
+use crate::instance::{known_signal, Instance, SignalStrength};
 use crate::load::Load;
 use crate::supervise::{splitmix64, ChaosPlan, RecoveryReport, SuperviseOptions};
 
@@ -274,20 +274,32 @@ pub trait ApStateView {
     /// The current AP's load in quanta if `u` left it (`None` if
     /// unassociated).
     fn quanta_if_left(&self, u: UserId) -> Option<u64>;
+    /// Clears `out` and fills it with one [`Candidate`] per AP of
+    /// [`reachable_aps_into`](ApStateView::reachable_aps_into), in the
+    /// same order: the AP, [`quanta_if_joined`](ApStateView::quanta_if_joined)
+    /// and [`Instance::signal`]. The default collects the APs into
+    /// `reachable` first and then asks for each one; a view that can read
+    /// every candidate's link in one pass should override it.
+    fn candidates_into(&self, u: UserId, reachable: &mut Vec<ApId>, out: &mut Vec<Candidate>) {
+        self.reachable_aps_into(u, reachable);
+        let inst = self.instance();
+        out.clear();
+        out.extend(
+            reachable
+                .iter()
+                .map(|&a| (a, self.quanta_if_joined(u, a), inst.signal(a, u))),
+        );
+    }
 }
+
+/// One candidate AP as a deciding user sees it: the AP, its load in quanta
+/// if the user joined (`None` when the view rules the AP out), and the
+/// link's signal (`None` when the instance does not know it).
+pub type Candidate = (ApId, Option<u64>, Option<SignalStrength>);
 
 impl ApStateView for LoadLedger<'_> {
     fn instance(&self) -> &Instance {
         LoadLedger::instance(self)
-    }
-    fn reachable_aps_into(&self, u: UserId, out: &mut Vec<ApId>) {
-        out.clear();
-        out.extend(
-            LoadLedger::instance(self)
-                .candidate_aps(u)
-                .iter()
-                .map(|&(a, _)| a),
-        );
     }
     fn ap_of(&self, u: UserId) -> Option<ApId> {
         LoadLedger::ap_of(self, u)
@@ -300,6 +312,21 @@ impl ApStateView for LoadLedger<'_> {
     }
     fn quanta_if_left(&self, u: UserId) -> Option<u64> {
         LoadLedger::quanta_if_left(self, u)
+    }
+    /// One walk over `u`'s row, reading each link's rate and signal at
+    /// its position: no per-candidate search of the row.
+    fn candidates_into(&self, u: UserId, _: &mut Vec<ApId>, out: &mut Vec<Candidate>) {
+        let inst = LoadLedger::instance(self);
+        let s = inst.user_session(u);
+        let (links, signals) = inst.candidate_row(u);
+        out.clear();
+        out.extend(links.iter().zip(signals).map(|(&(a, link), &sig)| {
+            (
+                a,
+                Some(self.quanta_if_joined_over(s, a, link)),
+                known_signal(sig),
+            )
+        }));
     }
 }
 
@@ -342,8 +369,11 @@ pub fn local_decision_with<V: ApStateView>(
 /// to the largest neighborhood seen and stay there.
 #[derive(Debug, Clone, Default)]
 pub struct DecisionScratch {
-    /// APs the view has load data for (`reachable_aps_into` target).
+    /// APs the view has load data for (the default
+    /// [`candidates_into`](ApStateView::candidates_into)'s buffer).
     reachable: Vec<ApId>,
+    /// The user's candidates (`candidates_into` target).
+    candidates: Vec<Candidate>,
     /// Sorted non-increasing loads (quanta) of `reachable` under "stay".
     baseline: Vec<u64>,
     /// The winning candidate's vector (materialized once per decision).
@@ -388,22 +418,23 @@ pub fn local_decision_scratch<V: ApStateView>(
 
     let DecisionScratch {
         reachable,
+        candidates,
         baseline,
         cand,
     } = scratch;
-    ledger.reachable_aps_into(u, reachable);
+    ledger.candidates_into(u, reachable, candidates);
 
     // Feasible candidates (excluding the current AP — staying is the
     // baseline, not a move), drawn from the APs the view has data for.
-    let feasible = |a: ApId| -> Option<u64> {
+    let feasible = |&(a, joined, signal): &Candidate| {
         if Some(a) == current {
             return None;
         }
-        let joined = ledger.quanta_if_joined(u, a)?;
+        let joined = joined?;
         if respect_budget && joined > inst.budget_quanta(a) {
             return None;
         }
-        Some(joined)
+        Some((a, joined, signal.expect("candidate implies link")))
     };
 
     match policy {
@@ -419,14 +450,13 @@ pub fn local_decision_scratch<V: ApStateView>(
                     .wrapping_sub(ledger.ap_quanta(cur)),
                 None => 0,
             };
-            let best = reachable
+            let best = candidates
                 .iter()
-                .filter_map(|&a| Some((a, feasible(a)?)))
-                .map(|(a, joined)| {
+                .filter_map(feasible)
+                .map(|(a, joined, signal)| {
                     let delta = joined
                         .wrapping_sub(ledger.ap_quanta(a))
                         .wrapping_add(leave_delta) as i64;
-                    let signal = inst.signal(a, u).expect("candidate implies link");
                     (delta, std::cmp::Reverse(signal), a)
                 })
                 .min();
@@ -450,14 +480,14 @@ pub fn local_decision_scratch<V: ApStateView>(
             // single-replacement difference multisets (see the function
             // doc), and only the winner's vector is ever materialized.
             baseline.clear();
-            baseline.extend(reachable.iter().map(|&b| ledger.ap_quanta(b)));
+            baseline.extend(candidates.iter().map(|&(b, _, _)| ledger.ap_quanta(b)));
             baseline.sort_unstable_by(|x, y| y.cmp(x));
 
             // The leave-side perturbation is shared by every candidate —
             // but only applies if the view actually lists the current AP
             // (a message-level view may have lost contact with it).
             let leave = match current {
-                Some(cur) if reachable.contains(&cur) => {
+                Some(cur) if candidates.iter().any(|&(a, _, _)| a == cur) => {
                     let left = ledger.quanta_if_left(u).expect("associated");
                     Some((ledger.ap_quanta(cur), left))
                 }
@@ -469,11 +499,8 @@ pub fn local_decision_scratch<V: ApStateView>(
             // elements, but full keys never tie (ApId is distinct), so
             // replacing only on strictly-smaller is equivalent.
             let mut best: Option<(u64, u64, SignalStrength, ApId)> = None;
-            for &a in reachable.iter() {
-                let Some(joined) = feasible(a) else { continue };
+            for (a, y, signal) in candidates.iter().filter_map(feasible) {
                 let x = ledger.ap_quanta(a);
-                let y = joined;
-                let signal = inst.signal(a, u).expect("candidate implies link");
                 let better = match best {
                     None => true,
                     Some((bx, by, bsig, ba)) => match replacement_cmp(y, bx, by, x) {
@@ -590,17 +617,25 @@ fn vector_improves(stay: &[u64], candidate: &[u64], hysteresis: i64) -> bool {
 ///
 /// Decision-sequence-identical to the straightforward sweep
 /// ([`run_distributed_reference`](crate::reference::run_distributed_reference))
-/// but with three accelerations: the visiting order is computed once per
-/// run instead of per round; decisions share one [`DecisionScratch`]; and
-/// a dirty-user worklist skips users whose neighborhood state cannot have
-/// changed since their last (stay) decision. A user's decision depends
-/// only on its own association and the member multisets of the APs it can
-/// reach, so after a move `from → to` exactly the users in
-/// `reachable_users(from) ∪ reachable_users(to)` can decide differently —
-/// everyone else would repeat their previous "stay". Near convergence a
-/// round therefore costs O(moves × neighborhood), not O(n). A
-/// Simultaneous round decides against the live ledger — nothing mutates
-/// it until every decision is in — so no per-round snapshot is copied.
+/// but with four accelerations:
+///
+/// * the visiting order is computed once per run instead of per round;
+/// * decisions share one [`DecisionScratch`], and the ledger lists a
+///   user's candidates in one walk over its row, reading each link's rate
+///   and signal by position ([`ApStateView::candidates_into`]);
+/// * move stamps skip users whose neighborhood cannot have changed since
+///   their last (stay) decision. A user's decision depends only on its own
+///   association and the member multisets of the APs it can reach, so
+///   after a move `from → to` exactly the users in
+///   `reachable_users(from) ∪ reachable_users(to)` can decide differently.
+///   Each AP keeps the move count of the last move it was an endpoint of
+///   and each user the count when it last decided; a user is stale when
+///   one of its candidate APs was touched after that. A move costs O(1)
+///   and a visited user O(k) for its k candidate APs, so a round costs
+///   O(n · k) stale checks plus the stale users' decisions;
+/// * a Simultaneous round decides against the live ledger — nothing
+///   mutates it until every decision is in — so no per-round snapshot is
+///   copied.
 pub fn run_distributed(
     inst: &Instance,
     config: &DistributedConfig,
@@ -671,7 +706,7 @@ pub fn run_distributed_parallel(
 }
 
 /// Resumes a run from a checkpoint: the ledger is rebuilt from the
-/// checkpointed association with an all-dirty worklist (outcome- and
+/// checkpointed association with every user stale (outcome- and
 /// trace-neutral), and the finished run's outcome and trace are identical
 /// to the uninterrupted run's. The trace is continued iff the
 /// checkpointed run collected one (`cp.traced`).
@@ -697,7 +732,7 @@ pub fn resume_distributed_parallel(
         association: cp.association(),
         round: cp.round as usize + 1,
         moves: cp.moves as usize,
-        history: cp.seen.clone(),
+        history: cp.seen.iter().cloned().map(Association::from_vec).collect(),
         trace,
     };
     Ok(continue_distributed(inst, config, start, workers, opts))
@@ -710,13 +745,13 @@ struct RunStart {
     association: Association,
     round: usize,
     moves: usize,
-    history: Vec<Vec<Option<ApId>>>,
+    history: Vec<Association>,
     trace: Option<Vec<MoveRec>>,
 }
 
 impl RunStart {
     fn fresh(association: Association, traced: bool) -> RunStart {
-        let history = vec![association.to_vec()];
+        let history = vec![association.clone()];
         RunStart {
             association,
             round: 1,
@@ -732,16 +767,72 @@ impl RunStart {
 /// spread over every worker.
 const BLOCK: usize = if cfg!(test) { 2 } else { 512 };
 
-/// Rounds with fewer dirty users than this decide on the calling thread:
-/// spawning workers would cost more than it saves.
+/// Rounds with fewer deciding users than this decide on the calling
+/// thread: spawning workers would cost more than it saves.
 const INLINE_BELOW: usize = 2 * BLOCK;
+
+/// Which users must decide again, kept as move stamps.
+///
+/// `clock` counts applied moves from 1; `touched[a]` is the clock of the
+/// last move with `a` as an endpoint, and `decided[u]` the clock when `u`
+/// last decided (0: never). A user's decision depends only on its own
+/// association and the member multisets of the APs it can reach, so it
+/// can change exactly when a move touched one of `candidate_aps(u)` after
+/// `u` decided. `reachable_users` is the transpose of `candidate_aps`, so
+/// these are the users in `reachable_users(from) ∪ reachable_users(to)`
+/// of some later move `from → to` — found in O(k) per visited user
+/// instead of marked in O(reach) per move. Membership changes matter even
+/// when an AP's load does not move (a join above the current minimum rate
+/// leaves `ap_quanta` unchanged but changes co-members' `quanta_if_left`),
+/// so invalidation keys on the move itself, not on load deltas; a mover
+/// stamps its own endpoints and so decides again too.
+struct MoveStamps {
+    clock: u64,
+    touched: Vec<u64>,
+    decided: Vec<u64>,
+}
+
+impl MoveStamps {
+    /// Every user stale: none has decided yet.
+    fn new(inst: &Instance) -> MoveStamps {
+        MoveStamps {
+            clock: 1,
+            touched: vec![0; inst.n_aps()],
+            decided: vec![0; inst.n_users()],
+        }
+    }
+
+    /// True, and `u` stamped as deciding now, if `u` has never decided or
+    /// a move touched one of its candidate APs since it last did.
+    fn take_stale(&mut self, inst: &Instance, u: UserId) -> bool {
+        let d = self.decided[u.index()];
+        let stale = d == 0
+            || inst
+                .candidate_aps(u)
+                .iter()
+                .any(|&(a, _)| self.touched[a.index()] > d);
+        if stale {
+            self.decided[u.index()] = self.clock;
+        }
+        stale
+    }
+
+    /// Records a move `from → to`.
+    fn moved(&mut self, from: Option<ApId>, to: ApId) {
+        self.clock += 1;
+        self.touched[to.index()] = self.clock;
+        if let Some(f) = from {
+            self.touched[f.index()] = self.clock;
+        }
+    }
+}
 
 /// The one engine behind every entry point: runs rounds
 /// `start.round..=max_rounds` until convergence, cycle detection, or the
 /// round cap. With a fresh [`RunStart`] this is exactly an uninterrupted
-/// run; resume enters here mid-run. Starting all-dirty is outcome- and
-/// trace-neutral: a user whose neighborhood did not change since its last
-/// decision re-decides "stay" and emits no move.
+/// run; resume enters here mid-run. Starting with every user stale is
+/// outcome- and trace-neutral: a user whose neighborhood did not change
+/// since its last decision re-decides "stay" and emits no move.
 fn continue_distributed(
     inst: &Instance,
     config: &DistributedConfig,
@@ -767,10 +858,7 @@ fn continue_distributed(
     let order = config.order.order(inst.n_users());
     let hysteresis = inst.floor_quanta(config.hysteresis);
     let mut scratch = DecisionScratch::default();
-    // Every user must decide at least once; afterwards only moves make
-    // users dirty again. A mover re-dirties itself (it reaches both
-    // endpoints), so oscillations are still observed.
-    let mut dirty = vec![true; inst.n_users()];
+    let mut stamps = MoveStamps::new(inst);
     let mut deciding: Vec<UserId> = Vec::new();
 
     let mut end = (config.max_rounds, false, false);
@@ -779,7 +867,7 @@ fn continue_distributed(
         match config.mode {
             ExecutionMode::Serial => {
                 for (pos, &u) in order.iter().enumerate() {
-                    if !std::mem::replace(&mut dirty[u.index()], false) {
+                    if !stamps.take_stale(inst, u) {
                         continue;
                     }
                     if let Some(a) = local_decision_scratch(
@@ -794,7 +882,7 @@ fn continue_distributed(
                         ledger.reassociate(u, a);
                         moves += 1;
                         changed = true;
-                        mark_dirty(inst, &mut dirty, from, a);
+                        stamps.moved(from, a);
                         if let Some(t) = trace.as_mut() {
                             t.push(MoveRec {
                                 round: round as u32,
@@ -809,10 +897,7 @@ fn continue_distributed(
             }
             ExecutionMode::Simultaneous => {
                 deciding.clear();
-                deciding.extend(
-                    inst.users()
-                        .filter(|u| std::mem::replace(&mut dirty[u.index()], false)),
-                );
+                deciding.extend(inst.users().filter(|&u| stamps.take_stale(inst, u)));
                 let decisions = decide_simultaneous(&deciding, workers, &mut scratch, |u, s| {
                     local_decision_scratch(
                         &ledger,
@@ -828,7 +913,7 @@ fn continue_distributed(
                     ledger.reassociate(u, a);
                     moves += 1;
                     changed = true;
-                    mark_dirty(inst, &mut dirty, from, a);
+                    stamps.moved(from, a);
                     if let Some(t) = trace.as_mut() {
                         t.push(MoveRec {
                             round: round as u32,
@@ -846,13 +931,13 @@ fn continue_distributed(
             end = (round, true, false);
             break;
         }
-        if !seen.insert(ledger.association().to_vec()) {
+        if !seen.insert(ledger.association().clone()) {
             // State repeats: a live oscillation.
             end = (round, false, true);
             break;
         }
         if let Some((k, sink)) = checkpoint {
-            history.push(ledger.association().to_vec());
+            history.push(ledger.association().clone());
             if round % k == 0 {
                 write_checkpoint(
                     sink,
@@ -861,7 +946,7 @@ fn continue_distributed(
                         round: round as u32,
                         moves: moves as u64,
                         assoc: ledger.association().to_vec(),
-                        seen: history.clone(),
+                        seen: history.iter().map(Association::to_vec).collect(),
                         trace: trace.clone().unwrap_or_default(),
                         traced: trace.is_some(),
                     },
@@ -966,23 +1051,6 @@ where
     done.into_iter().flat_map(|(_, decided)| decided).collect()
 }
 
-/// Marks every user whose local view a move `from → to` could have
-/// changed: those within range of either endpoint. Membership changes
-/// matter even when the AP's transmit load does not move (a join at a
-/// rate above the current minimum leaves `ap_load` unchanged but changes
-/// co-members' `load_if_left`), so invalidation keys on the move itself,
-/// not on observed load deltas.
-fn mark_dirty(inst: &Instance, dirty: &mut [bool], from: Option<ApId>, to: ApId) {
-    for &v in inst.reachable_users(to) {
-        dirty[v.index()] = true;
-    }
-    if let Some(f) = from {
-        for &v in inst.reachable_users(f) {
-            dirty[v.index()] = true;
-        }
-    }
-}
-
 /// Convenience: distributed MNU/MLA from an empty association
 /// (users join one by one, as in the paper's walk-throughs).
 pub fn run_min_total(inst: &Instance) -> DistributedOutcome {
@@ -1009,7 +1077,8 @@ pub fn run_min_max_vector(inst: &Instance) -> DistributedOutcome {
 mod tests {
     use super::*;
     use crate::examples_paper::{a, figure1_instance, figure4_instance, figure4_start, u};
-    use crate::rate::Kbps;
+    use crate::instance::NO_SIGNAL;
+    use crate::rate::{Kbps, RatePolicy};
 
     /// Paper §4.2 "Example – Distributed MNU" (3 Mbps): u1→a1, u2 blocked,
     /// u3→a1, u4→a2, u5→a2 — 4 of 5 users served.
@@ -1225,6 +1294,100 @@ mod tests {
         assert!(out.converged);
         assert!(out.association.max_load(&inst) <= before);
         assert_eq!(out.association.satisfied_count(), 5);
+    }
+
+    // ---- The ledger's positional candidate scan against the default ----
+
+    /// Forwards every query to a ledger but keeps the trait's default
+    /// [`ApStateView::candidates_into`].
+    struct DefaultScan<'l, 'a>(&'l LoadLedger<'a>);
+
+    impl ApStateView for DefaultScan<'_, '_> {
+        fn instance(&self) -> &Instance {
+            self.0.instance()
+        }
+        fn ap_of(&self, u: UserId) -> Option<ApId> {
+            self.0.ap_of(u)
+        }
+        fn ap_quanta(&self, a: ApId) -> u64 {
+            self.0.ap_quanta(a)
+        }
+        fn quanta_if_joined(&self, u: UserId, a: ApId) -> Option<u64> {
+            self.0.quanta_if_joined(u, a)
+        }
+        fn quanta_if_left(&self, u: UserId) -> Option<u64> {
+            self.0.quanta_if_left(u)
+        }
+    }
+
+    /// 40 APs, 400 users on 3 sessions, each user linked to 1–6 APs at
+    /// random rates; every 13th link has no signal.
+    fn scan_fixture(policy: RatePolicy) -> Instance {
+        let rates = [6, 12, 24, 36, 54];
+        let mut state = 0x5eed_u64;
+        let mut draw = |n: u64| (splitmix64(&mut state) % n) as usize;
+        let mut b = InstanceBuilder::new();
+        b.supported_rates(rates.iter().map(|&m| Kbps::from_mbps(m)))
+            .rate_policy(policy);
+        let sessions: Vec<_> = [1, 2, 3]
+            .iter()
+            .map(|&m| b.add_session(Kbps::from_mbps(m)))
+            .collect();
+        let aps: Vec<_> = (0..40).map(|_| b.add_ap(Load::from(2u32))).collect();
+        let mut links = 0;
+        for _ in 0..400 {
+            let u = b.add_user(sessions[draw(3)]);
+            for _ in 0..=draw(6) {
+                let (a, rate) = (aps[draw(40)], Kbps::from_mbps(rates[draw(5)]));
+                let signal = if links % 13 == 0 {
+                    SignalStrength(NO_SIGNAL)
+                } else {
+                    SignalStrength(draw(1_000) as i64 - 500)
+                };
+                b.link_with_signal(a, u, rate, signal).unwrap();
+                links += 1;
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// On a ledger with a fifth of the users joined (so both empty and
+    /// occupied (AP, session) slots are probed), the one-walk candidate scan
+    /// lists exactly what the trait default assembles from
+    /// `reachable_aps_into`, `quanta_if_joined` and `Instance::signal`,
+    /// under both rate policies.
+    #[test]
+    fn ledger_scan_matches_default_scan() {
+        for policy in [RatePolicy::MultiRate, RatePolicy::BasicOnly] {
+            let inst = scan_fixture(policy);
+            let mut ledger = LoadLedger::fresh(&inst);
+            for u in inst.users().filter(|u| u.0 % 5 == 0) {
+                let row = inst.candidate_aps(u);
+                ledger.join(u, row[u.index() % row.len()].0);
+            }
+            let (mut reachable, mut fast, mut slow) = (Vec::new(), Vec::new(), Vec::new());
+            for u in inst.users() {
+                ledger.candidates_into(u, &mut reachable, &mut fast);
+                DefaultScan(&ledger).candidates_into(u, &mut reachable, &mut slow);
+                assert_eq!(fast, slow, "{policy:?} {u}");
+            }
+        }
+    }
+
+    /// A feasible candidate whose link has no signal is a broken instance,
+    /// and the decision rule says so.
+    #[test]
+    #[should_panic(expected = "candidate implies link")]
+    fn missing_signal_panics() {
+        let mut b = InstanceBuilder::new();
+        b.supported_rates([Kbps::from_mbps(6)]);
+        let s = b.add_session(Kbps::from_mbps(1));
+        let ap = b.add_ap(Load::from(1u32));
+        let user = b.add_user(s);
+        b.link_with_signal(ap, user, Kbps::from_mbps(6), SignalStrength(NO_SIGNAL))
+            .unwrap();
+        let inst = b.build().unwrap();
+        local_decision(&LoadLedger::fresh(&inst), user, Policy::MinTotalLoad, true);
     }
 
     // ---- The parallel engine against the single-threaded oracle ----

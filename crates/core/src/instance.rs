@@ -29,6 +29,11 @@ pub struct SignalStrength(pub i64);
 /// millimeter distances and hand-built instances default to the link rate.
 pub const NO_SIGNAL: i64 = i64::MIN;
 
+/// A raw signal-arena entry as a signal, `None` for [`NO_SIGNAL`].
+pub(crate) fn known_signal(raw: i64) -> Option<SignalStrength> {
+    (raw != NO_SIGNAL).then_some(SignalStrength(raw))
+}
+
 /// A multicast session (stream) offered by the WLAN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SessionSpec {
@@ -768,10 +773,7 @@ impl Instance {
         self.user_adj[lo..hi]
             .binary_search_by_key(&a, |&(ap, _)| ap)
             .ok()
-            .and_then(|i| {
-                let s = self.user_sig[lo + i];
-                (s != NO_SIGNAL).then_some(SignalStrength(s))
-            })
+            .and_then(|i| known_signal(self.user_sig[lo + i]))
     }
 
     /// The APs user `u` can hear, with link rates (ascending `ApId`).
@@ -782,6 +784,14 @@ impl Instance {
     pub fn candidate_aps(&self, u: UserId) -> &[(ApId, Kbps)] {
         let (lo, hi) = self.user_row(u);
         &self.user_adj[lo..hi]
+    }
+
+    /// User `u`'s whole row: [`candidate_aps`](Instance::candidate_aps)
+    /// and, position by position, the raw signal arena ([`NO_SIGNAL`]
+    /// where unknown; read it through [`known_signal`]).
+    pub(crate) fn candidate_row(&self, u: UserId) -> (&[(ApId, Kbps)], &[i64]) {
+        let (lo, hi) = self.user_row(u);
+        (&self.user_adj[lo..hi], &self.user_sig[lo..hi])
     }
 
     /// The users AP `a` can reach (ascending `UserId`).
@@ -822,11 +832,17 @@ impl Instance {
     /// `u` under the configured policy: the link rate for multi-rate, the
     /// basic rate for basic-only. `None` if `u` is out of `a`'s range.
     pub fn multicast_rate_to(&self, a: ApId, u: UserId) -> Option<Kbps> {
-        let link = self.link_rate(a, u)?;
-        Some(match self.rate_policy {
+        self.link_rate(a, u)
+            .map(|link| self.multicast_rate_over(link))
+    }
+
+    /// The multicast rate a member whose link runs at `link` needs under
+    /// the configured policy (see [`multicast_rate_to`](Instance::multicast_rate_to)).
+    pub(crate) fn multicast_rate_over(&self, link: Kbps) -> Kbps {
+        match self.rate_policy {
             RatePolicy::MultiRate => link,
             RatePolicy::BasicOnly => self.basic_rate(),
-        })
+        }
     }
 
     /// Users requesting session `s` (ascending id).

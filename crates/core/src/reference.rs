@@ -17,8 +17,8 @@
 //!   applies each candidate as a two-position perturbation.
 //! * [`run_distributed_reference`] — the original convergence loop, which
 //!   re-evaluates every user every round and rebuilds the decision order
-//!   per round. The fast loop computes the order once and keeps a
-//!   dirty-user worklist.
+//!   per round. The fast loop computes the order once and skips users no
+//!   move has touched since they last decided (move stamps).
 //!
 //! `repro bench` times the fast paths against these and asserts the
 //! outputs are identical; the equivalence proptests in
@@ -319,7 +319,7 @@ fn vector_improves(stay: &[Load], candidate: &[Load], hysteresis: Load) -> bool 
 ///
 /// Semantically identical to
 /// [`run_distributed`](crate::run_distributed); kept as the equivalence
-/// oracle for the dirty-worklist fast path.
+/// oracle for the move-stamp fast path.
 ///
 /// # Panics
 ///

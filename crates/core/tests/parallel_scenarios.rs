@@ -29,7 +29,7 @@ fn outcomes_match(par: &DistributedOutcome, single: &DistributedOutcome, ctx: &s
 }
 
 /// 100 APs and 2,500 users at the paper's AP density (~6,000 m² per AP):
-/// round 1 has every user dirty, so it decides five blocks.
+/// round 1 has every user stale, so it decides five blocks.
 fn scenario() -> Instance {
     ScenarioConfig {
         n_aps: 100,

@@ -9,7 +9,7 @@ use mcast_core::{
     local_decision_reference, local_decision_with, run_distributed, run_distributed_reference,
     solve_bla, solve_bla_with, solve_mla, solve_mla_with, solve_mnu, solve_ssa, ApId, Association,
     BlaConfig, DecisionOrder, DistributedConfig, ExecutionMode, Instance, InstanceBuilder, Kbps,
-    Load, LoadLedger, MlaAlgorithm, Objective, Policy, ReferenceLedger, UserId,
+    Load, LoadLedger, MlaAlgorithm, Objective, Policy, RatePolicy, ReferenceLedger, UserId,
 };
 use mcast_covering::{greedy_mcg, greedy_set_cover, primal_dual_set_cover, GroupId};
 
@@ -56,6 +56,42 @@ fn coverable_instance() -> impl Strategy<Value = Instance> {
                 b.build().unwrap()
             })
     })
+}
+
+/// `inst` with its multicast rate policy replaced.
+fn with_rate_policy(inst: &Instance, policy: RatePolicy) -> Instance {
+    let (sessions, users, budgets, off, adj, sig, rates, _) = inst.csr_parts();
+    Instance::from_csr(
+        sessions.to_vec(),
+        users.to_vec(),
+        budgets.to_vec(),
+        off.to_vec(),
+        adj.to_vec(),
+        sig.to_vec(),
+        rates.to_vec(),
+        policy,
+    )
+    .expect("the parts came from a valid instance")
+}
+
+/// Every user on its first candidate AP, so that a run's moves leave an
+/// AP (`from = Some(_)`) from the first round on.
+fn first_candidates(inst: &Instance) -> Association {
+    Association::from_vec(
+        inst.users()
+            .map(|u| inst.candidate_aps(u).first().map(|&(a, _)| a))
+            .collect(),
+    )
+}
+
+/// Cases per property: `PROPTEST_CASES` when set (CI's longer runs),
+/// else 96. An explicit `with_cases` would otherwise override the
+/// variable.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(96)
 }
 
 fn load_strategy() -> impl Strategy<Value = Load> {
@@ -176,7 +212,7 @@ fn decisions_match_reference(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     // ---- Load arithmetic laws ----
 
@@ -375,30 +411,34 @@ proptest! {
     /// and cycle flags — both modes, both policies, shuffled orders.
     #[test]
     fn fast_run_matches_reference_run(
-        inst in coverable_instance(),
+        multi_rate in coverable_instance(),
         seed in 0u64..4,
     ) {
-        for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
-            for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
-                let config = DistributedConfig {
-                    policy,
-                    mode,
-                    max_rounds: 40,
-                    order: if seed == 0 {
-                        DecisionOrder::ById
-                    } else {
-                        DecisionOrder::Shuffled(seed)
-                    },
-                    ..DistributedConfig::default()
-                };
-                let fast = run_distributed(&inst, &config, Association::empty(inst.n_users()));
-                let reference =
-                    run_distributed_reference(&inst, &config, Association::empty(inst.n_users()));
-                prop_assert_eq!(&fast.association, &reference.association);
-                prop_assert_eq!(fast.rounds, reference.rounds);
-                prop_assert_eq!(fast.moves, reference.moves);
-                prop_assert_eq!(fast.converged, reference.converged);
-                prop_assert_eq!(fast.cycle_detected, reference.cycle_detected);
+        let basic_only = with_rate_policy(&multi_rate, RatePolicy::BasicOnly);
+        for inst in [&multi_rate, &basic_only] {
+            for start in [Association::empty(inst.n_users()), first_candidates(inst)] {
+                for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
+                    for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
+                        let config = DistributedConfig {
+                            policy,
+                            mode,
+                            max_rounds: 40,
+                            order: if seed == 0 {
+                                DecisionOrder::ById
+                            } else {
+                                DecisionOrder::Shuffled(seed)
+                            },
+                            ..DistributedConfig::default()
+                        };
+                        let fast = run_distributed(inst, &config, start.clone());
+                        let reference = run_distributed_reference(inst, &config, start.clone());
+                        prop_assert_eq!(&fast.association, &reference.association);
+                        prop_assert_eq!(fast.rounds, reference.rounds);
+                        prop_assert_eq!(fast.moves, reference.moves);
+                        prop_assert_eq!(fast.converged, reference.converged);
+                        prop_assert_eq!(fast.cycle_detected, reference.cycle_detected);
+                    }
+                }
             }
         }
     }
