@@ -243,27 +243,16 @@ pub(crate) fn check_in_range(
 pub trait ApStateView {
     /// The instance being played.
     fn instance(&self) -> &Instance;
-    /// The neighboring APs the view actually has load information for.
-    /// Decision rules only consider these. The default — every candidate
-    /// AP of the instance — fits an omniscient ledger; a message-level
-    /// view restricts it to the APs that answered its queries, because
-    /// under failure injection a silent AP may be crashed or out of
-    /// range and its load is simply unknown.
-    fn reachable_aps(&self, u: UserId) -> Vec<ApId> {
-        self.instance()
-            .candidate_aps(u)
-            .iter()
-            .map(|&(a, _)| a)
-            .collect()
-    }
-    /// Allocation-free variant of [`reachable_aps`](ApStateView::reachable_aps):
-    /// clears `out` and fills it with the same APs in the same order. The
-    /// decision rules call this with a reused scratch buffer; views that
-    /// can enumerate their neighbors without building a `Vec` should
-    /// override it (the default delegates and allocates).
+    /// Clears `out` and fills it with the neighboring APs the view
+    /// actually has load information for. Decision rules only consider
+    /// these. The default — every candidate AP of the instance, in row
+    /// order — fits an omniscient ledger; a message-level view restricts
+    /// it to the APs that answered its queries, because under failure
+    /// injection a silent AP may be crashed or out of range and its load
+    /// is simply unknown.
     fn reachable_aps_into(&self, u: UserId, out: &mut Vec<ApId>) {
         out.clear();
-        out.extend(self.reachable_aps(u));
+        out.extend(self.instance().candidate_aps(u).iter().map(|&(a, _)| a));
     }
     /// The AP user `u` is currently associated with, if any.
     fn ap_of(&self, u: UserId) -> Option<ApId>;

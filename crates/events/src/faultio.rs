@@ -1,11 +1,11 @@
-//! Scripted IO faults: a seeded, deterministic plan of write/sync/rename
-//! failures injected under the journal, the snapshot appender, the
-//! atomic-write protocol, and any [`EventPublisher`] (via [`FaultSink`]).
+//! Scripted IO faults: a seeded, deterministic plan of write/sync
+//! failures injected under the [`Journal`](crate::journal::Journal) and
+//! any [`EventPublisher`] (via [`FaultSink`]).
 //!
 //! The plan is computed up front from a seed with splitmix64, as
 //! `mcast_core::ChaosPlan`'s torn-checkpoint script is; each scripted
 //! fault is a one-shot latch keyed by the *operation index* in its
-//! category (write/sync/rename), and firing is an atomic swap — so the
+//! category (write/sync), and firing is an atomic swap — so the
 //! same seed injects the same faults at the same operations on every
 //! run, regardless of timing. A `sticky_write_from` threshold models a
 //! disk that stays full: every write operation at or past it fails,
@@ -14,10 +14,9 @@
 //!
 //! The faults themselves are honest about their on-disk consequences:
 //! a short write really does leave the torn byte prefix in the file
-//! (exercising the same recovery the crc32 framing was built for), a
+//! (exercising the same recovery the crc32 framing was built for), and a
 //! failed fsync keeps the bytes (the page cache survives an fsync
-//! error in-process), and a failed rename leaves the destination
-//! untouched.
+//! error in-process).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,25 +57,8 @@ impl WriteFault {
     }
 }
 
-/// Counters of what a plan has actually seen and injected, for the
-/// deterministic degraded report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoFaultCounters {
-    /// Write operations observed.
-    pub writes: u64,
-    /// Sync operations observed.
-    pub syncs: u64,
-    /// Rename operations observed.
-    pub renames: u64,
-    /// Faults injected across all categories.
-    pub injected: u64,
-}
-
 /// A deterministic plan of IO faults. Threaded (as an `Arc`) into
-/// [`Journal`](crate::journal::Journal),
-/// [`SnapshotFile`](crate::snapshot::SnapshotFile),
-/// [`atomic_write_with`](crate::journal::atomic_write_with), and
-/// [`FaultSink`].
+/// [`Journal`](crate::journal::Journal) and [`FaultSink`].
 #[derive(Debug)]
 pub struct IoFaultPlan {
     /// One-shot write faults: `(write op index, fault)`.
@@ -85,22 +67,17 @@ pub struct IoFaultPlan {
     /// One-shot sync failures by sync op index.
     sync_ops: Vec<u64>,
     sync_fired: Vec<AtomicBool>,
-    /// One-shot rename failures by rename op index.
-    rename_ops: Vec<u64>,
-    rename_fired: Vec<AtomicBool>,
     /// All write ops at or past this index fail with disk-full — the
     /// permanent-failure regime that drives degrade ladders.
     sticky_write_from: Option<u64>,
     writes: AtomicU64,
     syncs: AtomicU64,
-    renames: AtomicU64,
-    injected: AtomicU64,
 }
 
 impl IoFaultPlan {
     /// A plan that injects nothing (every operation succeeds).
     pub fn quiet() -> IoFaultPlan {
-        IoFaultPlan::scripted(Vec::new(), Vec::new(), Vec::new(), None)
+        IoFaultPlan::scripted(Vec::new(), Vec::new(), None)
     }
 
     /// An explicitly scripted plan, for tests that need one exact fault
@@ -108,24 +85,18 @@ impl IoFaultPlan {
     pub fn scripted(
         write_ops: Vec<(u64, WriteFault)>,
         sync_ops: Vec<u64>,
-        rename_ops: Vec<u64>,
         sticky_write_from: Option<u64>,
     ) -> IoFaultPlan {
         let write_fired = write_ops.iter().map(|_| AtomicBool::new(false)).collect();
         let sync_fired = sync_ops.iter().map(|_| AtomicBool::new(false)).collect();
-        let rename_fired = rename_ops.iter().map(|_| AtomicBool::new(false)).collect();
         IoFaultPlan {
             write_ops,
             write_fired,
             sync_ops,
             sync_fired,
-            rename_ops,
-            rename_fired,
             sticky_write_from,
             writes: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
-            renames: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
         }
     }
 
@@ -155,15 +126,12 @@ impl IoFaultPlan {
         } else {
             None
         };
-        IoFaultPlan::scripted(write_ops, sync_ops, Vec::new(), sticky_write_from)
+        IoFaultPlan::scripted(write_ops, sync_ops, sticky_write_from)
     }
 
     /// Whether this plan can ever inject anything.
     pub fn is_quiet(&self) -> bool {
-        self.write_ops.is_empty()
-            && self.sync_ops.is_empty()
-            && self.rename_ops.is_empty()
-            && self.sticky_write_from.is_none()
+        self.write_ops.is_empty() && self.sync_ops.is_empty() && self.sticky_write_from.is_none()
     }
 
     /// Consulted once per write operation: `None` means the write
@@ -172,13 +140,11 @@ impl IoFaultPlan {
         let op = self.writes.fetch_add(1, Ordering::Relaxed);
         if let Some(from) = self.sticky_write_from {
             if op >= from {
-                self.injected.fetch_add(1, Ordering::Relaxed);
                 return Some(WriteFault::DiskFull);
             }
         }
         for (i, &(at, fault)) in self.write_ops.iter().enumerate() {
             if at == op && !self.write_fired[i].swap(true, Ordering::Relaxed) {
-                self.injected.fetch_add(1, Ordering::Relaxed);
                 return Some(fault);
             }
         }
@@ -190,33 +156,10 @@ impl IoFaultPlan {
         let op = self.syncs.fetch_add(1, Ordering::Relaxed);
         for (i, &at) in self.sync_ops.iter().enumerate() {
             if at == op && !self.sync_fired[i].swap(true, Ordering::Relaxed) {
-                self.injected.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
         }
         false
-    }
-
-    /// Consulted once per rename operation.
-    pub fn next_rename_fails(&self) -> bool {
-        let op = self.renames.fetch_add(1, Ordering::Relaxed);
-        for (i, &at) in self.rename_ops.iter().enumerate() {
-            if at == op && !self.rename_fired[i].swap(true, Ordering::Relaxed) {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// What the plan has observed and injected so far.
-    pub fn counters(&self) -> IoFaultCounters {
-        IoFaultCounters {
-            writes: self.writes.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-            renames: self.renames.load(Ordering::Relaxed),
-            injected: self.injected.load(Ordering::Relaxed),
-        }
     }
 
     /// Renders a write fault for callers that persist nothing
@@ -300,7 +243,6 @@ mod tests {
         let plan = IoFaultPlan::scripted(
             vec![(2, WriteFault::Short), (5, WriteFault::DiskFull)],
             vec![1],
-            vec![0],
             None,
         );
         let fates: Vec<Option<WriteFault>> = (0..8).map(|_| plan.next_write_fate()).collect();
@@ -310,18 +252,11 @@ mod tests {
         assert!(!plan.next_sync_fails());
         assert!(plan.next_sync_fails());
         assert!(!plan.next_sync_fails());
-        assert!(plan.next_rename_fails());
-        assert!(!plan.next_rename_fails());
-        let c = plan.counters();
-        assert_eq!(c.writes, 8);
-        assert_eq!(c.syncs, 3);
-        assert_eq!(c.renames, 2);
-        assert_eq!(c.injected, 4);
     }
 
     #[test]
     fn sticky_disk_full_fails_every_write_from_threshold() {
-        let plan = IoFaultPlan::scripted(Vec::new(), Vec::new(), Vec::new(), Some(3));
+        let plan = IoFaultPlan::scripted(Vec::new(), Vec::new(), Some(3));
         let fates: Vec<Option<WriteFault>> = (0..6).map(|_| plan.next_write_fate()).collect();
         assert_eq!(fates[..3], [None, None, None]);
         assert!(fates[3..].iter().all(|f| *f == Some(WriteFault::DiskFull)));
@@ -350,8 +285,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(plan.next_write_fate(), None);
             assert!(!plan.next_sync_fails());
-            assert!(!plan.next_rename_fails());
         }
-        assert_eq!(plan.counters().injected, 0);
     }
 }

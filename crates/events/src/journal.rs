@@ -26,9 +26,13 @@
 //! * **keyed records** (`{"key": ..., "value": ...}`) — the experiment
 //!   runner's trial checkpoints ([`Journal::append`] / [`replay_bytes`]);
 //! * **raw records** (any JSON document per line) — the controller's
-//!   event stream ([`Journal::append_raw`] / [`replay_raw_bytes`]), where
-//!   the caller owns the payload schema and the durability boundary
-//!   ([`Journal::sync`] is called at epoch close, not per event).
+//!   event stream and the checkpoint files ([`Journal::append_raw`] /
+//!   [`replay_raw_bytes`]), where the caller owns the payload schema and
+//!   the durability boundary: the event log calls [`Journal::sync`] at
+//!   epoch close, not per event; a checkpoint file syncs every frame.
+//!   Raw journals reopen with [`Journal::reopen_raw`], which keeps every
+//!   whole frame, and [`Journal::append_torn`] lets chaos runs leave a
+//!   real torn frame on disk.
 //!
 //! ## Atomic writes
 //!
@@ -184,35 +188,45 @@ impl Journal {
     ///
     /// [`JournalError::Io`] when the file cannot be read or reopened.
     pub fn resume(path: &Path) -> Result<(Journal, Replay), JournalError> {
+        let replay = replay_bytes(&read_or_empty(path)?);
+        Ok((Journal::reopen(path, replay.valid_len)?, replay))
+    }
+
+    /// Opens the raw-record journal at `path` for appending after a
+    /// crash: truncates any torn tail back to the valid raw-payload
+    /// prefix. This is the reopen for checkpoint files, whose frames
+    /// carry no `key` — [`Journal::resume`] would cut them all off. A
+    /// missing file opens empty.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] when the file cannot be read or reopened.
+    pub fn reopen_raw(path: &Path) -> Result<Journal, JournalError> {
+        Journal::reopen(path, replay_raw_file(path)?.valid_len)
+    }
+
+    /// Opens `path` truncated to its first `valid_len` bytes, positioned
+    /// for appending.
+    fn reopen(path: &Path, valid_len: u64) -> Result<Journal, JournalError> {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
         }
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(path, &e)),
-        };
-        let replay = replay_bytes(&bytes);
         let mut file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(false)
             .open(path)
             .map_err(|e| io_err(path, &e))?;
-        file.set_len(replay.valid_len)
-            .map_err(|e| io_err(path, &e))?;
+        file.set_len(valid_len).map_err(|e| io_err(path, &e))?;
         file.seek(SeekFrom::End(0)).map_err(|e| io_err(path, &e))?;
-        Ok((
-            Journal {
-                inner: Mutex::new(JournalInner {
-                    file,
-                    good_len: replay.valid_len,
-                }),
-                path: path.to_path_buf(),
-                faults: None,
-            },
-            replay,
-        ))
+        Ok(Journal {
+            inner: Mutex::new(JournalInner {
+                file,
+                good_len: valid_len,
+            }),
+            path: path.to_path_buf(),
+            faults: None,
+        })
     }
 
     /// Appends one `(key, value)` record, durably: the record is written
@@ -271,6 +285,31 @@ impl Journal {
             .map_err(|e| io_err(&self.path, &e))?;
         inner.good_len += line.len() as u64;
         Ok(())
+    }
+
+    /// Chaos hook: writes the *first half* of `payload`'s frame —
+    /// checksum intact, payload cut, no newline — and fsyncs, as if the
+    /// process died mid-write. The committed length does not move, so
+    /// replay recovers the frames before the tear and
+    /// [`Journal::repair_tail`] cuts it off before the next whole append.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Serialize`] if `payload` contains a newline;
+    /// [`JournalError::Io`] on write/fsync failure.
+    pub fn append_torn(&self, payload: &str) -> Result<(), JournalError> {
+        if payload.contains('\n') {
+            return Err(JournalError::Serialize(
+                "raw payload contains a newline".to_string(),
+            ));
+        }
+        let line = format!("{:08x} {payload}\n", crc32(payload.as_bytes()));
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner
+            .file
+            .write_all(&line.as_bytes()[..line.len() / 2])
+            .and_then(|()| inner.file.sync_data())
+            .map_err(|e| io_err(&self.path, &e))
     }
 
     /// Flushes and fsyncs everything appended so far.
@@ -418,6 +457,26 @@ pub fn replay_raw_bytes(bytes: &[u8]) -> RawReplay {
     }
 }
 
+/// Reads the raw-record journal at `path` and parses its valid prefix,
+/// as [`replay_raw_bytes`] does. A missing file reads as empty. The file
+/// itself is left untouched.
+///
+/// # Errors
+///
+/// [`JournalError::Io`] when the file exists but cannot be read.
+pub fn replay_raw_file(path: &Path) -> Result<RawReplay, JournalError> {
+    Ok(replay_raw_bytes(&read_or_empty(path)?))
+}
+
+/// The bytes of the file at `path`; a missing file reads as empty.
+fn read_or_empty(path: &Path) -> Result<Vec<u8>, JournalError> {
+    match fs::read(path) {
+        Ok(b) => Ok(b),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(io_err(path, &e)),
+    }
+}
+
 fn parse_line(line: &[u8]) -> Result<Value, String> {
     if line.len() < 10 || line[8] != b' ' {
         return Err("malformed record framing".to_string());
@@ -443,23 +502,6 @@ fn parse_line(line: &[u8]) -> Result<Value, String> {
 ///
 /// Propagates I/O errors (the temp file is cleaned up on failure).
 pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    atomic_write_with(path, contents, None)
-}
-
-/// [`atomic_write`] with a scripted IO-fault plan consulted at each of
-/// its three fallible steps (temp-file write, temp-file fsync, rename).
-/// Every injected failure upholds the atomicity contract: the
-/// destination keeps its previous contents and no temp file survives.
-///
-/// # Errors
-///
-/// Propagates real or injected I/O errors (the temp file is cleaned up
-/// on failure either way).
-pub fn atomic_write_with(
-    path: &Path,
-    contents: &[u8],
-    faults: Option<&IoFaultPlan>,
-) -> std::io::Result<()> {
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
         _ => PathBuf::from("."),
@@ -472,23 +514,9 @@ pub fn atomic_write_with(
     let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
     let result = (|| {
         let mut f = File::create(&tmp)?;
-        if let Some(fault) = faults.and_then(IoFaultPlan::next_write_fate) {
-            if fault == WriteFault::Short {
-                // Leave a genuinely torn temp file for the cleanup path
-                // to erase — the destination is never touched.
-                let _ = f.write_all(&contents[..contents.len() / 2]);
-            }
-            return Err(fault.to_io_error());
-        }
         f.write_all(contents)?;
-        if faults.is_some_and(IoFaultPlan::next_sync_fails) {
-            return Err(std::io::Error::other("injected fsync failure"));
-        }
         f.sync_all()?;
         drop(f);
-        if faults.is_some_and(IoFaultPlan::next_rename_fails) {
-            return Err(std::io::Error::other("injected rename failure"));
-        }
         fs::rename(&tmp, path)
     })();
     if result.is_err() {
@@ -652,5 +680,36 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "temp files left behind");
         let _ = fs::remove_dir_all(dir);
+    }
+
+    fn raw_ns(path: &Path) -> Vec<i128> {
+        replay_raw_file(path)
+            .unwrap()
+            .payloads
+            .iter()
+            .map(|p| match p.get("n") {
+                Some(Value::Int(n)) => *n,
+                other => panic!("frame without an integer `n`: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn torn_frame_is_cut_before_the_next_whole_frame() {
+        let path = tmp("torn.ckpt");
+        let j = Journal::create(&path).unwrap();
+        j.append_raw("{\"n\":1}").unwrap();
+        j.sync().unwrap();
+        let whole = j.committed_len();
+        j.append_torn("{\"n\":2}").unwrap();
+        // The tear really landed, past the committed prefix.
+        assert!(fs::read(&path).unwrap().len() as u64 > whole);
+        assert_eq!(j.committed_len(), whole);
+        assert_eq!(raw_ns(&path), [1]);
+        j.repair_tail().unwrap();
+        j.append_raw("{\"n\":3}").unwrap();
+        j.sync().unwrap();
+        assert_eq!(raw_ns(&path), [1, 3]);
+        let _ = fs::remove_file(path);
     }
 }

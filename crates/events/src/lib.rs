@@ -20,10 +20,12 @@
 //!   `mcast_controller::replay` folds the report and final association
 //!   without re-running a single solver.
 //!
-//! The journal module itself ([`journal::Journal`],
-//! [`journal::atomic_write`]) moved here from the experiments crate so
-//! both consumers share one framing and one recovery rule; the
-//! experiments crate re-exports it unchanged.
+//! [`journal::Journal`] is the one writer of crc32-framed files: the
+//! event log, the experiment runner's trial journal, and the checkpoint
+//! files ([`RunCheckpointSink`], `serve.ckpt`) all open, append, fsync
+//! and repair through it, so they share one framing and one recovery
+//! rule. [`journal::atomic_write`] is the discipline every final
+//! artifact goes through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +41,10 @@ mod resilient;
 pub mod snapshot;
 
 pub use event::{Event, EventKind, STREAM_SCHEMA};
-pub use faultio::{FaultSink, IoFaultCounters, IoFaultPlan, WriteFault};
+pub use faultio::{FaultSink, IoFaultPlan, WriteFault};
 pub use harden::{check_declared_len, DecodeError, DecodeErrorKind, DecodeLimits, Mutation};
 pub use publish::{EventPublisher, JsonlPublisher, MemoryPublisher, NullPublisher, SinkPressure};
 pub use queue::{TimeQueue, Timed};
 pub use replay::{replay_stream_bytes, replay_stream_bytes_from, StreamReplay};
 pub use resilient::{DegradeReport, DegradeRung, ResilientPublisher, RetryPolicy};
-pub use snapshot::{load_checkpoints, load_latest_checkpoint, RunCheckpointSink, SnapshotFile};
+pub use snapshot::{load_checkpoints, load_latest_checkpoint, RunCheckpointSink};

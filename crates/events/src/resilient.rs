@@ -295,7 +295,6 @@ mod tests {
         let plan = Arc::new(IoFaultPlan::scripted(
             vec![(1, WriteFault::Short), (3, WriteFault::Interrupted)],
             Vec::new(),
-            Vec::new(),
             None,
         ));
         let primary = JsonlPublisher::create_with_faults(&path, Some(plan)).unwrap();
@@ -326,12 +325,7 @@ mod tests {
         let spill_path = tmp("sticky_spill.jsonl");
         // Writes 0 and 1 land; from op 2 on the disk stays full. With 3
         // attempts per event, every later event exhausts its retries.
-        let plan = Arc::new(IoFaultPlan::scripted(
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Some(2),
-        ));
+        let plan = Arc::new(IoFaultPlan::scripted(Vec::new(), Vec::new(), Some(2)));
         let primary = JsonlPublisher::create_with_faults(&primary_path, Some(plan)).unwrap();
         let spill_path_cl = spill_path.clone();
         let mut p = ResilientPublisher::new(
@@ -372,12 +366,7 @@ mod tests {
 
     #[test]
     fn failing_spill_drops_with_counter_never_errors() {
-        let plan = Arc::new(IoFaultPlan::scripted(
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Some(0),
-        ));
+        let plan = Arc::new(IoFaultPlan::scripted(Vec::new(), Vec::new(), Some(0)));
         let primary = FaultSink::new(MemoryPublisher::new(), plan);
         let mut p = ResilientPublisher::new(
             Box::new(primary),

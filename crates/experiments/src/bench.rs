@@ -972,7 +972,7 @@ fn run_scale(opts: &Options) -> Result<String, String> {
     let report = scale_report(opts);
     let json =
         serde_json::to_string_pretty(&report).map_err(|e| format!("serialize {path}: {e}"))?;
-    crate::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
+    mcast_events::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
         .map_err(|e| format!("write {path}: {e}"))?;
     let rss = report.peak_rss_bytes.map_or("n/a".to_string(), |b| {
         format!("{:.0} MiB", b as f64 / (1 << 20) as f64)
@@ -1008,7 +1008,7 @@ fn run_default(opts: &Options) -> Result<String, String> {
     ] {
         let json =
             serde_json::to_string_pretty(&report).map_err(|e| format!("serialize {path}: {e}"))?;
-        crate::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
+        mcast_events::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
             .map_err(|e| format!("write {path}: {e}"))?;
         out.push_str(&format!("{path}:\n"));
         for (key, b) in &report.benches {
@@ -1034,7 +1034,7 @@ fn run_default(opts: &Options) -> Result<String, String> {
         let report = controller_report(opts)?;
         let json =
             serde_json::to_string_pretty(&report).map_err(|e| format!("serialize {path}: {e}"))?;
-        crate::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
+        mcast_events::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
             .map_err(|e| format!("write {path}: {e}"))?;
         all_identical &= report.replay_identical;
         out.push_str(&format!(

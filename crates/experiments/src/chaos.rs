@@ -23,12 +23,12 @@ use mcast_core::{
     resume_distributed_parallel, run_distributed_parallel, run_distributed_traced, Association,
     ChaosPlan, DistributedConfig, ExecutionMode, Policy, SuperviseOptions,
 };
+use mcast_events::journal::atomic_write;
 use mcast_events::{load_latest_checkpoint, RunCheckpointSink};
 use mcast_topology::ScenarioConfig;
 use serde::Serialize;
 
 use crate::cli::CliError;
-use crate::journal::atomic_write;
 use crate::Options;
 
 /// Schema tag of `chaos.json`.

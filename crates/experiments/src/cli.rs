@@ -369,7 +369,7 @@ pub fn generate_to_file(opts: &GenOptions, path: &Path) -> Result<(), CliError> 
         } else {
             serde_json::to_string(&scenario).map_err(|e| CliError::IoDecode(e.to_string()))?
         };
-        crate::journal::atomic_write(path, json.as_bytes())
+        mcast_events::journal::atomic_write(path, json.as_bytes())
             .map_err(|e| CliError::IoDecode(e.to_string()))?;
     }
     let stats = mcast_core::InstanceStats::of(&scenario.instance);
@@ -506,7 +506,7 @@ pub fn solve_file(path: &Path, algo: &str, assoc_out: Option<&Path>) -> Result<(
     if let Some(out) = assoc_out {
         let json = serde_json::to_string(&solution.association)
             .map_err(|e| CliError::IoDecode(e.to_string()))?;
-        crate::journal::atomic_write(out, json.as_bytes())
+        mcast_events::journal::atomic_write(out, json.as_bytes())
             .map_err(|e| CliError::IoDecode(e.to_string()))?;
         println!("association written to {}", out.display());
     }

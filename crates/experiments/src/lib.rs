@@ -22,7 +22,6 @@ pub mod bench;
 pub mod chaos;
 pub mod cli;
 pub mod figures;
-pub mod journal;
 pub mod par;
 pub mod plot;
 pub mod report;

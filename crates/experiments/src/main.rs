@@ -418,7 +418,7 @@ fn write_run_report(runner: &Runner, opts: &Options) {
     match serde_json::to_string_pretty(&report) {
         Ok(json) => {
             let path = opts.out_dir.join(".runstate").join("report.json");
-            if let Err(e) = mcast_experiments::journal::atomic_write(&path, json.as_bytes()) {
+            if let Err(e) = mcast_events::journal::atomic_write(&path, json.as_bytes()) {
                 eprintln!("warning: failed to write {}: {e}", path.display());
             }
         }
@@ -432,7 +432,7 @@ fn write_faults_json(json: &str, opts: &Options) {
 
 fn write_json_result(name: &str, json: &str, opts: &Options) {
     let path = opts.out_dir.join(name);
-    if let Err(e) = mcast_experiments::journal::atomic_write(&path, json.as_bytes()) {
+    if let Err(e) = mcast_events::journal::atomic_write(&path, json.as_bytes()) {
         eprintln!("warning: failed to write {}: {e}", path.display());
     }
 }

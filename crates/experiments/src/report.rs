@@ -3,7 +3,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::journal::atomic_write;
+use mcast_events::journal::atomic_write;
+
 use crate::stats::Figure;
 
 /// Renders a figure as an aligned text table (x column, then one

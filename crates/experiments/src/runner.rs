@@ -18,7 +18,7 @@
 //!   thread is unsound; the deadline surfaces stuck work, it does not
 //!   reclaim it).
 //! * **Durability & resume** — every completed trial result is appended
-//!   to the checksummed journal ([`crate::journal`]); a resumed run
+//!   to the checksummed journal ([`mcast_events::journal`]); a resumed run
 //!   replays finished trials from the journal and re-executes only the
 //!   missing ones. Because trials are deterministic and results replay
 //!   exactly (the JSON float encoding is shortest-roundtrip), a resumed
@@ -31,9 +31,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use mcast_events::journal::{Journal, JournalError};
 use serde::{Deserialize, Serialize, Value};
-
-use crate::journal::{Journal, JournalError};
 
 /// Identifies one trial: the figure/experiment context, the sweep point,
 /// the scenario seed, and the algorithm (or row) label.

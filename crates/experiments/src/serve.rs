@@ -30,10 +30,10 @@ use mcast_controller::{
     ServiceStats,
 };
 use mcast_core::Objective;
-use mcast_events::snapshot::load_payloads;
+use mcast_events::journal::{atomic_write, replay_raw_file, Journal};
 use mcast_events::{
     replay_stream_bytes, replay_stream_bytes_from, DegradeRung, EventKind, EventPublisher,
-    IoFaultPlan, JsonlPublisher, ResilientPublisher, RetryPolicy, SnapshotFile,
+    IoFaultPlan, JsonlPublisher, ResilientPublisher, RetryPolicy,
 };
 use mcast_faults::{FaultPlan, RecoverySummary};
 use mcast_topology::{Scenario, ScenarioConfig};
@@ -41,7 +41,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cli::CliError;
 use crate::figures::controller::build_plan;
-use crate::journal::atomic_write;
 use crate::Options;
 
 /// Shorthand: classify a plain-string failure as an IO/decode error.
@@ -301,13 +300,14 @@ fn run_serve_clean(opts: &Options) -> Result<String, CliError> {
         .checkpoint_every
         .unwrap_or(DEFAULT_SERVE_CHECKPOINT_EVERY) as u64;
     let ckpt_path = opts.out_dir.join("serve.ckpt");
-    let snapshot = SnapshotFile::create(&ckpt_path)
+    let snapshot = Journal::create(&ckpt_path)
         .map_err(|e| io_err(format!("cannot open {}: {e}", ckpt_path.display())))?;
     let mut checkpoints_written = 0usize;
     let mut save = |cp: &ServiceCheckpoint| -> Result<(), String> {
         let payload = serde_json::to_string(cp).map_err(|e| e.to_string())?;
         snapshot
-            .append_payload(&payload)
+            .append_raw(&payload)
+            .and_then(|()| snapshot.sync())
             .map_err(|e| e.to_string())?;
         checkpoints_written += 1;
         Ok(())
@@ -350,8 +350,9 @@ fn run_serve_clean(opts: &Options) -> Result<String, CliError> {
     }
 
     // ---- proof 3: snapshot + log-suffix recovery is exact -----------
-    let latest = load_payloads(&ckpt_path)
+    let latest = replay_raw_file(&ckpt_path)
         .map_err(|e| io_err(format!("cannot read back {}: {e}", ckpt_path.display())))?
+        .payloads
         .pop()
         .ok_or_else(|| {
             io_err(format!(
@@ -360,10 +361,11 @@ fn run_serve_clean(opts: &Options) -> Result<String, CliError> {
                 cfg.n_epochs
             ))
         })?;
-    let cp: ServiceCheckpoint = serde_json::from_str(&latest).map_err(|e| {
+    let cp = ServiceCheckpoint::deserialize_value(&latest).map_err(|e| {
         io_err(format!(
-            "bad checkpoint frame in {}: {e}",
-            ckpt_path.display()
+            "bad checkpoint frame in {}: {}",
+            ckpt_path.display(),
+            serde_json::Error::from(e)
         ))
     })?;
     let recovered = replay_stream_from(inst, &cp, &bytes).map_err(io_err)?;
@@ -693,11 +695,16 @@ fn usable_snapshot(
     ckpt_path: &std::path::Path,
     log_len: usize,
 ) -> Result<Option<ServiceCheckpoint>, String> {
-    let payloads = load_payloads(ckpt_path)
+    let replay = replay_raw_file(ckpt_path)
         .map_err(|e| format!("cannot read {}: {e}", ckpt_path.display()))?;
-    for payload in payloads.iter().rev() {
-        let cp: ServiceCheckpoint = serde_json::from_str(payload)
-            .map_err(|e| format!("bad checkpoint frame in {}: {e}", ckpt_path.display()))?;
+    for payload in replay.payloads.iter().rev() {
+        let cp = ServiceCheckpoint::deserialize_value(payload).map_err(|e| {
+            format!(
+                "bad checkpoint frame in {}: {}",
+                ckpt_path.display(),
+                serde_json::Error::from(e)
+            )
+        })?;
         if cp.log_bytes as usize <= log_len {
             return Ok(Some(cp));
         }

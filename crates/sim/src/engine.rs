@@ -179,16 +179,11 @@ impl ApStateView for QueryView<'_> {
         self.inst
     }
 
-    fn reachable_aps(&self, u: UserId) -> Vec<ApId> {
+    fn reachable_aps_into(&self, u: UserId, out: &mut Vec<ApId>) {
         debug_assert_eq!(u, self.user);
         // Only the APs that answered the load query: under failure
         // injection a silent neighbor may be crashed or out of range, and
         // the decision must not pretend to know its load.
-        self.responses.keys().copied().collect()
-    }
-
-    fn reachable_aps_into(&self, u: UserId, out: &mut Vec<ApId>) {
-        debug_assert_eq!(u, self.user);
         out.clear();
         out.extend(self.responses.keys().copied());
     }

@@ -17,11 +17,13 @@
 
 use std::path::{Path, PathBuf};
 
+use mcast_controller::ServiceCheckpoint;
 use mcast_events::harden::{mutate, ALL_MUTATIONS};
+use mcast_events::journal::replay_raw_bytes;
 use mcast_events::replay_stream_bytes;
-use mcast_events::snapshot::load_payloads;
 use mcast_experiments::cli::load_scenario;
 use mcast_topology::{read_mcb, validate_scenario, write_mcb, ScenarioConfig};
+use serde::Deserialize;
 
 /// The committed corpus directory.
 fn corpus_dir() -> PathBuf {
@@ -134,12 +136,34 @@ fn journal_corpus_salvages_a_consistent_prefix() {
 #[test]
 fn checkpoint_corpus_salvages_whole_frames() {
     for path in fixtures("ckpt_") {
-        let payloads = load_payloads(&path).expect("salvage never hard-errors on corruption");
-        for payload in &payloads {
-            // Frames that survive framing either parse or are rejected
-            // with a named parse error downstream — both fine; what the
-            // salvage layer must never do is return a torn half-frame.
-            if let Err(e) = serde_json::parse_value(payload) {
+        let bytes = std::fs::read(&path).expect("fixture readable");
+        let replay = replay_raw_bytes(&bytes);
+        // What the salvage layer must never do is return a torn
+        // half-frame: the salvaged prefix ends on a frame boundary, and
+        // every frame in it is a whole line.
+        let valid = &bytes[..replay.valid_len as usize];
+        assert!(
+            valid.is_empty() || valid.ends_with(b"\n"),
+            "{}: salvaged prefix ends mid-frame",
+            path.display()
+        );
+        assert_eq!(
+            valid.iter().filter(|&&b| b == b'\n').count(),
+            replay.payloads.len(),
+            "{}: salvaged frames are not whole lines",
+            path.display()
+        );
+        if replay.dropped_bytes > 0 {
+            assert!(
+                replay.tail_reason.is_some(),
+                "{}: dropped tail without a reason",
+                path.display()
+            );
+        }
+        for payload in &replay.payloads {
+            // Frames that survive framing either decode as checkpoints or
+            // are rejected with a named error — both fine.
+            if let Err(e) = ServiceCheckpoint::deserialize_value(payload) {
                 assert!(
                     !e.to_string().is_empty(),
                     "{}: unnamed error",
