@@ -130,7 +130,7 @@ pub fn solve_bla_with(inst: &Instance, config: &BlaConfig) -> Result<Solution, S
 pub fn budget_grid<C: ModelCost>(red: &Reduction<C>, grid_points: usize) -> Vec<C> {
     let system = red.system();
     let c_max = *system.max_set_cost().expect("non-empty system");
-    let mut candidates: Vec<C> = system.sets().iter().map(|s| *s.cost()).collect();
+    let mut candidates: Vec<C> = system.costs().to_vec();
 
     // Lower bound on the optimum: every user must be covered by some set,
     // and its cheapest option lands in some group.

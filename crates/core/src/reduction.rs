@@ -98,8 +98,8 @@ pub struct Reduction<C = Load> {
 
 impl Reduction<Load> {
     /// Builds the covering instance (Theorem 1/3/5 construction) with exact
-    /// [`Load`] costs, in O(links × rates): each AP's row of reachable
-    /// users is walked once and bucketed by session.
+    /// [`Load`] costs, in time linear in the links plus the set members
+    /// written: each user's row and each AP's row is walked once.
     ///
     /// Duplicate sets — e.g. two rates reaching exactly the same members —
     /// are pruned, keeping the cheaper (higher-rate) one; this never
@@ -125,29 +125,51 @@ impl Reduction<u64> {
 
 impl<C: ModelCost> Reduction<C> {
     /// The one construction body behind [`Reduction::build`] and
-    /// [`Reduction::quantized`].
+    /// [`Reduction::quantized`]: one pass over the users' rows files each
+    /// link's top rate level by AP, and one pass over the APs' rows emits
+    /// each (AP, session) chain of sets.
     fn construct(inst: &Instance) -> Reduction<C> {
         let mut builder = SetSystemBuilder::<C>::new(inst.n_users());
         builder.ensure_groups(inst.n_aps());
         let mut choices: Vec<Choice> = Vec::new();
         let rates = inst.multicast_rates();
 
+        // Per link, parallel to the APs' `reachable_users` rows: the index
+        // of the highest multicast rate the user decodes. Users are walked
+        // in id order and each AP's row ascends by `UserId`, so each link
+        // lands at its AP's cursor.
+        let mut cursor: Vec<usize> = Vec::with_capacity(inst.n_aps());
+        let mut n_links = 0;
+        for a in inst.aps() {
+            cursor.push(n_links);
+            n_links += inst.reachable_users(a).len();
+        }
+        let mut levels = vec![0u32; n_links];
+        for u in inst.users() {
+            for &(a, link) in inst.candidate_aps(u) {
+                // Every link runs at a supported rate, so at or above the
+                // slowest multicast rate.
+                let tx = inst.multicast_rate_over(link);
+                let top = rates.partition_point(|&r| r <= tx) - 1;
+                levels[cursor[a.index()]] = top as u32;
+                cursor[a.index()] += 1;
+            }
+        }
+
         // Scratch reused across APs: per session, the AP's reachable users
-        // of that session with the index of the highest multicast rate each
-        // decodes (ascending `UserId`); the sessions seen; and per rate
-        // index, how many users top out exactly there.
-        let mut buckets: Vec<Vec<(u32, usize)>> = vec![Vec::new(); inst.n_sessions()];
+        // of that session with their top level (ascending `UserId`); the
+        // sessions seen; and per level, how many users top out exactly
+        // there.
+        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); inst.n_sessions()];
         let mut seen: Vec<SessionId> = Vec::new();
         let mut top_at: Vec<usize> = vec![0; rates.len()];
 
+        let mut row_start = 0;
         for a in inst.aps() {
-            for &u in inst.reachable_users(a) {
-                let link = inst
-                    .multicast_rate_to(a, u)
-                    .expect("reachable users are in range");
-                let Some(top) = rates.partition_point(|&r| r <= link).checked_sub(1) else {
-                    continue;
-                };
+            let users = inst.reachable_users(a);
+            let row_levels = &levels[row_start..row_start + users.len()];
+            row_start += users.len();
+            for (&u, &top) in users.iter().zip(row_levels) {
                 let s = inst.user_session(u);
                 if buckets[s.index()].is_empty() {
                     seen.push(s);
@@ -159,18 +181,22 @@ impl<C: ModelCost> Reduction<C> {
                 let bucket = &mut buckets[s.index()];
                 top_at.fill(0);
                 for &(_, top) in bucket.iter() {
-                    top_at[top] += 1;
+                    top_at[top as usize] += 1;
                 }
                 // Ascending rates: members shrink as the rate climbs, cost
                 // falls. The members at rate `k` are the users topping out
                 // at `k` or above, so they equal the members at the next
                 // rate exactly when nobody tops out at `k`; that set (or an
-                // empty one) is skipped, keeping only the cheaper one.
+                // empty one) is skipped, keeping only the cheaper one. The
+                // members ascend, so they go into the system as they come.
                 for (k, &r) in rates.iter().enumerate() {
                     if top_at[k] == 0 {
                         continue;
                     }
-                    let members = bucket.iter().filter(|&&(_, top)| top >= k).map(|&(u, _)| u);
+                    let members = bucket
+                        .iter()
+                        .filter(|&&(_, top)| top as usize >= k)
+                        .map(|&(u, _)| u);
                     builder
                         .push_set(members, C::transmission(inst, s, r), a.0)
                         .expect("reduction sets are valid by construction");
@@ -184,11 +210,12 @@ impl<C: ModelCost> Reduction<C> {
             }
             seen.clear();
         }
+        drop(levels); // before the builder's indexes are allocated
 
-        // `push_set` order and `choices` stay parallel; the builder assigns
-        // ids in push order and `prune_duplicates` is *not* called (the
-        // adjacent-rate dedup above already handles the only duplicates the
-        // construction can produce within a group).
+        // `push_set` order and `choices` stay parallel: the builder assigns
+        // ids in push order, and the adjacent-rate skip above already
+        // drops the only duplicate sets the construction can produce
+        // within a group.
         let system = builder.build().expect("valid construction");
         debug_assert_eq!(system.n_sets(), choices.len());
 
@@ -347,7 +374,7 @@ mod tests {
             .system()
             .sets()
             .iter()
-            .zip(quantized.system().sets())
+            .zip(quantized.system().sets().iter())
             .enumerate()
         {
             assert_eq!(x.members(), q.members());

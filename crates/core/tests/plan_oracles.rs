@@ -1,6 +1,7 @@
 //! The centralized plan path pinned to the all-pairs code it replaced.
 //!
-//! `Reduction::build` walks each AP's row of reachable users once, and
+//! `Reduction::build` and `Reduction::quantized` walk each user's row and
+//! each AP's row of reachable users once, and
 //! `Association::{loads, ap_load, ap_session_rate}` look only at associated
 //! users or at one AP's row. The oracles below are the straightforward
 //! scans over every user for every (AP, session[, rate]); they live here,
@@ -17,12 +18,12 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use mcast_core::reduction::{Choice, Reduction};
+use mcast_core::reduction::{Choice, ModelCost, Reduction};
 use mcast_core::{
     solve_ssa, ApId, Association, Instance, InstanceBuilder, Kbps, Load, Objective, RatePolicy,
     SessionId, Solution, UserId,
 };
-use mcast_covering::SetId;
+use mcast_covering::{ElementId, GroupId, SetId};
 
 /// The 802.11a rate set in Mbps; each instance supports a random subset.
 const RATES_MBPS: [u32; 8] = [6, 9, 12, 18, 24, 36, 48, 54];
@@ -73,18 +74,58 @@ fn oracle_reduction(inst: &Instance) -> Vec<SetRow> {
     rows
 }
 
-/// The fast reduction's sets, in set-id order.
-fn fast_reduction(inst: &Instance) -> Vec<SetRow> {
-    let red = Reduction::build(inst);
+/// A fast reduction's sets, in set-id order, each cost mapped back to its
+/// load.
+fn fast_reduction<C: ModelCost>(red: &Reduction<C>) -> Vec<SetRow> {
     let sys = red.system();
     (0..sys.n_sets())
         .map(|i| {
             let id = SetId(i as u32);
             let set = sys.set(id);
             let members = set.members().iter().map(|e| e.0).collect();
-            (set.group().0, members, *set.cost(), red.choice(id))
+            (
+                set.group().0,
+                members,
+                red.to_load(*set.cost()),
+                red.choice(id),
+            )
         })
         .collect()
+}
+
+/// Checks a reduction's indexes against full scans of its sets: each
+/// user's covering sets, each AP's sets, and the users no set covers,
+/// which must be the users with no link at a usable multicast rate.
+fn check_indexes<C: ModelCost>(red: &Reduction<C>, inst: &Instance) -> Result<(), TestCaseError> {
+    let sys = red.system();
+    for u in inst.users() {
+        let e = ElementId(u.0);
+        let want: Vec<SetId> = (0..sys.n_sets() as u32)
+            .map(SetId)
+            .filter(|&id| sys.set(id).contains(e))
+            .collect();
+        prop_assert_eq!(sys.covering_sets(e), &want[..], "covering_sets({})", u);
+    }
+    prop_assert_eq!(sys.n_groups(), inst.n_aps());
+    for a in inst.aps() {
+        let g = GroupId(a.0);
+        let want: Vec<SetId> = (0..sys.n_sets() as u32)
+            .map(SetId)
+            .filter(|&id| sys.set(id).group() == g)
+            .collect();
+        prop_assert_eq!(sys.group_sets(g), &want[..], "group_sets({})", a);
+    }
+    let slowest = inst.multicast_rates()[0];
+    let unlinked: Vec<UserId> = inst
+        .users()
+        .filter(|&u| {
+            !inst
+                .aps()
+                .any(|a| inst.multicast_rate_to(a, u).is_some_and(|r| r >= slowest))
+        })
+        .collect();
+    prop_assert_eq!(red.uncoverable_users(), unlinked);
+    Ok(())
 }
 
 /// Full-scan session rate: the minimum multicast rate over every user
@@ -170,7 +211,12 @@ proptest! {
     #[test]
     fn reduction_matches_the_all_pairs_construction(seed in 0u64..u64::MAX) {
         let inst = random_instance(seed);
-        prop_assert_eq!(fast_reduction(&inst), oracle_reduction(&inst));
+        let (exact, quantized) = (Reduction::build(&inst), Reduction::quantized(&inst));
+        let oracle = oracle_reduction(&inst);
+        prop_assert_eq!(fast_reduction(&exact), oracle.clone());
+        prop_assert_eq!(fast_reduction(&quantized), oracle);
+        check_indexes(&exact, &inst)?;
+        check_indexes(&quantized, &inst)?;
     }
 
     #[test]
@@ -219,6 +265,8 @@ fn plan_path_is_linear_on_a_wide_sparse_instance() {
     let start = Instant::now();
     let red = Reduction::build(&inst);
     assert_eq!(red.system().n_sets(), N as usize);
+    let quantized = Reduction::quantized(&inst);
+    assert_eq!(quantized.system().n_sets(), N as usize);
     let ssa = solve_ssa(&inst, Objective::Mnu);
     assert_eq!(ssa.satisfied, N as usize);
     let sol = Solution::evaluate(Objective::Mla, ssa.association, &inst, None);

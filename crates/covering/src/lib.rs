@@ -65,5 +65,7 @@ pub use mcg::{greedy_mcg, greedy_mcg_opts, McgSolution};
 pub use primal_dual::{primal_dual_set_cover, PrimalDualOutcome};
 pub use scg::{solve_scg, ScgError, ScgSolution};
 pub use set_cover::{greedy_set_cover, Cover, CoverError};
-pub use system::{BuildError, ElementId, GroupId, SetDef, SetId, SetSystem, SetSystemBuilder};
+pub use system::{
+    BuildError, ElementId, GroupId, SetId, SetRef, SetSystem, SetSystemBuilder, Sets,
+};
 pub use verify::{check_budgets, check_cover, coverage_count, group_costs, total_cost};

@@ -166,9 +166,10 @@ pub(crate) fn greedy_mcg_from<C: Cost>(
 
     // Unaffordable sets (under the skip rule) are never filed: budgets
     // never change, so the reference scan skips them on every pick.
-    let group_of = |s: usize| system.sets()[s].group().0 as usize;
+    let (costs, groups) = (system.costs(), system.set_groups());
+    let group_of = |s: usize| groups[s].0 as usize;
     queue.fill(system, &residual, |s| {
-        !(skip_unaffordable && *system.sets()[s].cost() > budgets[group_of(s)])
+        !(skip_unaffordable && costs[s] > budgets[group_of(s)])
     });
 
     while n_uncovered > 0 {

@@ -52,7 +52,7 @@ where
 
     let n = system.n_elements();
     // Residual (unpaid) cost per set; a set is tight at zero.
-    let mut residual: Vec<C> = system.sets().iter().map(|s| *s.cost()).collect();
+    let mut residual: Vec<C> = system.costs().to_vec();
     let mut tight: Vec<bool> = vec![false; system.n_sets()];
     let mut covered = vec![false; n];
     let mut picked_order: Vec<SetId> = Vec::new();
