@@ -191,7 +191,7 @@ impl Association {
             .map(|&a| (a != NO_AP).then_some(ApId(a)))
     }
 
-    /// The per-user vector, materialized (for set keys and checkpoints).
+    /// The per-user vector, materialized (for set keys).
     pub fn to_vec(&self) -> Vec<Option<ApId>> {
         self.iter().collect()
     }

@@ -556,8 +556,7 @@ fn transpose_csr(
 ///
 /// The serialized form is the sparse `mcast-instance/v1` wire (links on
 /// the wire, never an APs × users matrix); files written by the older
-/// dense-matrix wire still load, and [`Instance::to_legacy_dense_value`]
-/// can still emit that shape for downgrade interchange.
+/// dense-matrix wire still load.
 #[derive(Debug, Clone)]
 pub struct Instance {
     sessions: Vec<SessionSpec>,
@@ -960,47 +959,6 @@ impl Instance {
             self.rate_policy,
         )
     }
-
-    /// Renders the pre-v1 dense wire shape (`link`/`signal` matrices of
-    /// APs × users entries plus redundant adjacency lists) for interchange
-    /// with tooling that still expects it. This materializes O(APs × users)
-    /// values — exactly the blowup the sparse wire exists to avoid — so it
-    /// is only reachable behind an explicit flag (`repro gen
-    /// --legacy-dense`), never on the default path.
-    pub fn to_legacy_dense_value(&self) -> Value {
-        let n_aps = self.n_aps();
-        let n_users = self.n_users();
-        let mut link = vec![Value::Null; n_aps * n_users];
-        let mut signal = vec![Value::Null; n_aps * n_users];
-        for u in 0..n_users {
-            let (lo, hi) = self.user_row(UserId(u as u32));
-            for i in lo..hi {
-                let (a, r) = self.user_adj[i];
-                let idx = a.index() * n_users + u;
-                link[idx] = Value::Int(i128::from(r.0));
-                if self.user_sig[i] != NO_SIGNAL {
-                    signal[idx] = Value::Int(i128::from(self.user_sig[i]));
-                }
-            }
-        }
-        let user_aps: Vec<Value> = (0..n_users)
-            .map(|u| self.candidate_aps(UserId(u as u32)).serialize_value())
-            .collect();
-        let ap_users: Vec<Value> = (0..n_aps)
-            .map(|a| self.reachable_users(ApId(a as u32)).serialize_value())
-            .collect();
-        Value::Object(vec![
-            ("sessions".into(), self.sessions.serialize_value()),
-            ("users".into(), self.users.serialize_value()),
-            ("budgets".into(), self.budgets.serialize_value()),
-            ("link".into(), Value::Array(link)),
-            ("signal".into(), Value::Array(signal)),
-            ("user_aps".into(), Value::Array(user_aps)),
-            ("ap_users".into(), Value::Array(ap_users)),
-            ("rates".into(), self.rates.serialize_value()),
-            ("rate_policy".into(), self.rate_policy.serialize_value()),
-        ])
-    }
 }
 
 // ---- wire formats ------------------------------------------------------
@@ -1066,7 +1024,7 @@ impl Deserialize for Instance {
             Some(other) => Err(DeError::custom(format!(
                 "unknown instance format tag: {other:?}"
             ))),
-            None if v.get("link").is_some() => legacy_dense_from_value(v),
+            None if v.get("link").is_some() => dense_from_value(v),
             None => Err(DeError::custom(
                 "instance: neither a format tag nor a legacy dense `link` matrix",
             )),
@@ -1155,7 +1113,7 @@ fn sparse_from_value(v: &Value) -> Result<Instance, DeError> {
     .map_err(DeError::custom)
 }
 
-fn legacy_dense_from_value(v: &Value) -> Result<Instance, DeError> {
+fn dense_from_value(v: &Value) -> Result<Instance, DeError> {
     let sessions = Vec::<SessionSpec>::deserialize_value(field(v, "sessions")?)?;
     let users = Vec::<UserSpec>::deserialize_value(field(v, "users")?)?;
     let budgets = Vec::<Load>::deserialize_value(field(v, "budgets")?)?;
@@ -1437,23 +1395,19 @@ mod tests {
         assert_eq!(back.link_rate(ApId(0), UserId(0)), Some(mbps(3)));
     }
 
+    /// The pre-v1 dense wire loads: `link`/`signal` are AP-major
+    /// matrices, and the adjacency lists are required but rebuilt.
     #[test]
-    fn legacy_dense_value_roundtrips() {
-        let inst = two_ap_instance();
-        let dense = inst.to_legacy_dense_value();
-        let json = serde_json::to_string(&dense).unwrap();
-        assert!(json.contains("\"link\""));
-        let back: Instance = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_links(), inst.n_links());
-        assert_eq!(
-            serde_json::to_string(&back.to_legacy_dense_value()).unwrap(),
-            json,
-            "legacy emit is stable across a roundtrip"
-        );
-        // And the sparse forms agree too.
+    fn dense_wire_loads() {
+        let dense = r#"{"sessions":[{"rate":3000}],"users":[{"session":0},{"session":0}],
+            "budgets":[{"num":1,"den":1},{"num":1,"den":1}],
+            "link":[3000,6000,null,5000],"signal":[3000,6000,null,5000],
+            "user_aps":[],"ap_users":[],
+            "rates":[3000,4000,5000,6000],"rate_policy":"MultiRate"}"#;
+        let back: Instance = serde_json::from_str(dense).unwrap();
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&inst).unwrap()
+            serde_json::to_string(&two_ap_instance()).unwrap()
         );
     }
 

@@ -47,7 +47,6 @@ mod load;
 mod rate;
 
 pub mod bla;
-pub mod checkpoint;
 pub mod distributed;
 pub mod dual;
 pub mod examples_paper;
@@ -60,17 +59,15 @@ pub mod revenue;
 pub mod solution;
 pub mod ssa;
 pub mod stats;
-pub mod supervise;
 
 pub use assoc::{AssocError, Association, LoadLedger};
 pub use bla::solve_bla;
 pub use bla::{solve_bla_with, BlaConfig};
-pub use checkpoint::{CheckpointError, CheckpointSink, RunCheckpoint, CHECKPOINT_SCHEMA};
 pub use distributed::{
-    local_decision, local_decision_scratch, local_decision_with, resume_distributed_parallel,
-    run_distributed, run_distributed_parallel, run_distributed_traced, run_min_max_vector,
-    run_min_total, ApStateView, DecisionOrder, DecisionScratch, DistributedConfig,
-    DistributedOutcome, ExecutionMode, MoveRec, Policy, RunError, SupervisedOutcome,
+    local_decision, local_decision_scratch, local_decision_with, run_distributed,
+    run_distributed_parallel, run_distributed_traced, run_min_max_vector, run_min_total,
+    splitmix64, ApStateView, DecisionOrder, DecisionScratch, DistributedConfig, DistributedOutcome,
+    ExecutionMode, MoveRec, Policy, RunError, SupervisedOutcome,
 };
 pub use dual::DualAssociation;
 pub use ids::{ApId, SessionId, UserId};
@@ -87,4 +84,3 @@ pub use repair::{best_rehome_target, repair_user, strongest_allowed_ap};
 pub use solution::{Objective, Solution, SolveError};
 pub use ssa::solve_ssa;
 pub use stats::InstanceStats;
-pub use supervise::{splitmix64, ChaosPlan, RecoveryReport, SuperviseOptions};

@@ -10,7 +10,7 @@
 
 use mcast_core::{
     run_distributed_parallel, run_distributed_traced, Association, DistributedConfig,
-    DistributedOutcome, ExecutionMode, Instance, Policy, SuperviseOptions,
+    DistributedOutcome, ExecutionMode, Instance, Policy,
 };
 use mcast_topology::ScenarioConfig;
 
@@ -56,11 +56,7 @@ fn generated_scenarios_byte_identical() {
         let initial = Association::empty(inst.n_users());
         let (single, strace) = run_distributed_traced(&inst, &config, initial.clone());
         for w in [2usize, 3, 8] {
-            let opts = SuperviseOptions {
-                trace: true,
-                ..SuperviseOptions::default()
-            };
-            let par = run_distributed_parallel(&inst, &config, initial.clone(), w, &opts).unwrap();
+            let par = run_distributed_parallel(&inst, &config, initial.clone(), w, true).unwrap();
             let ctx = format!("{policy:?} W={w}");
             outcomes_match(&par.outcome, &single, &ctx);
             assert_eq!(par.trace, strace, "decision sequence diverged: {ctx}");

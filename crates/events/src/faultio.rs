@@ -2,9 +2,8 @@
 //! failures injected under the [`Journal`](crate::journal::Journal) and
 //! any [`EventPublisher`] (via [`FaultSink`]).
 //!
-//! The plan is computed up front from a seed with splitmix64, as
-//! `mcast_core::ChaosPlan`'s torn-checkpoint script is; each scripted
-//! fault is a one-shot latch keyed by the *operation index* in its
+//! The plan is computed up front from a seed with splitmix64; each
+//! scripted fault is a one-shot latch keyed by the *operation index* in its
 //! category (write/sync), and firing is an atomic swap — so the
 //! same seed injects the same faults at the same operations on every
 //! run, regardless of timing. A `sticky_write_from` threshold models a

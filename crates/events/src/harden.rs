@@ -4,7 +4,7 @@
 //!
 //! Every persistent format in the system — the `.mcb` binary scenario
 //! wire, the sparse/dense JSON instance wires, the crc32-framed JSONL
-//! event log, and the snapshot/checkpoint files — decodes bytes it did
+//! event log, and the `serve.ckpt` snapshot file — decodes bytes it did
 //! not write. A bit-rotted disk, a crashed writer, or a hostile peer can
 //! hand any of them garbage, and the contract here is uniform: decoding
 //! yields a typed [`DecodeError`] naming the byte offset and the

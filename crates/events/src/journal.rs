@@ -26,13 +26,12 @@
 //! * **keyed records** (`{"key": ..., "value": ...}`) — the experiment
 //!   runner's trial checkpoints ([`Journal::append`] / [`replay_bytes`]);
 //! * **raw records** (any JSON document per line) — the controller's
-//!   event stream and the checkpoint files ([`Journal::append_raw`] /
-//!   [`replay_raw_bytes`]), where the caller owns the payload schema and
-//!   the durability boundary: the event log calls [`Journal::sync`] at
-//!   epoch close, not per event; a checkpoint file syncs every frame.
-//!   Raw journals reopen with [`Journal::reopen_raw`], which keeps every
-//!   whole frame, and [`Journal::append_torn`] lets chaos runs leave a
-//!   real torn frame on disk.
+//!   event stream and its `serve.ckpt` snapshots ([`Journal::append_raw`]
+//!   / [`replay_raw_bytes`]), where the caller owns the payload schema
+//!   and the durability boundary: the event log calls [`Journal::sync`]
+//!   at epoch close, not per event; the snapshot file syncs every frame.
+//!   A failed (possibly torn) raw append is cut off by
+//!   [`Journal::repair_tail`] before the next one.
 //!
 //! ## Atomic writes
 //!
@@ -189,25 +188,7 @@ impl Journal {
     /// [`JournalError::Io`] when the file cannot be read or reopened.
     pub fn resume(path: &Path) -> Result<(Journal, Replay), JournalError> {
         let replay = replay_bytes(&read_or_empty(path)?);
-        Ok((Journal::reopen(path, replay.valid_len)?, replay))
-    }
-
-    /// Opens the raw-record journal at `path` for appending after a
-    /// crash: truncates any torn tail back to the valid raw-payload
-    /// prefix. This is the reopen for checkpoint files, whose frames
-    /// carry no `key` — [`Journal::resume`] would cut them all off. A
-    /// missing file opens empty.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] when the file cannot be read or reopened.
-    pub fn reopen_raw(path: &Path) -> Result<Journal, JournalError> {
-        Journal::reopen(path, replay_raw_file(path)?.valid_len)
-    }
-
-    /// Opens `path` truncated to its first `valid_len` bytes, positioned
-    /// for appending.
-    fn reopen(path: &Path, valid_len: u64) -> Result<Journal, JournalError> {
+        let valid_len = replay.valid_len;
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
         }
@@ -219,14 +200,15 @@ impl Journal {
             .map_err(|e| io_err(path, &e))?;
         file.set_len(valid_len).map_err(|e| io_err(path, &e))?;
         file.seek(SeekFrom::End(0)).map_err(|e| io_err(path, &e))?;
-        Ok(Journal {
+        let journal = Journal {
             inner: Mutex::new(JournalInner {
                 file,
                 good_len: valid_len,
             }),
             path: path.to_path_buf(),
             faults: None,
-        })
+        };
+        Ok((journal, replay))
     }
 
     /// Appends one `(key, value)` record, durably: the record is written
@@ -285,31 +267,6 @@ impl Journal {
             .map_err(|e| io_err(&self.path, &e))?;
         inner.good_len += line.len() as u64;
         Ok(())
-    }
-
-    /// Chaos hook: writes the *first half* of `payload`'s frame —
-    /// checksum intact, payload cut, no newline — and fsyncs, as if the
-    /// process died mid-write. The committed length does not move, so
-    /// replay recovers the frames before the tear and
-    /// [`Journal::repair_tail`] cuts it off before the next whole append.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Serialize`] if `payload` contains a newline;
-    /// [`JournalError::Io`] on write/fsync failure.
-    pub fn append_torn(&self, payload: &str) -> Result<(), JournalError> {
-        if payload.contains('\n') {
-            return Err(JournalError::Serialize(
-                "raw payload contains a newline".to_string(),
-            ));
-        }
-        let line = format!("{:08x} {payload}\n", crc32(payload.as_bytes()));
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .file
-            .write_all(&line.as_bytes()[..line.len() / 2])
-            .and_then(|()| inner.file.sync_data())
-            .map_err(|e| io_err(&self.path, &e))
     }
 
     /// Flushes and fsyncs everything appended so far.
@@ -694,14 +651,21 @@ mod tests {
             .collect()
     }
 
+    /// A journal whose write number `op` (0-based) is torn: half its
+    /// bytes land, then the write fails.
+    fn tearing(path: &Path, op: u64) -> Journal {
+        let plan = IoFaultPlan::scripted(vec![(op, WriteFault::Short)], Vec::new(), None);
+        Journal::create_with_faults(path, Some(Arc::new(plan))).unwrap()
+    }
+
     #[test]
     fn torn_frame_is_cut_before_the_next_whole_frame() {
         let path = tmp("torn.ckpt");
-        let j = Journal::create(&path).unwrap();
+        let j = tearing(&path, 1);
         j.append_raw("{\"n\":1}").unwrap();
         j.sync().unwrap();
         let whole = j.committed_len();
-        j.append_torn("{\"n\":2}").unwrap();
+        assert!(j.append_raw("{\"n\":2}").is_err());
         // The tear really landed, past the committed prefix.
         assert!(fs::read(&path).unwrap().len() as u64 > whole);
         assert_eq!(j.committed_len(), whole);
@@ -710,6 +674,63 @@ mod tests {
         j.append_raw("{\"n\":3}").unwrap();
         j.sync().unwrap();
         assert_eq!(raw_ns(&path), [1, 3]);
+        let _ = fs::remove_file(path);
+    }
+
+    #[test]
+    fn truncation_at_every_byte_recovers_a_whole_prefix() {
+        let path = tmp("everybyte.ckpt");
+        let j = Journal::create(&path).unwrap();
+        j.append_raw("{\"n\":1}").unwrap();
+        j.append_raw("{\"n\":2}").unwrap();
+        j.sync().unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let cut_path = tmp("everybyte_cut.ckpt");
+        for cut in 0..=bytes.len() {
+            fs::write(&cut_path, &bytes[..cut]).unwrap();
+            let got = raw_ns(&cut_path);
+            assert_eq!(got, [1, 2][..got.len()], "cut at byte {cut}");
+        }
+        assert_eq!(raw_ns(&cut_path), [1, 2]);
+        let _ = fs::remove_file(path);
+        let _ = fs::remove_file(cut_path);
+    }
+
+    #[test]
+    fn injected_short_write_tears_a_real_frame_and_recovery_holds() {
+        let path = tmp("faulted.ckpt");
+        let j = tearing(&path, 1);
+        j.append_raw("{\"n\":1}").unwrap();
+        j.sync().unwrap();
+        let err = j.append_raw("{\"n\":2}").unwrap_err();
+        assert!(err.to_string().contains("short write"));
+        // The torn bytes really landed; the loader stops at them and
+        // recovers frame 1, whose end is the committed length.
+        let replay = replay_raw_file(&path).unwrap();
+        assert_eq!(
+            replay.payloads,
+            [Value::Object(vec![("n".to_string(), Value::Int(1))])]
+        );
+        assert_eq!(replay.valid_len, j.committed_len());
+        assert!(replay.dropped_bytes > 0);
+        assert!(replay.tail_reason.unwrap().contains("incomplete"));
+        let _ = fs::remove_file(path);
+    }
+
+    #[test]
+    fn injected_sync_failure_keeps_the_frame_bytes() {
+        let path = tmp("syncfail.ckpt");
+        let plan = Arc::new(IoFaultPlan::scripted(Vec::new(), vec![0], None));
+        let j = Journal::create_with_faults(&path, Some(plan)).unwrap();
+        j.append_raw("{\"n\":1}").unwrap();
+        let err = j.sync().unwrap_err();
+        assert!(err.to_string().contains("fsync"));
+        // An fsync failure does not un-write the page cache: the frame
+        // is still readable in-process.
+        assert_eq!(raw_ns(&path), [1]);
+        j.append_raw("{\"n\":2}").unwrap();
+        j.sync().unwrap();
+        assert_eq!(raw_ns(&path), [1, 2]);
         let _ = fs::remove_file(path);
     }
 }

@@ -14,17 +14,16 @@
 //!   ingests *and* everything it decides through an [`EventPublisher`] —
 //!   in production a [`JsonlPublisher`] streaming `events.jsonl` through
 //!   the same checksummed [`journal`] the experiment harness uses for
-//!   crash-safe checkpoints;
+//!   its trial journal;
 //! * [`replay_stream_bytes`] decodes a stream (including a
 //!   crash-truncated one) back into its valid event prefix, from which
 //!   `mcast_controller::replay` folds the report and final association
 //!   without re-running a single solver.
 //!
 //! [`journal::Journal`] is the one writer of crc32-framed files: the
-//! event log, the experiment runner's trial journal, and the checkpoint
-//! files ([`RunCheckpointSink`], `serve.ckpt`) all open, append, fsync
-//! and repair through it, so they share one framing and one recovery
-//! rule. [`journal::atomic_write`] is the discipline every final
+//! event log, the experiment runner's trial journal, and the service
+//! snapshot file `serve.ckpt` all open, append, fsync and repair through
+//! it, so they share one framing and one recovery rule. [`journal::atomic_write`] is the discipline every final
 //! artifact goes through.
 
 #![forbid(unsafe_code)]
@@ -38,7 +37,6 @@ mod publish;
 mod queue;
 mod replay;
 mod resilient;
-pub mod snapshot;
 
 pub use event::{Event, EventKind, STREAM_SCHEMA};
 pub use faultio::{FaultSink, IoFaultPlan, WriteFault};
@@ -47,4 +45,3 @@ pub use publish::{EventPublisher, JsonlPublisher, MemoryPublisher, NullPublisher
 pub use queue::{TimeQueue, Timed};
 pub use replay::{replay_stream_bytes, replay_stream_bytes_from, StreamReplay};
 pub use resilient::{DegradeReport, DegradeRung, ResilientPublisher, RetryPolicy};
-pub use snapshot::{load_checkpoints, load_latest_checkpoint, RunCheckpointSink};

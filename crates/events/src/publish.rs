@@ -126,7 +126,8 @@ impl EventPublisher for MemoryPublisher {
 
 /// Streams events into an append-only crc32-framed JSONL journal
 /// (`events.jsonl`): one event per line, checksummed with the same
-/// framing the experiment checkpoints use, torn-tail recoverable.
+/// framing the experiment runner's trial journal uses, torn-tail
+/// recoverable.
 ///
 /// Appends are buffered by the OS; [`EventPublisher::sync`] fsyncs, so
 /// with the service syncing at every `EpochClosed` a crash loses at most

@@ -14,9 +14,7 @@
 //!   reference (`crates/core/src/reference.rs`), over both policies and
 //!   execution modes plus one large-scale scenario, the parallel
 //!   Simultaneous engine's worker-scaling curve (1/2/4/8 workers) against
-//!   the single-threaded engine on the same large workload, and the
-//!   fault-tolerance recovery costs (checkpoint overhead at K ∈ {10, 50}
-//!   and restore-from-checkpoint latency vs recompute-from-scratch);
+//!   the single-threaded engine on the same large workload;
 //! * `BENCH_controller.json` — sustained admission throughput of the
 //!   event-driven controller service on a staggered-join workload
 //!   (joins/sec, p50/p95/p99 per-decision latency), with the run's
@@ -33,15 +31,14 @@ use std::time::Instant;
 use mcast_core::bla::budget_grid;
 use mcast_core::reduction::{ModelCost, Reduction};
 use mcast_core::{
-    resume_distributed_parallel, run_distributed, run_distributed_parallel,
-    run_distributed_reference, solve_bla, Association, BlaConfig, DistributedConfig,
-    DistributedOutcome, ExecutionMode, Instance, Objective, Policy, Solution, SuperviseOptions,
+    run_distributed, run_distributed_parallel, run_distributed_reference, solve_bla, Association,
+    BlaConfig, DistributedConfig, DistributedOutcome, ExecutionMode, Instance, Objective, Policy,
+    Solution,
 };
 use mcast_covering::{
     greedy_mcg, greedy_mcg_opts, greedy_set_cover, reference, solve_scg, ScgSolution,
     SetSystemBuilder,
 };
-use mcast_events::{load_checkpoints, RunCheckpointSink};
 use mcast_topology::{Placement, ScenarioConfig};
 use serde::Serialize;
 
@@ -520,14 +517,12 @@ pub fn distributed_report(opts: &Options) -> BenchReport {
     let (single_ms, single_out) = time_best_of(3, || {
         run_distributed(inst, &config, Association::empty(n_users))
     });
-    let plain_opts = SuperviseOptions::default();
-    let parallel = |config: &DistributedConfig, workers: usize, sup: &SuperviseOptions| {
-        run_distributed_parallel(inst, config, Association::empty(n_users), workers, sup)
-            .expect("empty association is always in range")
-    };
     for w in [1usize, 2, 4, 8] {
         let row = RowRss::start();
-        let (par_ms, par_out) = time_best_of(3, || parallel(&config, w, &plain_opts));
+        let (par_ms, par_out) = time_best_of(3, || {
+            run_distributed_parallel(inst, &config, Association::empty(n_users), w, false)
+                .expect("empty association is always in range")
+        });
         benches.insert(
             format!("simultaneous_w{w}"),
             BenchEntry::new(
@@ -542,96 +537,8 @@ pub fn distributed_report(opts: &Options) -> BenchReport {
         );
     }
 
-    // Fault-tolerance recovery costs on the same large workload, through
-    // the parallel engine. The checkpoint-overhead entries invert the
-    // usual roles: `reference` is the *uncheckpointed* run and `fast` is
-    // the checkpointed one, so `speedup` is the (slight) slowdown
-    // checkpointing costs — the acceptance bar is that at K = 50 it stays
-    // within 5% of round time. `recovery_restore` races
-    // restore-from-a-mid-run-checkpoint against recomputing from scratch;
-    // both must land on the identical outcome.
-    let config = DistributedConfig {
-        policy: Policy::MinMaxVector,
-        mode: ExecutionMode::Simultaneous,
-        max_rounds: 12,
-        ..DistributedConfig::default()
-    };
-    let scratch = std::env::temp_dir().join(format!("mcast_bench_recovery_{}", std::process::id()));
-    let _ = std::fs::create_dir_all(&scratch);
-    let (plain_ms, plain_out) = time_best_of(3, || parallel(&config, 4, &plain_opts));
-    for k in [10usize, 50] {
-        let row = RowRss::start();
-        let path = scratch.join(format!("k{k}.ckpt"));
-        let (ck_ms, ck_out) = time_best_of(3, || {
-            let sink = RunCheckpointSink::create(&path).expect("scratch dir is writable");
-            parallel(
-                &config,
-                4,
-                &SuperviseOptions {
-                    checkpoint_every: Some(k),
-                    sink: Some(&sink),
-                    ..SuperviseOptions::default()
-                },
-            )
-        });
-        benches.insert(
-            format!("recovery_ckpt_k{k}"),
-            BenchEntry::new(
-                format!(
-                    "checkpoint overhead at K={k}: parallel MinMaxVector / Simultaneous, \
-                     4 workers, {n_aps} APs / {n_users} users, 12 rounds; reference is the \
-                     uncheckpointed run, so speedup < 1 is the checkpointing cost"
-                ),
-                plain_ms,
-                ck_ms,
-                outcomes_equal(&plain_out.outcome, &ck_out.outcome),
-                &row,
-            ),
-        );
-    }
-    // Restore latency: checkpoint every round, resume from the middle
-    // snapshot, and race that against recomputing the run from scratch.
-    let row = RowRss::start();
-    let restore_path = scratch.join("restore.ckpt");
-    {
-        let sink = RunCheckpointSink::create(&restore_path).expect("scratch dir is writable");
-        parallel(
-            &config,
-            4,
-            &SuperviseOptions {
-                checkpoint_every: Some(1),
-                sink: Some(&sink),
-                ..SuperviseOptions::default()
-            },
-        );
-    }
-    let cps = load_checkpoints(&restore_path).expect("checkpoint file is readable");
-    let mid = cps
-        .get(cps.len() / 2)
-        .expect("a multi-round run writes at least one checkpoint");
-    let (restore_ms, restored) = time_best_of(3, || {
-        resume_distributed_parallel(inst, &config, mid, 4, &plain_opts)
-            .expect("a checkpoint written by this run restores")
-    });
-    benches.insert(
-        "recovery_restore".to_string(),
-        BenchEntry::new(
-            format!(
-                "restore latency: resume from the round-{} checkpoint vs recompute from \
-                 scratch, parallel MinMaxVector / Simultaneous, 4 workers, \
-                 {n_aps} APs / {n_users} users, 12 rounds",
-                mid.round
-            ),
-            plain_ms,
-            restore_ms,
-            outcomes_equal(&plain_out.outcome, &restored.outcome),
-            &row,
-        ),
-    );
-    let _ = std::fs::remove_dir_all(&scratch);
-
     BenchReport {
-        schema: "mcast-bench-distributed/v4".to_string(),
+        schema: "mcast-bench-distributed/v5".to_string(),
         quick: opts.quick,
         host_threads: host_threads(),
         benches,
@@ -1105,7 +1012,7 @@ mod tests {
         assert!(t.benches.contains_key("scenario_gen"));
         assert!(t.benches.values().all(|b| b.outputs_identical));
         let d = distributed_report(&opts);
-        assert_eq!(d.schema, "mcast-bench-distributed/v4");
+        assert_eq!(d.schema, "mcast-bench-distributed/v5");
         assert!(d.host_threads >= 1);
         assert!([
             "serial_min_total",
@@ -1117,9 +1024,6 @@ mod tests {
             "simultaneous_w2",
             "simultaneous_w4",
             "simultaneous_w8",
-            "recovery_ckpt_k10",
-            "recovery_ckpt_k50",
-            "recovery_restore",
         ]
         .iter()
         .all(|k| d.benches.contains_key(*k)));

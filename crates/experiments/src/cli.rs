@@ -115,18 +115,13 @@ const RESUMABLE: &[&str] = &[
     "mobility",
     "faults",
     "controller",
-    "chaos",
     "revenue",
     "all",
 ];
 
-/// Commands that inject scripted faults, where `--chaos SEED` picks the
-/// fault plan.
-const CHAOTIC: &[&str] = &["chaos"];
-
 /// Commands that write recovery snapshots, where `--checkpoint-every K`
 /// sets the cadence.
-const CHECKPOINTED: &[&str] = &["chaos", "serve"];
+const CHECKPOINTED: &[&str] = &["serve"];
 
 /// Commands that stream an event log through the resilient sink, where
 /// `--io-chaos SEED` injects a scripted IO-fault plan.
@@ -222,31 +217,22 @@ pub fn validate_suite(command: &str, suite: Option<&str>) -> Result<(), FlagErro
     }
 }
 
-/// Rejects the fault-tolerance flags on commands that cannot honor
-/// them: `--chaos SEED` needs a supervised run to inject into, and
-/// `--checkpoint-every K` needs a run that writes recovery snapshots.
+/// Rejects `--checkpoint-every K` on commands that write no recovery
+/// snapshots, and a zero cadence.
 ///
 /// # Errors
 ///
 /// A [`FlagError`] naming the command, the flag, and the reason.
 pub fn validate_recovery_flags(
     command: &str,
-    chaos: bool,
     checkpoint_every: Option<usize>,
 ) -> Result<(), FlagError> {
-    if chaos && !CHAOTIC.contains(&command) {
-        return Err(FlagError {
-            command: command.to_string(),
-            flag: "--chaos".to_string(),
-            reason: "it runs no supervised engine to inject faults into",
-        });
-    }
     if let Some(k) = checkpoint_every {
         if k == 0 {
             return Err(FlagError {
                 command: command.to_string(),
                 flag: "--checkpoint-every".to_string(),
-                reason: "the snapshot cadence must be at least 1 round",
+                reason: "the snapshot cadence must be at least 1 epoch",
             });
         }
         if !CHECKPOINTED.contains(&command) {
@@ -314,9 +300,6 @@ pub struct GenOptions {
     pub sessions: usize,
     /// Budget in permille (e.g. 900 = 0.9).
     pub budget_permille: u32,
-    /// Emit the pre-v1 dense JSON wire (APs × users matrices) instead of
-    /// the sparse default — downgrade interchange only; O(APs × users).
-    pub legacy_dense: bool,
 }
 
 impl Default for GenOptions {
@@ -327,29 +310,19 @@ impl Default for GenOptions {
             users: 400,
             sessions: 5,
             budget_permille: 900,
-            legacy_dense: false,
         }
     }
 }
 
 /// Generates a scenario and writes it out. The extension picks the
 /// format: `.mcb` gets the compact binary wire (streamed, never a JSON
-/// value tree), anything else the sparse JSON wire — or the pre-v1 dense
-/// JSON wire under `--legacy-dense`.
+/// value tree), anything else the sparse JSON wire.
 ///
 /// # Errors
 ///
-/// I/O or serialization failures ([`CliError::IoDecode`]), a config the
-/// generator rejects ([`CliError::Validation`]), or `--legacy-dense`
-/// combined with a `.mcb` destination ([`CliError::Usage`] — the binary
-/// wire has no dense variant).
+/// I/O or serialization failures ([`CliError::IoDecode`]) or a config
+/// the generator rejects ([`CliError::Validation`]).
 pub fn generate_to_file(opts: &GenOptions, path: &Path) -> Result<(), CliError> {
-    let is_mcb = path.extension().is_some_and(|e| e == "mcb");
-    if opts.legacy_dense && is_mcb {
-        return Err(CliError::Usage(
-            "--legacy-dense writes the old dense JSON wire; it cannot target .mcb".into(),
-        ));
-    }
     let scenario = ScenarioConfig {
         n_aps: opts.aps,
         n_users: opts.users,
@@ -360,15 +333,11 @@ pub fn generate_to_file(opts: &GenOptions, path: &Path) -> Result<(), CliError> 
     .with_seed(opts.seed)
     .try_generate()
     .map_err(|e| CliError::Validation(format!("generation failed: {e}")))?;
-    if is_mcb {
+    if path.extension().is_some_and(|e| e == "mcb") {
         mcast_topology::write_mcb(&scenario, path).map_err(CliError::IoDecode)?;
     } else {
-        let json = if opts.legacy_dense {
-            serde_json::to_string(&scenario.to_legacy_dense_value())
-                .map_err(|e| CliError::IoDecode(e.to_string()))?
-        } else {
-            serde_json::to_string(&scenario).map_err(|e| CliError::IoDecode(e.to_string()))?
-        };
+        let json =
+            serde_json::to_string(&scenario).map_err(|e| CliError::IoDecode(e.to_string()))?;
         mcast_events::journal::atomic_write(path, json.as_bytes())
             .map_err(|e| CliError::IoDecode(e.to_string()))?;
     }
@@ -530,7 +499,6 @@ mod tests {
             users: 25,
             sessions: 3,
             budget_permille: 900,
-            legacy_dense: false,
         };
         generate_to_file(&opts, &path).unwrap();
         let scenario = load_scenario(&path).unwrap();
@@ -576,58 +544,6 @@ mod tests {
         solve_file(&mcb_path, "mla", None).unwrap();
         let _ = std::fs::remove_file(json_path);
         let _ = std::fs::remove_file(mcb_path);
-    }
-
-    #[test]
-    fn legacy_dense_flag_writes_the_old_wire() {
-        let opts = GenOptions {
-            seed: 2,
-            aps: 6,
-            users: 12,
-            sessions: 2,
-            ..GenOptions::default()
-        };
-        let dense_path = tmp("dense.json");
-        generate_to_file(
-            &GenOptions {
-                legacy_dense: true,
-                ..opts.clone()
-            },
-            &dense_path,
-        )
-        .unwrap();
-        let bytes = std::fs::read_to_string(&dense_path).unwrap();
-        assert!(bytes.contains("\"link\":"), "dense wire carries matrices");
-        assert!(
-            !bytes.contains("mcast-instance/v1"),
-            "dense wire has no format tag"
-        );
-        // The dense file loads through the fallback path and describes
-        // the same scenario as the sparse default.
-        let dense = load_scenario(&dense_path).unwrap();
-        let sparse_path = tmp("sparse.json");
-        generate_to_file(&opts, &sparse_path).unwrap();
-        let sparse = load_scenario(&sparse_path).unwrap();
-        assert_eq!(
-            serde_json::to_string(&dense).unwrap(),
-            serde_json::to_string(&sparse).unwrap()
-        );
-        let _ = std::fs::remove_file(dense_path);
-        let _ = std::fs::remove_file(sparse_path);
-    }
-
-    #[test]
-    fn legacy_dense_cannot_target_mcb() {
-        let err = generate_to_file(
-            &GenOptions {
-                legacy_dense: true,
-                ..GenOptions::default()
-            },
-            &tmp("bad").with_extension("mcb"),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--legacy-dense"), "{err}");
-        assert_eq!(err.exit_code(), 2, "flag misuse is a usage error");
     }
 
     #[test]
@@ -691,7 +607,7 @@ mod tests {
 
     #[test]
     fn io_chaos_is_rejected_by_command_and_combination() {
-        for cmd in ["bench", "fig9", "chaos", "replay", "all"] {
+        for cmd in ["bench", "fig9", "replay", "all"] {
             let err = validate_io_chaos(cmd, Some(7), None).unwrap_err();
             assert_eq!(err.flag, "--io-chaos");
             assert_eq!(err.command, cmd);
@@ -757,40 +673,24 @@ mod tests {
             let err = validate_flags(cmd, false, true).unwrap_err();
             assert_eq!(err.flag, "--resume");
         }
-        // Sweeping commands journal their trials, so --resume is valid —
-        // and chaos resumes from its recovery checkpoint.
-        for cmd in ["faults", "controller", "fig10", "chaos", "all"] {
+        // Sweeping commands journal their trials, so --resume is valid.
+        for cmd in ["faults", "controller", "fig10", "all"] {
             assert_eq!(validate_flags(cmd, false, true), Ok(()), "{cmd}");
         }
     }
 
     #[test]
-    fn chaos_flag_is_rejected_outside_the_chaos_command() {
-        for cmd in ["serve", "bench", "fig9", "controller", "all"] {
-            let err = validate_recovery_flags(cmd, true, None).unwrap_err();
-            assert_eq!(err.flag, "--chaos");
-            assert_eq!(err.command, cmd);
-        }
-        assert_eq!(validate_recovery_flags("chaos", true, None), Ok(()));
-    }
-
-    #[test]
     fn checkpoint_cadence_is_validated_by_command_and_value() {
-        for cmd in ["bench", "fig9", "controller", "all"] {
-            let err = validate_recovery_flags(cmd, false, Some(10)).unwrap_err();
+        for cmd in ["bench", "fig9", "controller", "replay", "all"] {
+            let err = validate_recovery_flags(cmd, Some(10)).unwrap_err();
             assert_eq!(err.flag, "--checkpoint-every");
             assert_eq!(err.command, cmd);
         }
-        for cmd in ["chaos", "serve"] {
-            assert_eq!(
-                validate_recovery_flags(cmd, false, Some(10)),
-                Ok(()),
-                "{cmd}"
-            );
-        }
-        let err = validate_recovery_flags("chaos", false, Some(0)).unwrap_err();
-        assert!(err.to_string().contains("at least 1"), "{err}");
-        assert_eq!(validate_recovery_flags("bench", false, None), Ok(()));
+        assert_eq!(validate_recovery_flags("serve", Some(10)), Ok(()));
+        let err = validate_recovery_flags("serve", Some(0)).unwrap_err();
+        assert_eq!(err.command, "serve");
+        assert!(err.to_string().contains("at least 1 epoch"), "{err}");
+        assert_eq!(validate_recovery_flags("bench", None), Ok(()));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 pub mod algos;
 pub mod bench;
-pub mod chaos;
 pub mod cli;
 pub mod figures;
 pub mod par;
@@ -47,12 +46,8 @@ pub struct Options {
     /// Worker threads for parallel sweeps (`--threads N`); 0 means auto
     /// (available parallelism, capped — see [`par::workers`]).
     pub threads: usize,
-    /// Seed of the injected-fault plan for `repro chaos`
-    /// (`--chaos SEED`); `None` runs the command's default seed.
-    pub chaos_seed: Option<u64>,
-    /// Snapshot cadence in completed rounds/epochs for checkpointed
-    /// commands (`--checkpoint-every K`); `None` uses the command's
-    /// default.
+    /// Snapshot cadence in committed epochs for `repro serve`
+    /// (`--checkpoint-every K`); `None` uses its default.
     pub checkpoint_every: Option<usize>,
     /// Bench suite for `repro bench` (`--suite NAME`): `None`/`default`
     /// runs the four fast-vs-reference reports, `scale` runs the
@@ -73,7 +68,6 @@ impl Default for Options {
             resume: false,
             deadline_s: 300,
             threads: 0,
-            chaos_seed: None,
             checkpoint_every: None,
             bench_suite: None,
             io_chaos: None,

@@ -18,7 +18,6 @@
 //!               (--io-chaos SEED: seeded IO faults against the sink; the
 //!               run must still lose zero decisions)
 //!   replay      fold <out>/events.jsonl back into a report (no solvers)
-//!   chaos       parallel run with torn checkpoints; proves recovery is exact
 //!   revenue     the §3.2 revenue models across algorithms
 //!   bench       time fast paths vs reference, write BENCH_*.json
 //!               (--suite scale: million-user end-to-end pass -> BENCH_scale.json)
@@ -59,7 +58,7 @@ fn fail_io(e: String) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else {
-        eprintln!("usage: repro <table1|fig9|fig10|fig11|fig12|ablations|channels|mobility|faults|controller|serve|replay|chaos|revenue|bench|validate|all|gen|solve|compare> [--seeds N] [--out DIR] [--max-nodes N] [--quick] [--plot] [--resume] [--deadline SECS] [--threads N] [--chaos SEED] [--checkpoint-every K] [--suite NAME] [--io-chaos SEED]");
+        eprintln!("usage: repro <table1|fig9|fig10|fig11|fig12|ablations|channels|mobility|faults|controller|serve|replay|revenue|bench|validate|all|gen|solve|compare> [--seeds N] [--out DIR] [--max-nodes N] [--quick] [--plot] [--resume] [--deadline SECS] [--threads N] [--checkpoint-every K] [--suite NAME] [--io-chaos SEED]");
         return ExitCode::from(2);
     };
     let mut opts = Options::default();
@@ -109,14 +108,6 @@ fn main() -> ExitCode {
                         .unwrap_or_else(|| bad_flag("--threads")),
                 );
             }
-            "--chaos" => {
-                i += 1;
-                opts.chaos_seed = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| bad_flag("--chaos")),
-                );
-            }
             "--checkpoint-every" => {
                 i += 1;
                 opts.checkpoint_every = Some(
@@ -158,11 +149,9 @@ fn main() -> ExitCode {
         if let Err(e) = mcast_experiments::cli::validate_threads(&command, threads) {
             return fail(e.into());
         }
-        if let Err(e) = mcast_experiments::cli::validate_recovery_flags(
-            &command,
-            opts.chaos_seed.is_some(),
-            opts.checkpoint_every,
-        ) {
+        if let Err(e) =
+            mcast_experiments::cli::validate_recovery_flags(&command, opts.checkpoint_every)
+        {
             return fail(e.into());
         }
         if let Err(e) =
@@ -257,10 +246,6 @@ fn main() -> ExitCode {
             Ok(summary) => print!("{summary}"),
             Err(e) => return fail(e),
         },
-        "chaos" => match mcast_experiments::chaos::run_chaos(&opts) {
-            Ok(summary) => print!("{summary}"),
-            Err(e) => return fail(e),
-        },
         "revenue" => run_figs(revenue::run(&opts, &runner), &opts),
         "bench" => match mcast_experiments::bench::run(&opts) {
             Ok(summary) => print!("{summary}"),
@@ -269,7 +254,6 @@ fn main() -> ExitCode {
         "gen" => {
             // repro gen <out.json|out.mcb> [--seed N] [--aps N] [--users N]
             //                              [--sessions N] [--budget PERMILLE]
-            //                              [--legacy-dense]
             let mut gen_opts = mcast_experiments::cli::GenOptions::default();
             let mut out = None;
             let mut i = 1;
@@ -295,7 +279,6 @@ fn main() -> ExitCode {
                         i += 1;
                         gen_opts.budget_permille = parse_num(&args, i) as u32;
                     }
-                    "--legacy-dense" => gen_opts.legacy_dense = true,
                     other if out.is_none() => out = Some(std::path::PathBuf::from(other)),
                     other => {
                         eprintln!("unknown flag: {other}");
@@ -305,7 +288,7 @@ fn main() -> ExitCode {
                 i += 1;
             }
             let Some(out) = out else {
-                eprintln!("usage: repro gen <out.json|out.mcb> [--seed N] [--aps N] [--users N] [--sessions N] [--budget PERMILLE] [--legacy-dense]");
+                eprintln!("usage: repro gen <out.json|out.mcb> [--seed N] [--aps N] [--users N] [--sessions N] [--budget PERMILLE]");
                 return ExitCode::from(2);
             };
             if let Err(e) = mcast_experiments::cli::generate_to_file(&gen_opts, &out) {

@@ -1,8 +1,9 @@
 //! Property tests for the three scenario wire formats and generation:
 //!
 //! * sparse JSON (the default wire) roundtrips a generated scenario;
-//! * legacy dense JSON (`to_legacy_dense_value`) parses back into the
-//!   byte-identical scenario — dense JSON ↔ CSR `Instance` is lossless;
+//! * legacy dense JSON (rebuilt here from the sparse wire by
+//!   [`dense_json`]) loads as the same scenario, compared on the sparse
+//!   wire — the dense reader is lossless;
 //! * `.mcb` (compact binary) roundtrips through a real file;
 //! * grid generation is byte-identical to the all-pairs reference for
 //!   arbitrary configs (Zipf popularity, basic-only rates, per-session
@@ -12,6 +13,7 @@ use proptest::prelude::*;
 
 use mcast_core::{Kbps, Load, RatePolicy};
 use mcast_topology::{read_mcb, write_mcb, Scenario, ScenarioConfig, SessionPopularity};
+use serde::{Serialize, Value};
 
 fn config() -> impl Strategy<Value = ScenarioConfig> {
     (
@@ -60,6 +62,63 @@ fn sparse_json(sc: &Scenario) -> String {
     serde_json::to_string(sc).expect("scenario serializes")
 }
 
+/// `sc` on the pre-v1 dense wire: the instance's sparse links spread
+/// into AP-major `link`/`signal` matrices. The reader requires the
+/// `user_aps`/`ap_users` lists but rebuilds them, so they stay empty.
+fn dense_json(sc: &Scenario) -> String {
+    let sparse = sc.instance.serialize_value();
+    let field = |key: &str| sparse.get(key).expect("sparse instance field").clone();
+    let (Value::Array(users), Value::Array(budgets), Value::Array(off), Value::Array(links)) = (
+        field("users"),
+        field("budgets"),
+        field("user_off"),
+        field("links"),
+    ) else {
+        panic!("unexpected sparse instance shape");
+    };
+    let int = |v: &Value| match v {
+        Value::Int(i) => *i as usize,
+        other => panic!("expected an integer, got {other:?}"),
+    };
+    let n_users = users.len();
+    let mut link = vec![Value::Null; budgets.len() * n_users];
+    let mut signal = link.clone();
+    for u in 0..n_users {
+        for l in &links[int(&off[u])..int(&off[u + 1])] {
+            let Value::Array(l) = l else {
+                panic!("a link is an [ap, rate, signal] triple");
+            };
+            let cell = int(&l[0]) * n_users + u;
+            link[cell] = l[1].clone();
+            signal[cell] = l[2].clone();
+        }
+    }
+    let users = users
+        .into_iter()
+        .map(|s| Value::Object(vec![("session".into(), s)]))
+        .collect();
+    let instance = Value::Object(vec![
+        ("sessions".into(), field("sessions")),
+        ("users".into(), Value::Array(users)),
+        ("budgets".into(), Value::Array(budgets)),
+        ("link".into(), Value::Array(link)),
+        ("signal".into(), Value::Array(signal)),
+        ("user_aps".into(), Value::Array(Vec::new())),
+        ("ap_users".into(), Value::Array(Vec::new())),
+        ("rates".into(), field("rates")),
+        ("rate_policy".into(), field("rate_policy")),
+    ]);
+    let Value::Object(mut scenario) = sc.serialize_value() else {
+        panic!("a scenario serializes to an object");
+    };
+    for (key, value) in &mut scenario {
+        if key == "instance" {
+            *value = instance.clone();
+        }
+    }
+    serde_json::to_string(&Value::Object(scenario)).expect("dense wire renders")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -72,13 +131,9 @@ proptest! {
         let reloaded: Scenario = serde_json::from_str(&sparse).expect("sparse wire loads");
         prop_assert_eq!(&sparse_json(&reloaded), &sparse, "sparse roundtrip drifted");
 
-        // Dense wire: legacy emit → fallback read → same scenario.
-        let dense = serde_json::to_string(&sc.to_legacy_dense_value()).unwrap();
-        let from_dense: Scenario = serde_json::from_str(&dense).expect("dense wire loads");
+        // Dense wire: fallback read → same scenario on the sparse wire.
+        let from_dense: Scenario = serde_json::from_str(&dense_json(&sc)).expect("dense wire loads");
         prop_assert_eq!(&sparse_json(&from_dense), &sparse, "dense roundtrip drifted");
-        // And the dense emit itself is stable across the hop.
-        let dense_again = serde_json::to_string(&from_dense.to_legacy_dense_value()).unwrap();
-        prop_assert_eq!(dense_again, dense, "dense emit drifted after a hop");
     }
 
     #[test]
