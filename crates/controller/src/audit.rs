@@ -2,8 +2,7 @@
 //! is internally consistent and no promise was silently broken.
 
 use mcast_core::{best_rehome_target, strongest_allowed_ap, LoadLedger, Objective};
-
-use crate::state::NetworkState;
+use mcast_faults::NetworkState;
 
 /// How strong a coverage promise the epoch's weakest rung made, and
 /// therefore which "no covered user left unserved" check applies.

@@ -8,7 +8,10 @@
 //! events come from*. Everything else — how an AP failure is applied,
 //! how the degradation ladder picks a rung, how disruption metrics are
 //! recorded and audited — lives here exactly once, so the two runtimes
-//! cannot drift apart.
+//! cannot drift apart. What an event does to the network itself (APs
+//! down, users present, links surviving a jump) is
+//! [`NetworkState`](mcast_faults::NetworkState), shared with the
+//! simulator; this module adds the ledger and shedding side.
 
 use std::time::Instant;
 
@@ -16,12 +19,12 @@ use mcast_core::{
     repair_user, solve_bla, solve_mla, solve_mnu, strongest_allowed_ap, ApId, Association,
     Instance, InstanceBuilder, LoadLedger, Objective, SolveError, UserId,
 };
+use mcast_faults::NetworkState;
 
 use crate::audit::{audit_epoch, CoverageRule};
 use crate::ladder::{LadderPolicy, SolvePath, WorkMeter};
 use crate::report::{assemble_report, ReportParts};
 use crate::runtime::{ControllerConfig, ControllerOutcome};
-use crate::state::NetworkState;
 
 /// What one epoch of ladder execution produced, beyond its
 /// [`EpochRecord`](crate::EpochRecord): the association diff (for the

@@ -7,11 +7,13 @@
 //! snapshot of the WLAN and rebuild the whole association from scratch.
 //! Real deployments move underneath the solver — APs crash and recover,
 //! users leave or jump out of range (`mcast-faults` models exactly these
-//! dynamics). This crate closes the loop: a [`Controller`] run maintains
-//! live association state in an incremental
-//! [`LoadLedger`](mcast_core::LoadLedger), ingests a compiled
-//! [`FaultTimeline`](mcast_faults::FaultTimeline) epoch by epoch, and at
-//! each epoch chooses a response on a **graceful-degradation ladder**:
+//! dynamics). This crate closes the loop: a controller run ([`run`]
+//! lock-step, or the event-driven [`serve`]) maintains live association
+//! state in an incremental [`LoadLedger`](mcast_core::LoadLedger),
+//! ingests a compiled [`FaultTimeline`](mcast_faults::FaultTimeline)
+//! epoch by epoch into a [`NetworkState`] (the fault state `mcast-faults`
+//! defines and the simulator shares, re-exported here), and at each epoch
+//! chooses a response on a **graceful-degradation ladder**:
 //!
 //! 1. **Full re-solve** — run the configured solver over the *effective*
 //!    instance (up APs, present users, surviving links).
@@ -52,10 +54,10 @@ mod replay;
 mod report;
 mod runtime;
 mod service;
-mod state;
 
 pub use audit::{audit_epoch, CoverageRule};
 pub use ladder::{LadderPolicy, SolvePath, WorkMeter};
+pub use mcast_faults::NetworkState;
 pub use replay::{
     fold_events, replay_stream, replay_stream_from, ReplayOutcome, ServiceCheckpoint,
     SERVICE_CKPT_SCHEMA,
@@ -63,4 +65,3 @@ pub use replay::{
 pub use report::{ControllerReport, EpochRecord};
 pub use runtime::{run, ControllerConfig, ControllerOutcome};
 pub use service::{lower_plan, serve, serve_checkpointed, ServiceStats, SHED_BATCH_CAP};
-pub use state::NetworkState;

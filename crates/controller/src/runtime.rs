@@ -4,12 +4,11 @@
 //! the event-driven service.
 
 use mcast_core::{Association, Instance, Objective};
-use mcast_faults::{FaultEventKind, FaultPlan};
+use mcast_faults::{FaultEventKind, FaultPlan, NetworkState};
 
 use crate::engine::EpochEngine;
 use crate::ladder::LadderPolicy;
 use crate::report::ControllerReport;
-use crate::state::NetworkState;
 
 /// Configuration of a controller run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +26,7 @@ pub struct ControllerConfig {
     /// `epoch_us × n_epochs`.
     pub n_epochs: u64,
     /// Per-epoch work budget in deterministic work units
-    /// ([`WorkMeter`]); `0` = unlimited.
+    /// ([`WorkMeter`](crate::WorkMeter)); `0` = unlimited.
     pub work_budget: u64,
     /// Run the from-scratch ledger oracle check every epoch even in
     /// release builds (debug builds always run it).

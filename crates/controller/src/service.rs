@@ -19,13 +19,12 @@ use std::time::Instant;
 
 use mcast_core::Instance;
 use mcast_events::{Event, EventKind, EventPublisher, SinkPressure, TimeQueue, STREAM_SCHEMA};
-use mcast_faults::{FaultEventKind, FaultPlan, RecoverySummary};
+use mcast_faults::{FaultEventKind, FaultPlan, NetworkState, RecoverySummary};
 
 use crate::engine::EpochEngine;
 use crate::ladder::SolvePath;
 use crate::replay::{FoldState, ServiceCheckpoint};
 use crate::runtime::{ControllerConfig, ControllerOutcome};
-use crate::state::NetworkState;
 
 /// Throughput instrumentation for one service run.
 ///

@@ -177,11 +177,6 @@ impl Association {
         self.by_user.iter().filter(|&&a| a != NO_AP).count()
     }
 
-    /// Number of users without service.
-    pub fn unsatisfied_count(&self) -> usize {
-        self.by_user.len() - self.satisfied_count()
-    }
-
     /// Per-user view in `UserId` order (what `as_slice` was before the
     /// compact sentinel representation made a `&[Option<ApId>]` view
     /// impossible to hand out without allocating).
@@ -756,7 +751,6 @@ mod tests {
         assert_eq!(loads[0], Load::from_ratio(3, 4));
         assert_eq!(loads[1], Load::from_ratio(3, 5));
         assert_eq!(assoc.satisfied_count(), 4);
-        assert_eq!(assoc.unsatisfied_count(), 1);
         assert!(assoc.is_feasible(&inst));
     }
 

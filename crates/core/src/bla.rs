@@ -17,26 +17,30 @@ use crate::load::Load;
 use crate::reduction::{ModelCost, Reduction};
 use crate::solution::{Objective, Solution, SolveError};
 
-/// Configuration for [`solve_bla_with`].
-#[derive(Debug, Clone)]
-pub struct BlaConfig {
-    /// Number of evenly spaced candidate budgets between the largest
-    /// single-set cost and the fallback upper bound (paper: "try several
-    /// (a constant number) values of `B*` between `c_max` and 1").
-    pub grid_points: usize,
-}
+/// Number of evenly spaced candidate budgets [`solve_bla`] tries between
+/// the optimum's lower bound and the fallback upper bound (paper: "try
+/// several (a constant number) values of `B*` between `c_max` and 1").
+pub const BLA_GRID_POINTS: usize = 16;
 
-impl Default for BlaConfig {
-    fn default() -> Self {
-        BlaConfig { grid_points: 16 }
-    }
-}
-
-/// Solves BLA with the default candidate grid. See [`solve_bla_with`].
+/// Solves BLA: associates every user so that the *maximum* per-AP multicast
+/// load is (approximately) minimized.
+///
+/// The candidate `B*` grid contains:
+/// * the distinct set costs of the reduction (the natural breakpoints),
+/// * [`BLA_GRID_POINTS`] evenly spaced values from `L` to `max(1, c_max)`,
+///   where `L = max over users of the cheapest set covering them` — a
+///   certified lower bound on the optimum, so the grid brackets it (the
+///   paper says "between c_max and 1"; extending the low end below
+///   `c_max` only adds candidates and never worsens the best-of-grid
+///   result),
+/// * and the sum of all set costs as an always-feasible fallback (so a
+///   coverable instance never fails, even if its optimum exceeds load 1).
 ///
 /// # Errors
 ///
-/// [`SolveError::Uncoverable`] if some user is out of range of every AP.
+/// [`SolveError::Uncoverable`] if some user is out of range of every AP;
+/// [`SolveError::NoFeasibleBudget`] cannot occur for coverable instances
+/// thanks to the fallback candidate, but is still mapped defensively.
 ///
 /// # Example
 ///
@@ -51,28 +55,6 @@ impl Default for BlaConfig {
 /// # }
 /// ```
 pub fn solve_bla(inst: &Instance) -> Result<Solution, SolveError> {
-    solve_bla_with(inst, &BlaConfig::default())
-}
-
-/// Solves BLA: associates every user so that the *maximum* per-AP multicast
-/// load is (approximately) minimized.
-///
-/// The candidate `B*` grid contains:
-/// * the distinct set costs of the reduction (the natural breakpoints),
-/// * `grid_points` evenly spaced values from `L` to `max(1, c_max)`, where
-///   `L = max over users of the cheapest set covering them` — a certified
-///   lower bound on the optimum, so the grid brackets it (the paper says
-///   "between c_max and 1"; extending the low end below `c_max` only adds
-///   candidates and never worsens the best-of-grid result),
-/// * and the sum of all set costs as an always-feasible fallback (so a
-///   coverable instance never fails, even if its optimum exceeds load 1).
-///
-/// # Errors
-///
-/// [`SolveError::Uncoverable`] if some user is out of range of every AP;
-/// [`SolveError::NoFeasibleBudget`] cannot occur for coverable instances
-/// thanks to the fallback candidate, but is still mapped defensively.
-pub fn solve_bla_with(inst: &Instance, config: &BlaConfig) -> Result<Solution, SolveError> {
     let red = Reduction::quantized(inst);
     let system = red.system();
     if inst.n_users() == 0 {
@@ -89,7 +71,7 @@ pub fn solve_bla_with(inst: &Instance, config: &BlaConfig) -> Result<Solution, S
         });
     }
 
-    let candidates = budget_grid(&red, config.grid_points);
+    let candidates = budget_grid(&red, BLA_GRID_POINTS);
     let scg = solve_scg(system, &candidates).map_err(|e| match e {
         mcast_covering::ScgError::NoFeasibleBudget => SolveError::NoFeasibleBudget,
         mcast_covering::ScgError::Uncoverable { elements } => SolveError::Uncoverable {
@@ -111,10 +93,11 @@ pub fn solve_bla_with(inst: &Instance, config: &BlaConfig) -> Result<Solution, S
     ))
 }
 
-/// The candidate `B*` list described on [`solve_bla_with`], sorted and
-/// deduplicated, in `red`'s cost units.
+/// The candidate `B*` list described on [`solve_bla`], with
+/// `grid_points` grid values, sorted and deduplicated, in `red`'s cost
+/// units.
 ///
-/// [`solve_bla_with`] sweeps it in half-quanta
+/// [`solve_bla`] sweeps it in half-quanta
 /// ([`Reduction::quantized`]); on [`Reduction::build`]'s exact system the
 /// same code gives the rational list the sweep is pinned against. The
 /// lists match candidate for candidate: set costs, `low`, `c_max`, `hi`

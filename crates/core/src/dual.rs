@@ -78,25 +78,6 @@ impl DualAssociation {
             .collect()
     }
 
-    /// The maximum joint airtime over all APs.
-    pub fn max_airtime(&self, inst: &Instance, per_user_demand: Load) -> Load {
-        self.airtimes(inst, per_user_demand)
-            .into_iter()
-            .max()
-            .unwrap_or(Load::ZERO)
-    }
-
-    /// APs whose joint airtime exceeds 1 — unicast demand that cannot be
-    /// served at full rate because multicast ate the medium.
-    pub fn overloaded_aps(&self, inst: &Instance, per_user_demand: Load) -> Vec<ApId> {
-        self.airtimes(inst, per_user_demand)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, t)| *t > Load::ONE)
-            .map(|(i, _)| ApId(i as u32))
-            .collect()
-    }
-
     /// Total unicast headroom: `Σ max(0, 1 − airtime)` over APs — the
     /// airtime still available for additional unicast traffic network-wide.
     pub fn unicast_headroom(&self, inst: &Instance, per_user_demand: Load) -> Load {
@@ -155,7 +136,6 @@ mod tests {
             dual.ap_airtime(a(2), &inst, demand),
             Load::from_ratio(1, 10)
         );
-        assert!(dual.overloaded_aps(&inst, demand).is_empty());
     }
 
     #[test]
@@ -177,10 +157,9 @@ mod tests {
     fn overload_detection() {
         let inst = figure1_instance(Kbps::from_mbps(1));
         let dual = dual_mla(&inst);
-        // Huge unicast demand: every AP with unicast users overloads.
+        // Huge unicast demand: every AP with unicast users overloads,
+        // leaving no headroom anywhere.
         let demand = Load::ONE;
-        let overloaded = dual.overloaded_aps(&inst, demand);
-        assert_eq!(overloaded, vec![a(1), a(2)]);
         assert_eq!(dual.unicast_headroom(&inst, demand), Load::ZERO);
     }
 
@@ -191,9 +170,8 @@ mod tests {
         let demand = Load::from_ratio(1, 50);
         let airtimes = dual.airtimes(&inst, demand);
         assert_eq!(airtimes.len(), inst.n_aps());
-        assert_eq!(
-            dual.max_airtime(&inst, demand),
-            airtimes.iter().copied().max().unwrap()
-        );
+        for ap in inst.aps() {
+            assert_eq!(airtimes[ap.index()], dual.ap_airtime(ap, &inst, demand));
+        }
     }
 }

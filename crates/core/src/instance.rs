@@ -844,15 +844,6 @@ impl Instance {
         }
     }
 
-    /// Users requesting session `s` (ascending id).
-    pub fn session_users(&self, s: SessionId) -> impl Iterator<Item = UserId> + '_ {
-        self.users
-            .iter()
-            .enumerate()
-            .filter(move |(_, spec)| spec.session == s)
-            .map(|(i, _)| UserId(i as u32))
-    }
-
     /// True if some AP can reach user `u`.
     pub fn user_coverable(&self, u: UserId) -> bool {
         let (lo, hi) = self.user_row(u);
@@ -1212,10 +1203,6 @@ mod tests {
         assert_eq!(inst.reachable_users(ApId(0)), &[UserId(0), UserId(1)]);
         assert_eq!(inst.basic_rate(), mbps(3));
         assert!(inst.user_coverable(UserId(0)));
-        assert_eq!(
-            inst.session_users(SessionId(0)).collect::<Vec<_>>(),
-            vec![UserId(0), UserId(1)]
-        );
         assert!(inst.resident_bytes_estimate() > 0);
     }
 

@@ -62,7 +62,6 @@ pub mod stats;
 
 pub use assoc::{AssocError, Association, LoadLedger};
 pub use bla::solve_bla;
-pub use bla::{solve_bla_with, BlaConfig};
 pub use distributed::{
     local_decision, local_decision_scratch, local_decision_with, run_distributed,
     run_distributed_parallel, run_distributed_traced, run_min_max_vector, run_min_total,

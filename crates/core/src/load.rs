@@ -156,16 +156,6 @@ impl Load {
         self.num as f64 / self.den as f64
     }
 
-    /// Exact division by a positive integer (used to build budget grids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    pub fn div_int(self, divisor: u64) -> Load {
-        assert!(divisor != 0, "division by zero");
-        Load::new(self.num, Load::checked_mul(self.den, divisor as i128))
-    }
-
     /// `⌊self · q⌋`, exact for either sign: the load's position on a grid
     /// of `1/q` steps (the quantization rule of
     /// [`Instance::quantum`](crate::Instance::quantum)). For an integer

@@ -16,11 +16,6 @@ impl Kbps {
     pub const fn from_mbps(mbps: u32) -> Kbps {
         Kbps(mbps * 1000)
     }
-
-    /// The rate in Mbps (lossy, for display).
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1000.0
-    }
 }
 
 impl fmt::Display for Kbps {
@@ -201,11 +196,6 @@ impl RateTable {
         self.steps[0].rate
     }
 
-    /// The top rate.
-    pub fn max_rate(&self) -> Kbps {
-        self.steps[self.steps.len() - 1].rate
-    }
-
     /// The radio range: beyond this distance no rate is available.
     pub fn range_m(&self) -> f64 {
         self.steps[0].max_distance_m
@@ -260,7 +250,6 @@ mod tests {
         let t = RateTable::ieee80211a();
         assert_eq!(t.steps().len(), 7);
         assert_eq!(t.basic_rate(), Kbps::from_mbps(6));
-        assert_eq!(t.max_rate(), Kbps::from_mbps(54));
         assert_eq!(t.range_m(), 200.0);
     }
 
@@ -335,7 +324,6 @@ mod tests {
     fn kbps_display_and_conversion() {
         assert_eq!(Kbps::from_mbps(6).to_string(), "6Mbps");
         assert_eq!(Kbps(1500).to_string(), "1500kbps");
-        assert!((Kbps(1500).as_mbps_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]

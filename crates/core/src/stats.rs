@@ -73,11 +73,6 @@ impl InstanceStats {
         }
     }
 
-    /// Users that no AP can reach.
-    pub fn uncovered_users(&self) -> usize {
-        self.degree_histogram[0]
-    }
-
     /// The busiest session's user count.
     pub fn peak_session_demand(&self) -> usize {
         self.session_demand.iter().copied().max().unwrap_or(0)
@@ -99,7 +94,6 @@ mod tests {
         assert_eq!(stats.degree_histogram, vec![0, 2, 3]);
         assert_eq!(stats.n_links, 8);
         assert!((stats.mean_user_degree - 1.6).abs() < 1e-12);
-        assert_eq!(stats.uncovered_users(), 0);
         // Sessions: s1 has 2 users, s2 has 3.
         assert_eq!(stats.session_demand, vec![2, 3]);
         assert_eq!(stats.peak_session_demand(), 3);
@@ -119,7 +113,6 @@ mod tests {
         let stats = InstanceStats::of(&inst);
         assert_eq!(stats.n_links, 0);
         assert_eq!(stats.mean_user_degree, 0.0);
-        assert_eq!(stats.uncovered_users(), 0);
         assert_eq!(stats.peak_session_demand(), 0);
     }
 
@@ -131,7 +124,6 @@ mod tests {
         b.add_user(s);
         let inst = b.build().unwrap();
         let stats = InstanceStats::of(&inst);
-        assert_eq!(stats.uncovered_users(), 1);
         assert_eq!(stats.degree_histogram, vec![1]);
     }
 }

@@ -3,13 +3,13 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mcast_core::bla::budget_grid;
+use mcast_core::bla::{budget_grid, BLA_GRID_POINTS};
 use mcast_core::reduction::Reduction;
 use mcast_core::{
     local_decision_reference, local_decision_with, run_distributed, run_distributed_reference,
-    solve_bla, solve_bla_with, solve_mla, solve_mla_with, solve_mnu, solve_ssa, ApId, Association,
-    BlaConfig, DecisionOrder, DistributedConfig, ExecutionMode, Instance, InstanceBuilder, Kbps,
-    Load, LoadLedger, MlaAlgorithm, Objective, Policy, RatePolicy, ReferenceLedger, UserId,
+    solve_bla, solve_mla, solve_mla_with, solve_mnu, solve_ssa, ApId, Association, DecisionOrder,
+    DistributedConfig, ExecutionMode, Instance, InstanceBuilder, Kbps, Load, LoadLedger,
+    MlaAlgorithm, Objective, Policy, RatePolicy, ReferenceLedger, UserId,
 };
 use mcast_covering::{greedy_mcg, greedy_set_cover, primal_dual_set_cover, GroupId};
 
@@ -666,7 +666,7 @@ proptest! {
         let mut thresholds: Vec<Load> = vec![Load::ZERO];
         thresholds.extend(off_lattice());
         thresholds.extend(inst.aps().map(|a| inst.budget(a)));
-        thresholds.extend(budget_grid(&exact, 16));
+        thresholds.extend(budget_grid(&exact, BLA_GRID_POINTS));
         for b in thresholds {
             let t = quantized.threshold(b);
             for &(x, q) in &sums {
@@ -713,20 +713,22 @@ proptest! {
     }
 
     /// BLA's half-quantum sweep, grid and prune included, matches the
-    /// unpruned rational sweep over the exact reduction's grid; the
-    /// half-quantum grid is the rational grid's thresholds.
+    /// unpruned rational sweep over the exact reduction's grid; at every
+    /// grid size, the half-quantum grid is the rational grid's
+    /// thresholds.
     #[test]
     fn quantized_covering_bla_matches_rational(
         inst in quantized_instance(),
         grid_points in 0usize..20,
     ) {
         let exact = Reduction::build(&inst);
-        let candidates = budget_grid(&exact, grid_points);
+        let candidates = budget_grid(&exact, BLA_GRID_POINTS);
         let want = mcast_covering::reference::solve_scg(exact.system(), &candidates).unwrap();
-        let sol = solve_bla_with(&inst, &BlaConfig { grid_points }).unwrap();
+        let sol = solve_bla(&inst).unwrap();
         prop_assert_eq!(&sol.association, &exact.to_association(want.cover()));
         prop_assert_eq!(sol.model_cost, Some(*want.max_group_cost()));
 
+        let candidates = budget_grid(&exact, grid_points);
         let quantized = Reduction::quantized(&inst);
         let mut thresholds: Vec<u64> = candidates.iter().map(|&b| quantized.threshold(b)).collect();
         thresholds.dedup();

@@ -59,22 +59,6 @@ impl Cost for u64 {
     }
 }
 
-impl Cost for u32 {
-    fn zero() -> Self {
-        0
-    }
-
-    fn add(&self, other: &Self) -> Self {
-        self.checked_add(*other).expect("u32 cost overflow")
-    }
-
-    fn cmp_effectiveness(n1: u64, c1: &Self, n2: u64, c2: &Self) -> Ordering {
-        let lhs = u128::from(n1) * u128::from(*c2);
-        let rhs = u128::from(n2) * u128::from(*c1);
-        lhs.cmp(&rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

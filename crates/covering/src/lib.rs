@@ -27,7 +27,7 @@
 //! every effectiveness `gain / cost` a set can reach, once per system, with
 //! equal ratios sharing a rank. `CostSC` and MCG file each set under the
 //! rank of its residual gain and scan only the top bucket, whose live sets
-//! are exactly the tie class the full-rescan [`reference`] scans choose
+//! are exactly the tie class the full-rescan [`reference`](mod@reference) scans choose
 //! from, so every pick is the reference's pick. [`solve_scg`] carries each
 //! run's residuals from one MCG iteration to the next.
 //!

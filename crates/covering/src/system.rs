@@ -584,11 +584,6 @@ impl<C: Cost> SetSystem<C> {
         self.costs.iter().max()
     }
 
-    /// The smallest single-set cost, or `None` for an empty system.
-    pub fn min_set_cost(&self) -> Option<&C> {
-        self.costs.iter().min()
-    }
-
     /// The largest, over coverable elements, of the element's cheapest
     /// covering set: every cover holds a set at least this costly, so no
     /// group budget below it admits a complete cover. `None` when no
@@ -693,7 +688,7 @@ mod tests {
         assert!(s.group_sets(GroupId(1)).is_empty());
         assert!(s.covering_sets(ElementId(2)).is_empty());
         assert_eq!(s.uncoverable_elements().len(), 3);
-        assert_eq!((s.min_set_cost(), s.max_set_cost()), (None, None));
+        assert_eq!(s.max_set_cost(), None);
         let none = SetSystemBuilder::<u64>::new(0).build().unwrap();
         assert_eq!((none.n_sets(), none.n_groups()), (0, 0));
         assert!(none.all_coverable());
@@ -789,7 +784,6 @@ mod tests {
     #[test]
     fn min_max_cost() {
         let s = small();
-        assert_eq!(s.min_set_cost(), Some(&1));
         assert_eq!(s.max_set_cost(), Some(&3));
     }
 

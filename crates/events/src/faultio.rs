@@ -128,11 +128,6 @@ impl IoFaultPlan {
         IoFaultPlan::scripted(write_ops, sync_ops, sticky_write_from)
     }
 
-    /// Whether this plan can ever inject anything.
-    pub fn is_quiet(&self) -> bool {
-        self.write_ops.is_empty() && self.sync_ops.is_empty() && self.sticky_write_from.is_none()
-    }
-
     /// Consulted once per write operation: `None` means the write
     /// proceeds untouched, `Some(fault)` tells the caller how to fail.
     pub fn next_write_fate(&self) -> Option<WriteFault> {
@@ -268,7 +263,6 @@ mod tests {
         assert_eq!(a.write_ops, b.write_ops);
         assert_eq!(a.sync_ops, b.sync_ops);
         assert_eq!(a.sticky_write_from, b.sticky_write_from);
-        assert!(!a.is_quiet());
         // Some nearby seed must differ somewhere (not a constant plan).
         let differs = (0..16u64).any(|s| {
             let p = IoFaultPlan::seeded(s);
@@ -280,7 +274,6 @@ mod tests {
     #[test]
     fn quiet_plan_injects_nothing() {
         let plan = IoFaultPlan::quiet();
-        assert!(plan.is_quiet());
         for _ in 0..100 {
             assert_eq!(plan.next_write_fate(), None);
             assert!(!plan.next_sync_fails());

@@ -138,18 +138,6 @@ impl Default for DecodeLimits {
     }
 }
 
-impl DecodeLimits {
-    /// Deliberately tiny caps for tests that want to watch the limits
-    /// fire without multi-gigabyte fixtures.
-    pub fn strict_small() -> DecodeLimits {
-        DecodeLimits {
-            max_section_bytes: 1 << 16,
-            max_record_bytes: 1 << 12,
-            max_document_bytes: 1 << 20,
-        }
-    }
-}
-
 /// Largest single journal/snapshot line the stream replayers accept
 /// ([`DecodeLimits::max_record_bytes`] of the default limits). A longer
 /// line ends the valid prefix with a named tail reason.

@@ -28,12 +28,11 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use mcast_core::bla::budget_grid;
+use mcast_core::bla::{budget_grid, BLA_GRID_POINTS};
 use mcast_core::reduction::{ModelCost, Reduction};
 use mcast_core::{
     run_distributed, run_distributed_parallel, run_distributed_reference, solve_bla, Association,
-    BlaConfig, DistributedConfig, DistributedOutcome, ExecutionMode, Instance, Objective, Policy,
-    Solution,
+    DistributedConfig, DistributedOutcome, ExecutionMode, Instance, Objective, Policy, Solution,
 };
 use mcast_covering::{
     greedy_mcg, greedy_mcg_opts, greedy_set_cover, reference, solve_scg, ScgSolution,
@@ -310,7 +309,7 @@ fn bla_pipeline<C: ModelCost>(
         &[C],
     ) -> Result<ScgSolution<C>, mcast_covering::ScgError>,
 ) -> (Solution, ScgSolution<C>) {
-    let candidates = budget_grid(&red, BlaConfig::default().grid_points);
+    let candidates = budget_grid(&red, BLA_GRID_POINTS);
     let scg = sweep(red.system(), &candidates).expect("coverable");
     let sol = Solution::evaluate(
         Objective::Bla,

@@ -17,13 +17,17 @@
 //!   change neighbor sets mid-run ([`ChurnModel`]).
 //!
 //! A [`FaultPlan`] is seedable and serializable; [`FaultPlan::compile`]
-//! resolves all randomness up front into a [`FaultTimeline`] the
-//! simulator replays, so a `(plan, seed)` pair always produces the same
-//! faults. `FaultPlan::none()` is the identity: the simulator must
+//! resolves all randomness up front into a [`FaultTimeline`], so a
+//! `(plan, seed)` pair always produces the same faults. Both runtimes
+//! (the `mcast-sim` simulator and the `mcast-controller` service) apply
+//! each timeline event to a [`NetworkState`], the single definition of
+//! what an outage, departure or position jump does to APs, users and
+//! links. `FaultPlan::none()` is the identity: the simulator must
 //! behave event-for-event as if the fault layer did not exist.
 
 mod metrics;
 mod plan;
+mod state;
 mod timeline;
 
 pub use metrics::RecoverySummary;
@@ -31,4 +35,5 @@ pub use plan::{
     ApOutage, ChurnModel, DelayJitter, FaultPlan, MessageClass, MessageFaults, RandomApFailures,
     UserDeparture, UserJump,
 };
+pub use state::NetworkState;
 pub use timeline::{FaultEvent, FaultEventKind, FaultTimeline};

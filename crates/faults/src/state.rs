@@ -5,16 +5,15 @@ use std::collections::HashSet;
 
 use mcast_core::{ApId, Instance, UserId};
 
-/// The controller's view of the network's health, updated from fault
-/// events.
+/// The network's health as fault events have left it: the one place a
+/// [`FaultEventKind`](crate::FaultEventKind) takes effect, shared by the
+/// simulator and the controller so a fault plan means the same thing to
+/// both runtimes.
 ///
-/// Mirrors the simulator's fault semantics exactly — same user-major
-/// link-mask meaning, same ChaCha8 per-jump re-roll — so a fault plan
-/// means the same thing to both runtimes. The mask itself is stored
-/// sparsely (only *masked* links, normally a tiny fraction): a dense
-/// `users × APs` bool matrix is 40 GB at the scale-suite size
-/// (2 000 000 × 20 000), while the sparse set is O(currently-masked)
-/// and empty on a fault-free run.
+/// The link mask is stored sparsely (only *masked* links, normally a
+/// tiny fraction): a dense `users × APs` bool matrix is 40 GB at the
+/// scale-suite size (2 000 000 × 20 000), while the sparse set is
+/// O(currently-masked) and empty on a fault-free run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkState {
     down: Vec<bool>,
@@ -76,6 +75,7 @@ impl NetworkState {
     }
 
     /// True if AP `a` is currently down.
+    #[inline]
     pub fn is_down(&self, a: ApId) -> bool {
         self.down[a.index()]
     }
@@ -100,6 +100,7 @@ impl NetworkState {
     }
 
     /// True if user `u` has not departed.
+    #[inline]
     pub fn is_present(&self, u: UserId) -> bool {
         !self.gone[u.index()]
     }
@@ -116,6 +117,8 @@ impl NetworkState {
     }
 
     /// True if the candidate link `u — a` currently exists.
+    // Not `#[inline]`, nor is `allowed`: inlined into the controller's
+    // rehome scan, the hash probe made its repair epochs slower.
     pub fn link_ok(&self, u: UserId, a: ApId) -> bool {
         !self.masked.contains(&(u.index() as u32, a.index() as u32))
     }
@@ -127,10 +130,9 @@ impl NetworkState {
         !self.down[a.index()] && self.link_ok(u, a)
     }
 
-    /// Applies a position jump: re-rolls every candidate link of `u`
-    /// with survival probability `keep`, exactly as the simulator does
-    /// (same RNG, same seed, same draw order), so a shared fault plan
-    /// produces the same post-jump topology in both runtimes.
+    /// Applies a position jump: re-rolls every candidate link of `u`,
+    /// in candidate order, from a ChaCha8 stream seeded with `seed`; each
+    /// link survives with probability `keep`.
     pub fn roll_jump(&mut self, inst: &Instance, u: UserId, seed: u64, keep: f64) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);

@@ -86,11 +86,6 @@ impl FaultTimeline {
         self.events.is_empty()
     }
 
-    /// Number of events not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.next
-    }
-
     /// Time of the next unconsumed event, if any.
     pub fn peek_at_us(&self) -> Option<u64> {
         self.events.get(self.next).map(|e| e.at_us)
@@ -151,14 +146,13 @@ mod tests {
             ev(10, FaultEventKind::ApDown(ApId(0))),
             ev(20, FaultEventKind::ApUp(ApId(0))),
         ]);
-        assert_eq!(t.remaining(), 2);
         assert_eq!(t.peek_at_us(), Some(10));
         assert!(t.pop_due(5).is_none());
         assert_eq!(t.pop_due(10).unwrap().at_us, 10);
         assert!(t.pop_due(15).is_none());
         assert_eq!(t.pop_due(25).unwrap().at_us, 20);
         assert!(t.pop_due(u64::MAX).is_none());
-        assert_eq!(t.remaining(), 0);
+        assert_eq!(t.peek_at_us(), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use mcast_core::{
     local_decision_scratch, ApId, ApStateView, Association, DecisionScratch, Instance, Kbps, Load,
     LoadLedger, Policy, SessionId, UserId,
 };
-use mcast_faults::{FaultEventKind, FaultPlan, FaultTimeline, MessageClass};
+use mcast_faults::{FaultEventKind, FaultPlan, FaultTimeline, MessageClass, NetworkState};
 
 use mcast_events::{TimeQueue, Timed};
 
@@ -312,13 +312,9 @@ pub struct Simulator<'a> {
     faulty: bool,
     /// Worst per-frame jitter any class can add (sizes the timeouts).
     max_jitter_us: u64,
-    /// Per AP: currently crashed.
-    ap_down: Vec<bool>,
-    /// Per user: departed for good (churn).
-    user_gone: Vec<bool>,
-    /// Per (user, AP) candidate link: still in radio range. All true
-    /// until a mobility jump re-rolls a user's row.
-    link_ok: Vec<bool>,
+    /// Which APs are crashed, which users departed for good (churn),
+    /// and which candidate links a mobility jump took out of range.
+    net: NetworkState,
     /// Per user: bumped on every exchange-phase entry; stale timeouts
     /// carry an older value and are ignored.
     phase_epochs: Vec<u64>,
@@ -388,9 +384,7 @@ impl<'a> Simulator<'a> {
             timeouts_enabled,
             faulty,
             max_jitter_us,
-            ap_down: vec![false; inst.n_aps()],
-            user_gone: vec![false; inst.n_users()],
-            link_ok: vec![true; inst.n_users() * inst.n_aps()],
+            net: NetworkState::new(inst.n_aps(), inst.n_users()),
             phase_epochs: vec![0; inst.n_users()],
             scratch: DecisionScratch::default(),
             fault_epochs: Vec::new(),
@@ -402,19 +396,13 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// True if the candidate link `u → a` is currently in radio range
-    /// (mobility jumps re-roll a user's links).
-    fn link_up(&self, u: UserId, a: ApId) -> bool {
-        self.link_ok[u.index() * self.inst.n_aps() + a.index()]
-    }
-
     /// Sends a `LockRelease` to every in-range candidate AP of `u` —
     /// covering any lock it might hold (releases to non-holders are
     /// no-ops on the AP side).
     fn release_all_locks(&mut self, u: UserId) {
         let inst = self.inst;
         for &(a, _) in inst.candidate_aps(u) {
-            if self.link_up(u, a) {
+            if self.net.link_ok(u, a) {
                 self.send(Node::User(u), Node::Ap(a), MessageBody::LockRelease);
             }
         }
@@ -614,7 +602,7 @@ impl<'a> Simulator<'a> {
         // exceed it so decisions serialize.
         let gap = Time(self.latency_for(&MessageBody::ProbeRequest).0 * 40);
         for u in self.inst.users().take(active).skip(departed) {
-            if self.user_gone[u.index()] {
+            if !self.net.is_present(u) {
                 continue;
             }
             let at = match self.config.schedule {
@@ -653,7 +641,7 @@ impl<'a> Simulator<'a> {
             FaultEventKind::ApUp(a) => {
                 // Back with empty volatile state; users rediscover it at
                 // their next wake (it answers probes again).
-                self.ap_down[a.index()] = false;
+                self.net.set_up(a);
             }
             FaultEventKind::UserDepart(u) => self.apply_user_depart(u),
             FaultEventKind::UserJump { user, seed } => self.apply_user_jump(user, seed),
@@ -664,10 +652,9 @@ impl<'a> Simulator<'a> {
     }
 
     fn apply_ap_down(&mut self, a: ApId) {
-        if self.ap_down[a.index()] {
+        if !self.net.set_down(a) {
             return;
         }
-        self.ap_down[a.index()] = true;
         self.locks[a.index()] = None; // volatile lock state dies with the AP
         let evicted = self.ledger.evict_ap(a);
         let gap = Time(self.latency_for(&MessageBody::ProbeRequest).0 * 40);
@@ -683,7 +670,7 @@ impl<'a> Simulator<'a> {
             });
             self.cycle_changes += 1;
             self.phases[u.index()] = Phase::Idle;
-            if self.user_gone[u.index()] {
+            if !self.net.is_present(u) {
                 continue;
             }
             let at = match self.config.schedule {
@@ -697,10 +684,9 @@ impl<'a> Simulator<'a> {
     }
 
     fn apply_user_depart(&mut self, u: UserId) {
-        if self.user_gone[u.index()] {
+        if !self.net.depart(u) {
             return;
         }
-        self.user_gone[u.index()] = true;
         let from = self.ledger.ap_of(u);
         if from.is_some() {
             self.ledger.leave(u);
@@ -717,17 +703,11 @@ impl<'a> Simulator<'a> {
     }
 
     fn apply_user_jump(&mut self, u: UserId, seed: u64) {
-        if self.user_gone[u.index()] {
+        if !self.net.is_present(u) {
             return;
         }
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let keep = self.config.faults.link_keep_prob();
-        let inst = self.inst;
-        for &(a, _) in inst.candidate_aps(u) {
-            let idx = u.index() * inst.n_aps() + a.index();
-            self.link_ok[idx] = rng.gen::<f64>() < keep;
-        }
+        self.net.roll_jump(self.inst, u, seed, keep);
         // The move tears down whatever exchange was in flight (the radio
         // environment it was measuring no longer exists).
         if self.phases[u.index()] != Phase::Idle {
@@ -744,7 +724,7 @@ impl<'a> Simulator<'a> {
             self.phases[u.index()] = Phase::Idle;
         }
         if let Some(cur) = self.ledger.ap_of(u) {
-            if !self.link_up(u, cur) {
+            if !self.net.link_ok(u, cur) {
                 // Out of range of the old AP: the association is gone.
                 self.ledger.leave(u);
                 self.changes.push(AssociationChange {
@@ -764,7 +744,7 @@ impl<'a> Simulator<'a> {
     /// in flight, recover — proceed with partial information where that
     /// is sound (scan results), abandon otherwise.
     fn on_timeout(&mut self, u: UserId, epoch: u64) {
-        if self.user_gone[u.index()] || self.phase_epochs[u.index()] != epoch {
+        if !self.net.is_present(u) || self.phase_epochs[u.index()] != epoch {
             return;
         }
         let phase = std::mem::replace(&mut self.phases[u.index()], Phase::Idle);
@@ -800,7 +780,7 @@ impl<'a> Simulator<'a> {
     }
 
     fn on_wake(&mut self, u: UserId) {
-        if self.user_gone[u.index()] {
+        if !self.net.is_present(u) {
             return;
         }
         if self.first_wake[u.index()].is_none() {
@@ -829,7 +809,7 @@ impl<'a> Simulator<'a> {
         let inst = self.inst;
         let mut pending = 0usize;
         for &(a, _) in inst.candidate_aps(u) {
-            if self.link_up(u, a) {
+            if self.net.link_ok(u, a) {
                 self.send(Node::User(u), Node::Ap(a), MessageBody::ProbeRequest);
                 pending += 1;
             }
@@ -848,12 +828,12 @@ impl<'a> Simulator<'a> {
         // A crashed AP processes nothing (frames it sent before crashing
         // still arrive); a departed user's frames die with it.
         match m.to {
-            Node::Ap(a) if self.ap_down[a.index()] => return,
-            Node::User(u) if self.user_gone[u.index()] => return,
+            Node::Ap(a) if self.net.is_down(a) => return,
+            Node::User(u) if !self.net.is_present(u) => return,
             _ => {}
         }
         if let Node::User(u) = m.from {
-            if self.user_gone[u.index()] {
+            if !self.net.is_present(u) {
                 return;
             }
         }
@@ -896,7 +876,7 @@ impl<'a> Simulator<'a> {
                 let fresh = self.ledger.ap_of(u) == leaving;
                 debug_assert!(fresh || self.faulty, "stale AssocRequest without faults");
                 let admitted = fresh
-                    && self.link_up(u, a)
+                    && self.net.link_ok(u, a)
                     && match self.ledger.quanta_if_joined(u, a) {
                         Some(load) => {
                             !self.config.respect_budget || load <= self.inst.budget_quanta(a)

@@ -22,6 +22,12 @@
 //! staggered wake-ups serialize decisions and converge (Lemmas 1–2), and
 //! the lock protocol restores convergence even for synchronized wake-ups.
 //!
+//! A [`SimConfig::faults`] plan is compiled up front and its events fall
+//! due in the event queue. Their effect on APs, users and candidate
+//! links is the shared `mcast_faults::NetworkState`, the same state the
+//! `mcast-controller` service applies them to; the simulator adds only
+//! the protocol consequences (evictions, torn exchanges, re-wakes).
+//!
 //! The simulator also *measures* multicast airtime per AP over a window by
 //! replaying each served session's packet schedule, validating that
 //! Definition 1's analytic load equals observed airtime.

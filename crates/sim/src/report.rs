@@ -82,12 +82,6 @@ impl SimReport {
         self.message_counts.values().sum()
     }
 
-    /// Changes after the first `k` cycles — useful to separate the initial
-    /// join wave from steady-state churn.
-    pub fn changes_after(&self, t: Time) -> usize {
-        self.changes.iter().filter(|c| c.at > t).count()
-    }
-
     /// Median time from a user's first wake to its first granted
     /// association, over users that did associate. `None` if nobody did.
     pub fn median_join_latency(&self) -> Option<Time> {

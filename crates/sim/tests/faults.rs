@@ -44,6 +44,37 @@ fn outage(ap: u32, down_cycle: u64, up_cycle: u64, period: Time) -> FaultPlan {
     }
 }
 
+/// A churn plan of explicit departures and jumps, `(user, cycle)`.
+fn churn(
+    departures: &[(u32, u64)],
+    jumps: &[(u32, u64)],
+    link_keep_prob: f64,
+    period: Time,
+) -> FaultPlan {
+    FaultPlan {
+        seed: 4,
+        churn: mcast_faults::ChurnModel {
+            departures: departures
+                .iter()
+                .map(|&(u, c)| UserDeparture {
+                    user: UserId(u),
+                    at_us: c * period.0,
+                })
+                .collect(),
+            jumps: jumps
+                .iter()
+                .map(|&(u, c)| UserJump {
+                    user: UserId(u),
+                    at_us: c * period.0,
+                })
+                .collect(),
+            link_keep_prob,
+            ..mcast_faults::ChurnModel::none()
+        },
+        ..FaultPlan::none()
+    }
+}
+
 #[test]
 fn none_plan_runs_are_fault_free() {
     let inst = figure1_instance(Kbps::from_mbps(1));
@@ -330,29 +361,7 @@ fn user_churn_departures_and_jumps() {
     let sc = scenario(8, 30, 17);
     let inst = &sc.instance;
     let cfg = faulty_cfg(WakeSchedule::Staggered);
-    let period = cfg.period;
-    let plan = FaultPlan {
-        seed: 4,
-        churn: mcast_faults::ChurnModel {
-            departures: vec![
-                UserDeparture {
-                    user: UserId(0),
-                    at_us: 20 * period.0,
-                },
-                UserDeparture {
-                    user: UserId(1),
-                    at_us: 22 * period.0,
-                },
-            ],
-            jumps: vec![UserJump {
-                user: UserId(2),
-                at_us: 25 * period.0,
-            }],
-            link_keep_prob: 0.6,
-            ..mcast_faults::ChurnModel::none()
-        },
-        ..FaultPlan::none()
-    };
+    let plan = churn(&[(0, 20), (1, 22)], &[(2, 25)], 0.6, cfg.period);
     let report = Simulator::new(
         inst,
         SimConfig {
@@ -368,6 +377,63 @@ fn user_churn_departures_and_jumps() {
     assert_eq!(report.association.ap_of(UserId(1)), None);
     assert!(report.association.satisfied_count() >= inst.n_users() - 3);
     assert!(report.association.validate(inst).is_ok());
+}
+
+#[test]
+fn jump_that_keeps_no_link_ends_unassociated() {
+    // u5 hears both APs and is served before it jumps; with a keep
+    // probability of 1e-9 every candidate link is lost, so it is torn
+    // off its AP and never finds another.
+    let inst = figure1_instance(Kbps::from_mbps(1));
+    let cfg = faulty_cfg(WakeSchedule::Staggered);
+    let jumper = UserId(4);
+    let plan = churn(&[], &[(jumper.0, 10)], 1e-9, cfg.period);
+    let jump_at = 10 * cfg.period.0;
+    let report = Simulator::new(
+        &inst,
+        SimConfig {
+            faults: plan,
+            ..cfg
+        },
+    )
+    .run();
+    assert!(report.converged);
+    assert_eq!(report.fault_events, 1);
+    assert!(report
+        .changes
+        .iter()
+        .any(|c| c.user == jumper && c.at.0 >= jump_at && c.from.is_some() && c.to.is_none()));
+    assert_eq!(report.association.ap_of(jumper), None);
+    assert_eq!(report.association.satisfied_count(), inst.n_users() - 1);
+    assert!(report.association.validate(&inst).is_ok());
+}
+
+#[test]
+fn jump_after_departure_changes_nothing() {
+    let sc = scenario(8, 30, 17);
+    let inst = &sc.instance;
+    let cfg = faulty_cfg(WakeSchedule::Staggered);
+    let run = |jumps: &[(u32, u64)]| {
+        let plan = churn(&[(0, 20)], jumps, 1e-9, cfg.period);
+        Simulator::new(
+            inst,
+            SimConfig {
+                faults: plan,
+                ..cfg.clone()
+            },
+        )
+        .run()
+    };
+    let without = run(&[]);
+    let with = run(&[(0, 25)]);
+    assert!(without.converged && with.converged);
+    assert_eq!(
+        with.fault_events,
+        without.fault_events + 1,
+        "the jump fired"
+    );
+    assert_eq!(with.association, without.association);
+    assert_eq!(with.association.ap_of(UserId(0)), None);
 }
 
 #[test]

@@ -188,24 +188,6 @@ impl SpatialGrid {
         out.sort_unstable_by_key(|&(i, _)| i);
     }
 
-    /// The grid cell containing `p`, clamped into the grid bounds
-    /// (`(0, 0)` on an empty grid) — the same mapping used to bucket the
-    /// indexed points at build time.
-    pub fn cell_of(&self, p: &Point) -> (usize, usize) {
-        if self.points.is_empty() {
-            return (0, 0);
-        }
-        (
-            clamp_cell((p.x - self.min_x) / self.cell_m, self.nx),
-            clamp_cell((p.y - self.min_y) / self.cell_m, self.ny),
-        )
-    }
-
-    /// Cell counts along x and y (`(0, 0)` on an empty grid).
-    pub fn dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
     /// Calls `f(index, distance)` for every indexed point within `range`
     /// of `p`, in unspecified order and without allocating. The hits and
     /// distances are exactly those of the full scan; callers that need the
@@ -313,27 +295,6 @@ mod tests {
             grid.neighbors_within_into(&q, 150.0, &mut buf);
             assert_eq!(buf, grid.neighbors_within(&q, 150.0));
         }
-    }
-
-    #[test]
-    fn cell_of_matches_bucketing() {
-        let pts = pseudo_points(50, 300.0);
-        let grid = SpatialGrid::build(&pts, 75.0);
-        let (nx, ny) = grid.dims();
-        assert!(nx > 0 && ny > 0);
-        for p in &pts {
-            let (ix, iy) = grid.cell_of(p);
-            assert!(ix < nx && iy < ny);
-            // The point is bucketed in exactly that cell: a zero-radius
-            // query from the cell's points must include it.
-            assert!(grid.neighbors_within(p, 0.0).iter().any(|&(i, _)| {
-                (pts[i as usize].x - p.x).abs() < 1e-12 && (pts[i as usize].y - p.y).abs() < 1e-12
-            }));
-        }
-        assert_eq!(
-            SpatialGrid::build(&[], 10.0).cell_of(&Point::new(1.0, 2.0)),
-            (0, 0)
-        );
     }
 
     #[test]

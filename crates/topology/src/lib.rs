@@ -28,7 +28,6 @@
 mod geometry;
 mod grid;
 pub mod mcb;
-pub mod phy;
 mod placement;
 pub mod power;
 mod scenario;
@@ -36,7 +35,6 @@ mod scenario;
 pub use geometry::Point;
 pub use grid::SpatialGrid;
 pub use mcb::{read_mcb, read_mcb_with_limits, write_mcb, MCB_MAGIC};
-pub use phy::PathLossModel;
 pub use placement::Placement;
 pub use power::{instance_with_power, optimize_power, PowerOutcome};
 pub use scenario::{validate_scenario, Scenario, ScenarioConfig, ScenarioError, SessionPopularity};
