@@ -1,17 +1,17 @@
-//! The shared epoch engine: state mutation primitives and the
-//! per-epoch ladder execution both runtimes drive.
+//! The epoch engine: state mutation primitives and the per-epoch
+//! ladder execution the controller's epoch loop drives.
 //!
-//! The lock-step runtime (`runtime::run`, consuming a compiled
-//! [`FaultTimeline`](mcast_faults::FaultTimeline)) and the event-driven
-//! service (`service::serve`, draining a
-//! [`TimeQueue`](mcast_events::TimeQueue)) differ only in *where their
-//! events come from*. Everything else — how an AP failure is applied,
-//! how the degradation ladder picks a rung, how disruption metrics are
-//! recorded and audited — lives here exactly once, so the two runtimes
-//! cannot drift apart. What an event does to the network itself (APs
-//! down, users present, links surviving a jump) is
-//! [`NetworkState`](mcast_faults::NetworkState), shared with the
-//! simulator; this module adds the ledger and shedding side.
+//! The loop (`service::drive`, draining a
+//! [`TimeQueue`](mcast_events::TimeQueue)) decides *which events are
+//! due*; everything else — how an AP failure is applied, how the
+//! degradation ladder picks a rung, how disruption metrics are recorded
+//! and audited — lives here exactly once. The loop has two starts, and
+//! the engine is built with either: everyone present (`run`) or nobody
+//! present, with the population joining through the queue (`serve`).
+//! What an event does to the network itself (APs down, users present,
+//! links surviving a jump) is [`NetworkState`](mcast_faults::NetworkState),
+//! shared with the simulator; this module adds the ledger and shedding
+//! side.
 
 use std::time::Instant;
 
@@ -63,9 +63,9 @@ pub(crate) struct EpochEngine<'a> {
 
 impl<'a> EpochEngine<'a> {
     /// A fresh engine over `inst`. The caller picks the initial
-    /// population: [`NetworkState::new`] (everyone present — the
-    /// lock-step runtime) or [`NetworkState::absent`] (everyone joins
-    /// through the queue — the service).
+    /// population: [`NetworkState::new`] (everyone present — `run`) or
+    /// [`NetworkState::absent`] (everyone joins through the queue —
+    /// `serve`).
     pub fn new(
         inst: &'a Instance,
         cfg: &ControllerConfig,
@@ -91,8 +91,8 @@ impl<'a> EpochEngine<'a> {
     }
 
     // ---- event ingestion primitives ---------------------------------
-    // One method per event kind; both runtimes funnel through these, so
-    // a fault means exactly the same thing regardless of the transport.
+    // One method per event kind, so a fault means exactly the same
+    // thing whichever start the run took.
 
     /// The AP recovers with empty state.
     pub fn ap_up(&mut self, a: ApId) {

@@ -7,13 +7,19 @@
 //! snapshot of the WLAN and rebuild the whole association from scratch.
 //! Real deployments move underneath the solver — APs crash and recover,
 //! users leave or jump out of range (`mcast-faults` models exactly these
-//! dynamics). This crate closes the loop: a controller run ([`run`]
-//! lock-step, or the event-driven [`serve`]) maintains live association
-//! state in an incremental [`LoadLedger`](mcast_core::LoadLedger),
-//! ingests a compiled [`FaultTimeline`](mcast_faults::FaultTimeline)
-//! epoch by epoch into a [`NetworkState`] (the fault state `mcast-faults`
-//! defines and the simulator shares, re-exported here), and at each epoch
-//! chooses a response on a **graceful-degradation ladder**:
+//! dynamics). This crate closes the loop: a controller run maintains
+//! live association state in an incremental
+//! [`LoadLedger`](mcast_core::LoadLedger), drains a queue of events
+//! (a compiled [`FaultTimeline`](mcast_faults::FaultTimeline), and for
+//! [`serve`] the users' joins) epoch by epoch into a [`NetworkState`]
+//! (the fault state `mcast-faults` defines and the simulator shares,
+//! re-exported here), and at each epoch chooses a response on a
+//! **graceful-degradation ladder**. One epoch loop serves both entry
+//! points; they differ only in how the run starts: [`run`] with everyone
+//! present and the stream discarded, [`serve`] with nobody present, the
+//! population joining through the queue and every event published.
+//!
+//! The ladder:
 //!
 //! 1. **Full re-solve** — run the configured solver over the *effective*
 //!    instance (up APs, present users, surviving links).

@@ -13,8 +13,8 @@ pub struct EpochRecord {
     pub epoch: u64,
     /// Fault events ingested at the start of this epoch.
     pub events: u64,
-    /// Join events admitted at the start of this epoch (always 0 in the
-    /// lock-step runtime, where every user is present from the start).
+    /// Join events admitted at the start of this epoch (always 0 for
+    /// [`crate::run`], where every user is present from the start).
     #[serde(default)]
     pub joins: u64,
     /// The rung that ran.

@@ -1,14 +1,16 @@
-//! The lock-step runtime: the epoch loop over a compiled fault
-//! timeline. The per-epoch mechanics (event application, ladder
-//! execution, metrics, audit) live in [`crate::engine`], shared with
-//! the event-driven service.
+//! The controller's configuration and outcome types, and [`run`]: the
+//! epoch loop ([`crate::service`]) started with everyone present and
+//! only the compiled faults queued. The per-epoch mechanics (event
+//! application, ladder execution, metrics, audit) live in
+//! [`crate::engine`].
 
 use mcast_core::{Association, Instance, Objective};
-use mcast_faults::{FaultEventKind, FaultPlan, NetworkState};
+use mcast_events::NullPublisher;
+use mcast_faults::{FaultPlan, NetworkState};
 
-use crate::engine::EpochEngine;
 use crate::ladder::LadderPolicy;
 use crate::report::ControllerReport;
+use crate::service::{drive, lower};
 
 /// Configuration of a controller run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,59 +62,32 @@ pub struct ControllerOutcome {
 /// fault timeline, for [`ControllerConfig::n_epochs`] epochs.
 ///
 /// The plan is [validated](FaultPlan::validate) against the instance
-/// and horizon first. The run is a pure function of
-/// `(inst, plan, cfg)` — all randomness was resolved when the plan
-/// compiled, and time budgets are counted in deterministic work units —
-/// so two identical calls produce byte-identical reports.
+/// and horizon first. Every user is present from the start, so the
+/// loop's queue holds only the compiled faults and every epoch reports
+/// zero joins; the event stream goes nowhere. The run is a pure
+/// function of `(inst, plan, cfg)` — all randomness was resolved when
+/// the plan compiled, and time budgets are counted in deterministic
+/// work units — so two identical calls produce byte-identical reports.
 pub fn run(
     inst: &Instance,
     plan: &FaultPlan,
     cfg: &ControllerConfig,
 ) -> Result<ControllerOutcome, String> {
-    if cfg.epoch_us == 0 {
-        return Err("epoch_us must be positive".to_string());
-    }
-    if cfg.n_epochs == 0 {
-        return Err("n_epochs must be positive".to_string());
-    }
-    let horizon_us = cfg
-        .epoch_us
-        .checked_mul(cfg.n_epochs)
-        .ok_or_else(|| "epoch_us × n_epochs overflows the clock".to_string())?;
-    plan.validate(inst.n_aps(), inst.n_users(), horizon_us)
-        .map_err(|e| format!("invalid fault plan: {e}"))?;
-
-    let mut timeline = plan.compile(inst.n_aps(), inst.n_users(), horizon_us);
-    let keep = plan.link_keep_prob();
-
-    let mut engine = EpochEngine::new(
+    let mut faults = lower(inst, plan, cfg, false)?;
+    // No latency sink: timing every decision of a large epoch-0
+    // population costs a clock read per user and a sort nobody reads.
+    let (outcome, _) = drive(
         inst,
+        &mut faults,
         cfg,
-        keep,
+        plan.link_keep_prob(),
         NetworkState::new(inst.n_aps(), inst.n_users()),
-    );
-
-    for epoch in 0..cfg.n_epochs {
-        // Events scheduled inside this epoch's window apply at its start;
-        // the rung that follows is the controller's response to them.
-        let window_end = (epoch + 1) * cfg.epoch_us - 1;
-        engine.begin_epoch();
-
-        let mut events = 0u64;
-        while let Some(ev) = timeline.pop_due(window_end) {
-            events += 1;
-            match ev.kind {
-                FaultEventKind::ApUp(a) => engine.ap_up(a),
-                FaultEventKind::ApDown(a) => engine.ap_down(a),
-                FaultEventKind::UserDepart(u) => engine.user_leave(u),
-                FaultEventKind::UserJump { user, seed } => engine.link_reroll(user, seed),
-            }
-        }
-
-        engine.run_epoch(epoch, events, 0, None);
-    }
-
-    Ok(engine.finalize())
+        None,
+        &mut NullPublisher,
+        0,
+        &mut |_| Ok(()),
+    )?;
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -121,7 +96,7 @@ mod tests {
     use crate::ladder::SolvePath;
     use mcast_core::examples_paper::{a, figure1_instance, u};
     use mcast_core::{solve_bla, solve_mla, solve_mnu_with, solve_ssa, ApId, Kbps, MnuConfig};
-    use mcast_faults::{ApOutage, UserDeparture};
+    use mcast_faults::{ApOutage, FaultEventKind, UserDeparture, UserJump};
 
     fn quick_cfg(policy: LadderPolicy) -> ControllerConfig {
         ControllerConfig {
@@ -294,5 +269,51 @@ mod tests {
             assert_eq!(x, y, "{policy:?}");
             assert_eq!(x.report.invariant_violations, 0, "{policy:?}");
         }
+    }
+
+    #[test]
+    fn run_queues_only_the_compiled_faults() {
+        // Everyone is present from the start, so the loop's queue holds
+        // the compiled faults and nothing else: no user ever joins.
+        let inst = figure1_instance(Kbps::from_mbps(3));
+        let mut plan = FaultPlan::none();
+        plan.seed = 7;
+        plan.ap_outages.push(ApOutage {
+            ap: a(1),
+            down_at_us: 2_000,
+            up_at_us: Some(6_000),
+        });
+        plan.churn.departures.push(UserDeparture {
+            user: u(3),
+            at_us: 4_000,
+        });
+        plan.churn.jumps.push(UserJump {
+            user: u(2),
+            at_us: 5_000,
+        });
+        plan.churn.jump_prob = 0.6;
+        let cfg = quick_cfg(LadderPolicy::Repair);
+        let horizon_us = cfg.epoch_us * cfg.n_epochs;
+        let compiled = plan.compile(inst.n_aps(), inst.n_users(), horizon_us);
+        let kinds = |pick: fn(&FaultEventKind) -> bool| {
+            compiled.events().iter().filter(|e| pick(&e.kind)).count()
+        };
+        assert_eq!(kinds(|k| matches!(k, FaultEventKind::ApDown(_))), 1);
+        assert_eq!(kinds(|k| matches!(k, FaultEventKind::UserDepart(_))), 1);
+        assert!(kinds(|k| matches!(k, FaultEventKind::UserJump { .. })) > 1);
+
+        let queue = lower(&inst, &plan, &cfg, false).unwrap();
+        assert_eq!(queue.len(), compiled.events().len());
+
+        let r = run(&inst, &plan, &cfg).unwrap().report;
+        assert!(r.epochs.iter().all(|e| e.joins == 0), "{:?}", r.epochs);
+        assert_eq!(r.joins, 0);
+        let due = compiled
+            .events()
+            .iter()
+            .filter(|e| e.at_us < horizon_us)
+            .count();
+        assert_eq!(r.epochs.iter().map(|e| e.events).sum::<u64>(), due as u64);
+        assert_eq!(r.invariant_violations, 0);
     }
 }

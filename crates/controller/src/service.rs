@@ -1,19 +1,24 @@
-//! The event-driven controller service.
+//! The controller's epoch loop.
 //!
-//! Where the lock-step runtime walks a precompiled fault timeline, the
-//! service drains a deterministic [`TimeQueue`] of typed events — joins,
-//! leaves, AP failures and recoveries, link re-rolls — and **batches
-//! admission**: every event due up to the epoch boundary is ingested,
-//! then the whole batch is answered by one pass through the existing
-//! degradation ladder. Batching is what keeps a storm of concurrent
-//! joins O(ladder) instead of O(joins × ladder): one repair sweep
-//! places the entire cohort (see `docs/algorithms.md`).
+//! One loop drives every controller run. It drains a deterministic
+//! [`TimeQueue`] of typed events — joins, leaves, AP failures and
+//! recoveries, link re-rolls — and **batches admission**: every event
+//! due up to the epoch boundary is ingested, then the whole batch is
+//! answered by one pass through the degradation ladder. Batching is
+//! what keeps a storm of concurrent joins O(ladder) instead of
+//! O(joins × ladder): one repair sweep places the entire cohort (see
+//! `docs/algorithms.md`).
 //!
-//! Everything the service ingests and everything it decides is
-//! published through an [`EventPublisher`] as an append-only stream —
-//! replayable into a byte-identical [`ControllerReport`] by
+//! The loop has two starts. [`serve`] starts with nobody present: the
+//! population joins through the queue ([`lower_plan`]), and everything
+//! the service ingests and decides is published through an
+//! [`EventPublisher`] as an append-only stream — replayable into a
+//! byte-identical [`ControllerReport`](crate::ControllerReport) by
 //! [`crate::replay`] — and instrumented for sustained-throughput
-//! reporting ([`ServiceStats`]).
+//! reporting ([`ServiceStats`]). [`run`](crate::run) starts with
+//! everyone present: the queue holds only the compiled faults, so a
+//! large population never passes through the heap, and the stream goes
+//! to a [`NullPublisher`](mcast_events::NullPublisher).
 
 use std::time::Instant;
 
@@ -60,17 +65,17 @@ pub struct ServiceStats {
 /// event timeline — never of wall-clock sink latency.
 pub const SHED_BATCH_CAP: u64 = 64;
 
-/// Lowers a fault plan into the event queue, reproducing the lock-step
-/// runtime's semantics event by event:
+/// Lowers a fault plan into the event queue for a start with nobody
+/// present ([`serve`]):
 ///
-/// * every user joins at `t = 0` (the runtime starts everyone present,
-///   so the service's epoch-0 batch must admit the full population);
+/// * every user joins at `t = 0`;
 /// * each compiled fault becomes its event-queue equivalent at the same
 ///   instant, pushed in timeline order.
 ///
 /// Joins are pushed first, so at `t = 0` the queue's `seq` tie-break
-/// admits the population before any fault applies — matching the
-/// runtime, where users exist before the first fault can touch them.
+/// admits the population before any fault applies: users exist before
+/// the first fault can touch them, as in [`run`](crate::run)'s start
+/// with everyone present.
 ///
 /// # Errors
 ///
@@ -82,14 +87,29 @@ pub fn lower_plan(
     plan: &FaultPlan,
     cfg: &ControllerConfig,
 ) -> Result<TimeQueue<EventKind>, String> {
+    lower(inst, plan, cfg, true)
+}
+
+/// Validates `plan` against `inst` and the configured horizon, compiles
+/// it, and pushes its faults into a fresh queue in timeline order —
+/// after one `t = 0` join per user when `joins` is set ([`lower_plan`]),
+/// or alone for a start with everyone present ([`run`](crate::run)).
+pub(crate) fn lower(
+    inst: &Instance,
+    plan: &FaultPlan,
+    cfg: &ControllerConfig,
+    joins: bool,
+) -> Result<TimeQueue<EventKind>, String> {
     let horizon_us = validate_horizon(cfg)?;
     plan.validate(inst.n_aps(), inst.n_users(), horizon_us)
         .map_err(|e| format!("invalid fault plan: {e}"))?;
     let timeline = plan.compile(inst.n_aps(), inst.n_users(), horizon_us);
 
     let mut queue = TimeQueue::new();
-    for u in inst.users() {
-        queue.push(0, EventKind::UserJoin { user: u });
+    if joins {
+        for u in inst.users() {
+            queue.push(0, EventKind::UserJoin { user: u });
+        }
     }
     for ev in timeline.events() {
         let kind = match ev.kind {
@@ -176,10 +196,12 @@ impl Stream<'_, '_> {
 /// [`link_keep_prob`](FaultPlan::link_keep_prob) of the plan the events
 /// were lowered from, or any value if the queue has no re-rolls).
 ///
-/// The outcome is a pure function of `(inst, queue, cfg, keep)`;
-/// [`ServiceStats`] carries the wall-clock side separately. Events due
-/// after the configured horizon stay in the queue, exactly as the
-/// lock-step runtime leaves its timeline tail unconsumed.
+/// Every user starts absent and is admitted by a
+/// [`EventKind::UserJoin`] in the queue ([`lower_plan`] queues one per
+/// user at `t = 0`). The outcome is a pure function of
+/// `(inst, queue, cfg, keep)`; [`ServiceStats`] carries the wall-clock
+/// side separately. Events due after the configured horizon stay in the
+/// queue.
 ///
 /// # Errors
 ///
@@ -218,6 +240,36 @@ pub fn serve_checkpointed(
     checkpoint_every: u64,
     sink: &mut dyn FnMut(&ServiceCheckpoint) -> Result<(), String>,
 ) -> Result<(ControllerOutcome, ServiceStats), String> {
+    let mut latencies = Vec::new();
+    drive(
+        inst,
+        queue,
+        cfg,
+        keep,
+        NetworkState::absent(inst.n_aps(), inst.n_users()),
+        Some(&mut latencies),
+        publisher,
+        checkpoint_every,
+        sink,
+    )
+}
+
+/// The epoch loop behind [`serve_checkpointed`] and [`run`](crate::run),
+/// from the `start` population. Decision latencies go to `latencies`
+/// when given. Checkpoints mirror the replay fold, which starts with
+/// nobody present, so only an absent `start` may checkpoint.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive(
+    inst: &Instance,
+    queue: &mut TimeQueue<EventKind>,
+    cfg: &ControllerConfig,
+    keep: f64,
+    start: NetworkState,
+    mut latencies: Option<&mut Vec<f64>>,
+    publisher: &mut dyn EventPublisher,
+    checkpoint_every: u64,
+    sink: &mut dyn FnMut(&ServiceCheckpoint) -> Result<(), String>,
+) -> Result<(ControllerOutcome, ServiceStats), String> {
     let horizon_us = validate_horizon(cfg)?;
     let mut stream = Stream {
         publisher,
@@ -240,13 +292,7 @@ pub fn serve_checkpointed(
         },
     )?;
 
-    let mut engine = EpochEngine::new(
-        inst,
-        cfg,
-        keep,
-        NetworkState::absent(inst.n_aps(), inst.n_users()),
-    );
-    let mut latencies: Vec<f64> = Vec::new();
+    let mut engine = EpochEngine::new(inst, cfg, keep, start);
     let mut admission_wall_s = 0.0f64;
     let (mut joins_total, mut faults_total) = (0u64, 0u64);
     let mut backpressure_sheds = 0u64;
@@ -306,7 +352,7 @@ pub fn serve_checkpointed(
 
         // ---- one ladder pass answers the whole batch ----------------
         let admission_started = Instant::now();
-        let outcome = engine.run_epoch(epoch, events, joins, Some(&mut latencies));
+        let outcome = engine.run_epoch(epoch, events, joins, latencies.as_deref_mut());
         if joins > 0 {
             admission_wall_s += admission_started.elapsed().as_secs_f64();
         }
@@ -373,7 +419,10 @@ pub fn serve_checkpointed(
         joins: joins_total,
         fault_events: faults_total,
         events_published,
-        decision_latency_us: RecoverySummary::of(&latencies, 0),
+        decision_latency_us: RecoverySummary::of(
+            latencies.as_deref().map_or(&[], Vec::as_slice),
+            0,
+        ),
         admission_wall_s,
         joins_per_sec: if admission_wall_s > 0.0 {
             joins_total as f64 / admission_wall_s

@@ -519,7 +519,7 @@ mod tests {
         let p = FaultPlan::none();
         assert!(p.is_none());
         assert!(!p.has_message_faults());
-        assert!(p.compile(10, 20, 1_000_000).is_empty());
+        assert!(p.compile(10, 20, 1_000_000).events().is_empty());
     }
 
     #[test]
@@ -566,7 +566,7 @@ mod tests {
             user: UserId(99),
             at_us: 0,
         });
-        assert!(p.compile(5, 10, 10_000).is_empty());
+        assert!(p.compile(5, 10, 10_000).events().is_empty());
     }
 
     #[test]
@@ -582,7 +582,7 @@ mod tests {
         let a = p.compile(20, 50, 1_000_000);
         let b = p.compile(20, 50, 1_000_000);
         assert_eq!(a.events(), b.events());
-        assert!(!a.is_empty());
+        assert!(!a.events().is_empty());
 
         p.seed = 8;
         let c = p.compile(20, 50, 1_000_000);

@@ -43,8 +43,8 @@ impl NetworkState {
     /// present yet**. The event-driven service starts here and admits
     /// users as their join events arrive; once everyone has joined (and
     /// nothing else broke) the state is pristine, so epoch-0 batched
-    /// admission takes the same full-solve fast path as the lock-step
-    /// runtime.
+    /// admission takes the same full-solve fast path as a run that
+    /// starts from [`NetworkState::new`].
     pub fn absent(n_aps: usize, n_users: usize) -> NetworkState {
         NetworkState {
             down: vec![false; n_aps],

@@ -58,7 +58,7 @@ impl FaultEventKind {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultTimeline {
     events: Vec<FaultEvent>,
-    /// Index of the next event not yet handed out by [`Self::pop_due`].
+    /// Index of the next event not yet handed out by [`Self::pop_any`].
     #[serde(default)]
     next: usize,
 }
@@ -71,19 +71,9 @@ impl FaultTimeline {
         FaultTimeline { events, next: 0 }
     }
 
-    /// An empty timeline.
-    pub fn empty() -> FaultTimeline {
-        FaultTimeline::default()
-    }
-
     /// The full event list (including already-consumed events).
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// True if the timeline holds no events at all.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Time of the next unconsumed event, if any.
@@ -91,20 +81,9 @@ impl FaultTimeline {
         self.events.get(self.next).map(|e| e.at_us)
     }
 
-    /// Consumes and returns the next event if it is due at or before
-    /// `now_us`.
-    pub fn pop_due(&mut self, now_us: u64) -> Option<FaultEvent> {
-        let ev = *self.events.get(self.next)?;
-        if ev.at_us <= now_us {
-            self.next += 1;
-            Some(ev)
-        } else {
-            None
-        }
-    }
-
-    /// Consumes and returns the next event unconditionally (used to
-    /// flush the tail of the schedule at end of run).
+    /// Consumes and returns the next event. The simulator calls it once
+    /// [`Self::peek_at_us`] says the event is due, and to flush the tail
+    /// of the schedule at end of run.
     pub fn pop_any(&mut self) -> Option<FaultEvent> {
         let ev = *self.events.get(self.next)?;
         self.next += 1;
@@ -141,24 +120,26 @@ mod tests {
     }
 
     #[test]
-    fn pop_due_respects_clock() {
+    fn peek_at_us_respects_clock() {
         let mut t = FaultTimeline::new(vec![
-            ev(10, FaultEventKind::ApDown(ApId(0))),
             ev(20, FaultEventKind::ApUp(ApId(0))),
+            ev(10, FaultEventKind::ApDown(ApId(0))),
         ]);
-        assert_eq!(t.peek_at_us(), Some(10));
-        assert!(t.pop_due(5).is_none());
-        assert_eq!(t.pop_due(10).unwrap().at_us, 10);
-        assert!(t.pop_due(15).is_none());
-        assert_eq!(t.pop_due(25).unwrap().at_us, 20);
-        assert!(t.pop_due(u64::MAX).is_none());
+        let due = |t: &FaultTimeline, now_us: u64| t.peek_at_us().is_some_and(|at| at <= now_us);
+        assert!(!due(&t, 5));
+        assert!(due(&t, 10));
+        assert_eq!(t.pop_any().unwrap().at_us, 10);
+        assert!(!due(&t, 15));
+        assert!(due(&t, 25));
+        assert_eq!(t.pop_any().unwrap().at_us, 20);
+        assert!(!due(&t, u64::MAX));
         assert_eq!(t.peek_at_us(), None);
     }
 
     #[test]
     fn pop_any_flushes() {
         let mut t = FaultTimeline::new(vec![ev(1_000_000, FaultEventKind::ApDown(ApId(0)))]);
-        assert!(t.pop_due(0).is_none());
+        assert_eq!(t.peek_at_us(), Some(1_000_000));
         assert!(t.pop_any().is_some());
         assert!(t.pop_any().is_none());
     }

@@ -1,6 +1,6 @@
 //! Integration tests for the event-driven controller service and its
 //! append-only event log: byte-identical replay of `events.jsonl`,
-//! metric equivalence with the lock-step runtime on the same seeds,
+//! report equivalence with the lock-step runtime on the same seeds,
 //! torn-tail recovery, and a deterministic-ordering property for
 //! same-timestamp events.
 
@@ -212,9 +212,9 @@ fn degraded_sink_sheds_admission_in_bounded_batches() {
 }
 
 /// Lowering a fault plan into the event queue and running the service
-/// reproduces the lock-step runtime's disruption metrics at the same
-/// seeds — the epoch records match field for field once the service's
-/// join accounting (absent from the lock-step world) is set aside.
+/// reproduces the lock-step runtime's report at the same seeds: once
+/// the service's join counters (the runtime starts with everyone
+/// present) are set aside, the two reports are byte-identical.
 #[test]
 fn service_matches_lockstep_runtime_across_seeds_and_policies() {
     for seed in [0, 1, 2] {
@@ -235,38 +235,37 @@ fn service_matches_lockstep_runtime_across_seeds_and_policies() {
             .expect("service runs");
             let lockstep = mcast_controller::run(inst, &plan, &config).expect("runtime runs");
 
-            let (s, l) = (&service.report, &lockstep.report);
-            assert_eq!(s.disruption, l.disruption, "seed {seed} {policy:?}");
-            assert_eq!(s.handoffs, l.handoffs, "seed {seed} {policy:?}");
             assert_eq!(
-                s.coverage_loss_user_epochs, l.coverage_loss_user_epochs,
+                lockstep.report.invariant_violations, 0,
                 "seed {seed} {policy:?}"
             );
-            assert_eq!(s.reconvergence_epochs, l.reconvergence_epochs);
-            assert_eq!(
-                (s.shed, s.readmitted, s.deferred),
-                (l.shed, l.readmitted, l.deferred)
-            );
-            assert_eq!(s.invariant_violations, 0, "seed {seed} {policy:?}");
-            assert_eq!(l.invariant_violations, 0, "seed {seed} {policy:?}");
-            assert_eq!(s.final_satisfied, l.final_satisfied);
-            assert_eq!(s.final_max_load, l.final_max_load);
-            assert_eq!(s.final_total_load, l.final_total_load);
-            assert_eq!(s.work, l.work, "same batches -> same ladder work");
-            assert_eq!(service.association, lockstep.association);
-            assert_eq!(s.epochs.len(), l.epochs.len());
-            for (se, le) in s.epochs.iter().zip(&l.epochs) {
-                let mut se = se.clone();
-                se.joins = le.joins; // the only designed difference
-                assert_eq!(&se, le, "seed {seed} {policy:?}");
+
+            // Only the join counters differ by design; with the
+            // runtime's copied over, the reports serialize identically.
+            let (l, mut s) = (&lockstep.report, service.report.clone());
+            s.joins = l.joins;
+            for (se, le) in s.epochs.iter_mut().zip(&l.epochs) {
+                se.joins = le.joins;
             }
+            if let Some((se, le)) = s.epochs.iter().zip(&l.epochs).find(|(se, le)| se != le) {
+                panic!(
+                    "seed {seed} {policy:?} epoch {}: {se:?} vs {le:?}",
+                    se.epoch
+                );
+            }
+            assert_eq!(
+                serde_json::to_string(&s).unwrap(),
+                serde_json::to_string(l).unwrap(),
+                "seed {seed} {policy:?}"
+            );
+            assert_eq!(service.association, lockstep.association);
 
             // And the in-memory stream folds back to the service's own
             // report, closing the triangle.
             let folded = fold_events(inst, &publisher.events).expect("stream folds");
             assert_eq!(
                 serde_json::to_string(&folded.report).unwrap(),
-                serde_json::to_string(s).unwrap()
+                serde_json::to_string(&service.report).unwrap()
             );
         }
     }
