@@ -1,10 +1,12 @@
-//! The algorithm zoo the paper evaluates, behind one uniform interface.
+//! The algorithm zoo the paper evaluates, behind one uniform interface:
+//! `solve` is the one place an algorithm meets its solver, for the
+//! figure sweeps and `repro solve` alike.
 
 use mcast_core::{
-    run_distributed, solve_bla, solve_mla, solve_mnu, Association, DistributedConfig, Instance,
-    Objective, Policy, Solution,
+    run_distributed, solve_bla, solve_mla, solve_mla_with, solve_mnu, solve_ssa, Association,
+    DistributedConfig, Instance, MlaAlgorithm, Objective, Policy, Solution,
 };
-use mcast_exact::{optimal_bla, optimal_mla, optimal_mnu, SearchLimits};
+use mcast_exact::{optimal_bla, optimal_mla, optimal_mnu, ExactSolution, SearchLimits};
 use serde::{Deserialize, Serialize};
 
 use crate::runner::TrialError;
@@ -14,6 +16,8 @@ use crate::runner::TrialError;
 pub enum Algo {
     /// Centralized MLA (greedy set cover).
     MlaC,
+    /// Centralized MLA via the primal–dual set cover.
+    MlaPd,
     /// Distributed MLA (min total-load rule, serial).
     MlaD,
     /// Centralized BLA (SCG via iterated MCG).
@@ -35,10 +39,26 @@ pub enum Algo {
 }
 
 impl Algo {
+    /// Every algorithm, in the order `repro solve` lists their names.
+    pub(crate) const ALL: [Algo; 11] = [
+        Algo::Ssa,
+        Algo::MlaC,
+        Algo::MlaPd,
+        Algo::MlaD,
+        Algo::BlaC,
+        Algo::BlaD,
+        Algo::MnuC,
+        Algo::MnuD,
+        Algo::OptMla,
+        Algo::OptBla,
+        Algo::OptMnu,
+    ];
+
     /// The label used in tables/CSV (matches the paper's legends).
     pub fn label(self) -> &'static str {
         match self {
             Algo::MlaC => "MLA-C",
+            Algo::MlaPd => "MLA-PD",
             Algo::MlaD => "MLA-D",
             Algo::BlaC => "BLA-C",
             Algo::BlaD => "BLA-D",
@@ -48,6 +68,53 @@ impl Algo {
             Algo::OptMla => "OPT",
             Algo::OptBla => "OPT",
             Algo::OptMnu => "OPT",
+        }
+    }
+
+    /// The name `repro solve --algo` takes.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Algo::MlaC => "mla",
+            Algo::MlaPd => "mla-pd",
+            Algo::MlaD => "mla-d",
+            Algo::BlaC => "bla",
+            Algo::BlaD => "bla-d",
+            Algo::MnuC => "mnu",
+            Algo::MnuD => "mnu-d",
+            Algo::Ssa => "ssa",
+            Algo::OptMla => "opt-mla",
+            Algo::OptBla => "opt-bla",
+            Algo::OptMnu => "opt-mnu",
+        }
+    }
+
+    /// The algorithm `repro solve --algo name` runs.
+    pub(crate) fn from_name(name: &str) -> Option<Algo> {
+        Algo::ALL.into_iter().find(|a| a.name() == name)
+    }
+}
+
+/// What a run reports beyond its [`Solution`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Note {
+    /// A distributed run: whether it converged, after how many rounds.
+    Converged {
+        /// Whether the rounds reached a fixed point.
+        converged: bool,
+        /// Rounds run.
+        rounds: usize,
+    },
+    /// An exact run: whether optimality was certified.
+    Certified(bool),
+}
+
+impl std::fmt::Display for Note {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Note::Converged { converged, rounds } => {
+                write!(f, "converged: {converged} in {rounds} rounds")
+            }
+            Note::Certified(proved) => write!(f, "certified optimal: {proved}"),
         }
     }
 }
@@ -69,13 +136,16 @@ pub struct Measured {
 }
 
 impl Measured {
-    fn of(sol: &Solution, inst: &Instance, proved: Option<bool>) -> Measured {
+    fn of(sol: &Solution, inst: &Instance, note: Option<Note>) -> Measured {
         Measured {
             satisfied: sol.satisfied,
             unsatisfied: inst.n_users() - sol.satisfied,
             total_load: sol.total_load.as_f64(),
             max_load: sol.max_load.as_f64(),
-            proved_optimal: proved,
+            proved_optimal: match note {
+                Some(Note::Certified(proved)) => Some(proved),
+                _ => None,
+            },
         }
     }
 
@@ -115,91 +185,64 @@ impl Metric {
     }
 }
 
-/// Runs `algo` on `inst`, returning a typed error instead of panicking
-/// when a full-coverage solver meets an uncoverable instance. The
-/// generators guarantee coverage, so an error here means a genuinely bad
-/// trial — the run orchestrator reports it and the sweep continues.
+/// Runs `algo` on `inst`. A full-coverage solver that meets an
+/// uncoverable instance returns an error naming the solver and the
+/// algorithm instead of panicking.
+///
+/// # Errors
+///
+/// The solver's rejection of the instance, as text.
+pub(crate) fn solve(
+    algo: Algo,
+    inst: &Instance,
+    limits: SearchLimits,
+) -> Result<(Solution, Option<Note>), String> {
+    let fail = |stage: &str, e: &dyn std::fmt::Display| format!("{stage} ({}): {e}", algo.label());
+    let distributed = |policy: Policy, objective: Objective| {
+        let config = DistributedConfig {
+            policy,
+            ..DistributedConfig::default()
+        };
+        let out = run_distributed(inst, &config, Association::empty(inst.n_users()));
+        let note = Note::Converged {
+            converged: out.converged,
+            rounds: out.rounds,
+        };
+        (
+            Solution::evaluate(objective, out.association, inst, None),
+            Some(note),
+        )
+    };
+    let exact = |out: ExactSolution| (out.solution, Some(Note::Certified(out.proved_optimal)));
+    Ok(match algo {
+        Algo::Ssa => (solve_ssa(inst, Objective::Mla), None),
+        Algo::MlaC => (solve_mla(inst).map_err(|e| fail("solve_mla", &e))?, None),
+        Algo::MlaPd => (
+            solve_mla_with(inst, MlaAlgorithm::PrimalDual)
+                .map_err(|e| fail("solve_mla_with(primal-dual)", &e))?,
+            None,
+        ),
+        Algo::BlaC => (solve_bla(inst).map_err(|e| fail("solve_bla", &e))?, None),
+        Algo::MnuC => (solve_mnu(inst), None),
+        Algo::MlaD => distributed(Policy::MinTotalLoad, Objective::Mla),
+        Algo::MnuD => distributed(Policy::MinTotalLoad, Objective::Mnu),
+        Algo::BlaD => distributed(Policy::MinMaxVector, Objective::Bla),
+        Algo::OptMla => exact(optimal_mla(inst, limits).map_err(|e| fail("optimal_mla", &e))?),
+        Algo::OptBla => exact(optimal_bla(inst, limits).map_err(|e| fail("optimal_bla", &e))?),
+        Algo::OptMnu => exact(optimal_mnu(inst, limits)),
+    })
+}
+
+/// `solve`, measured for a sweep. The generators guarantee coverage,
+/// so an error here means a genuinely bad trial — the run orchestrator
+/// reports it and the sweep continues.
 ///
 /// # Errors
 ///
 /// [`TrialError::Failed`] when a solver rejects the instance.
 pub fn try_run(algo: Algo, inst: &Instance, limits: SearchLimits) -> Result<Measured, TrialError> {
-    let fail = |stage: &str, e: &dyn std::fmt::Display| {
-        TrialError::failed(format!("{stage} ({}): {e}", algo.label()))
-    };
-    Ok(match algo {
-        Algo::MlaC => {
-            let sol = solve_mla(inst).map_err(|e| fail("solve_mla", &e))?;
-            Measured::of(&sol, inst, None)
-        }
-        Algo::BlaC => {
-            let sol = solve_bla(inst).map_err(|e| fail("solve_bla", &e))?;
-            Measured::of(&sol, inst, None)
-        }
-        Algo::MnuC => {
-            let sol = solve_mnu(inst);
-            Measured::of(&sol, inst, None)
-        }
-        Algo::MlaD | Algo::MnuD => {
-            let out = run_distributed(
-                inst,
-                &DistributedConfig::default(),
-                Association::empty(inst.n_users()),
-            );
-            let sol = Solution::evaluate(
-                if algo == Algo::MlaD {
-                    Objective::Mla
-                } else {
-                    Objective::Mnu
-                },
-                out.association,
-                inst,
-                None,
-            );
-            Measured::of(&sol, inst, None)
-        }
-        Algo::BlaD => {
-            let out = run_distributed(
-                inst,
-                &DistributedConfig {
-                    policy: Policy::MinMaxVector,
-                    ..DistributedConfig::default()
-                },
-                Association::empty(inst.n_users()),
-            );
-            let sol = Solution::evaluate(Objective::Bla, out.association, inst, None);
-            Measured::of(&sol, inst, None)
-        }
-        Algo::Ssa => {
-            let sol = mcast_core::solve_ssa(inst, Objective::Mla);
-            Measured::of(&sol, inst, None)
-        }
-        Algo::OptMla => {
-            let out = optimal_mla(inst, limits).map_err(|e| fail("optimal_mla", &e))?;
-            Measured::of(&out.solution, inst, Some(out.proved_optimal))
-        }
-        Algo::OptBla => {
-            let out = optimal_bla(inst, limits).map_err(|e| fail("optimal_bla", &e))?;
-            Measured::of(&out.solution, inst, Some(out.proved_optimal))
-        }
-        Algo::OptMnu => {
-            let out = optimal_mnu(inst, limits);
-            Measured::of(&out.solution, inst, Some(out.proved_optimal))
-        }
-    })
-}
-
-/// Infallible wrapper over [`try_run`] for contexts that still treat an
-/// uncoverable instance as a scenario-generation bug.
-///
-/// # Panics
-///
-/// Panics when [`try_run`] fails.
-pub fn run(algo: Algo, inst: &Instance, limits: SearchLimits) -> Measured {
-    match try_run(algo, inst, limits) {
-        Ok(m) => m,
-        Err(e) => panic!("{e}"),
-    }
+    let (sol, note) = solve(algo, inst, limits).map_err(TrialError::failed)?;
+    Ok(Measured::of(&sol, inst, note))
 }
 
 #[cfg(test)]
@@ -211,19 +254,8 @@ mod tests {
     #[test]
     fn all_algorithms_run_on_figure1() {
         let inst = figure1_instance(Kbps::from_mbps(1));
-        for algo in [
-            Algo::MlaC,
-            Algo::MlaD,
-            Algo::BlaC,
-            Algo::BlaD,
-            Algo::MnuC,
-            Algo::MnuD,
-            Algo::Ssa,
-            Algo::OptMla,
-            Algo::OptBla,
-            Algo::OptMnu,
-        ] {
-            let m = run(algo, &inst, SearchLimits::default());
+        for algo in Algo::ALL {
+            let m = try_run(algo, &inst, SearchLimits::default()).unwrap();
             assert!(m.satisfied + m.unsatisfied == 5);
             assert!(m.total_load >= m.max_load);
             assert!(m.max_load >= 0.0);
@@ -234,19 +266,11 @@ mod tests {
     fn optimal_never_worse_than_greedy_on_figure1() {
         let inst = figure1_instance(Kbps::from_mbps(1));
         let limits = SearchLimits::default();
-        assert!(
-            run(Algo::OptMla, &inst, limits).total_load
-                <= run(Algo::MlaC, &inst, limits).total_load + 1e-12
-        );
-        assert!(
-            run(Algo::OptBla, &inst, limits).max_load
-                <= run(Algo::BlaC, &inst, limits).max_load + 1e-12
-        );
+        let run = |algo, inst: &Instance| try_run(algo, inst, limits).unwrap();
+        assert!(run(Algo::OptMla, &inst).total_load <= run(Algo::MlaC, &inst).total_load + 1e-12);
+        assert!(run(Algo::OptBla, &inst).max_load <= run(Algo::BlaC, &inst).max_load + 1e-12);
         let inst3 = figure1_instance(Kbps::from_mbps(3));
-        assert!(
-            run(Algo::OptMnu, &inst3, limits).satisfied
-                >= run(Algo::MnuC, &inst3, limits).satisfied
-        );
+        assert!(run(Algo::OptMnu, &inst3).satisfied >= run(Algo::MnuC, &inst3).satisfied);
     }
 
     #[test]

@@ -1,8 +1,29 @@
-//! `repro gen` / `repro solve`: scenario files for reproducible one-off
-//! runs (generate once, solve many ways, diff outputs) — plus the
-//! command-line flag validation shared with `main`.
+//! The `repro` front end. `COMMANDS` declares every command once: its
+//! help line, the flags it accepts, whether it sweeps under the journaled
+//! [`Runner`], whether `all` runs it, and its entry point. One parser
+//! reads every command line against it. The tools `gen`, `solve` and
+//! `compare` live here too: scenario files for reproducible one-off runs
+//! (generate once, solve many ways) and a diff of two result directories.
 
-use std::path::Path;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
+
+use mcast_core::Load;
+use mcast_exact::SearchLimits;
+use mcast_topology::{validate_scenario, Scenario, ScenarioConfig};
+
+use crate::algos::{self, Algo};
+use crate::figures::{
+    ablations, channels, controller, faults, fig10, fig11, fig12, fig9, mobility, revenue, table1,
+    validate,
+};
+use crate::report::{render_table, write_csv};
+use crate::runner::Runner;
+use crate::stats::Figure;
+use crate::Options;
 
 /// A flag that does nothing for the command it was passed with,
 /// rejected by name instead of silently ignored.
@@ -90,202 +111,422 @@ impl From<mcast_events::DecodeError> for CliError {
     }
 }
 
-/// Commands that render figure series, where `--plot` adds ASCII plots.
-const PLOTTING: &[&str] = &[
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ablations",
-    "channels",
-    "mobility",
-    "revenue",
-    "all",
+/// The flags of every command without operands, each as the usage line
+/// shows it, with the reason a command that does not list the flag rejects
+/// it by; `None` means every such command takes it. A command line breaking
+/// several rules is rejected for the first flag here that it breaks.
+#[rustfmt::skip]
+const HARNESS_FLAGS: &[(&str, Option<&str>)] = &[
+    ("--seeds N", None),
+    ("--out DIR", None),
+    ("--max-nodes N", None),
+    ("--quick", None),
+    ("--deadline SECS", None),
+    ("--plot", Some("it renders no figure series to plot")),
+    ("--resume", Some("it keeps no trial journal to resume from")),
+    ("--threads N", Some("it runs no parallel work")),
+    ("--checkpoint-every K", Some("it writes no recovery snapshots")),
+    ("--suite NAME", Some("only `bench` has named suites")),
+    ("--io-chaos SEED", Some("it streams no event log to inject IO faults into")),
 ];
 
-/// Commands that sweep under the journaled orchestrator, where
-/// `--resume` replays finished trials from `.runstate/`.
-const RESUMABLE: &[&str] = &[
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ablations",
-    "channels",
-    "mobility",
-    "faults",
-    "controller",
-    "revenue",
-    "all",
-];
-
-/// Commands that write recovery snapshots, where `--checkpoint-every K`
-/// sets the cadence.
-const CHECKPOINTED: &[&str] = &["serve"];
-
-/// Commands that stream an event log through the resilient sink, where
-/// `--io-chaos SEED` injects a scripted IO-fault plan.
-const IO_CHAOS: &[&str] = &["serve"];
-
-/// Commands that accept `--threads N`, the worker count of the
-/// scoped-thread pool behind `parallel_map` sweeps.
-const THREADED: &[&str] = &[
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ablations",
-    "channels",
-    "mobility",
-    "faults",
-    "controller",
-    "revenue",
-    "bench",
-    "all",
-];
-
-/// Rejects a meaningless `--threads` value or placement: zero workers
-/// (the pool cannot run anything), or a command with no parallel work.
-///
-/// # Errors
-///
-/// A [`FlagError`] naming the command, the flag, and the reason.
-pub fn validate_threads(command: &str, threads: Option<usize>) -> Result<(), FlagError> {
-    let Some(n) = threads else { return Ok(()) };
-    if n == 0 {
-        return Err(FlagError {
-            command: command.to_string(),
-            flag: "--threads".to_string(),
-            reason: "worker count must be at least 1",
-        });
-    }
-    if !THREADED.contains(&command) {
-        return Err(FlagError {
-            command: command.to_string(),
-            flag: "--threads".to_string(),
-            reason: "it runs no parallel work",
-        });
-    }
-    Ok(())
+/// One `repro` command.
+struct Command {
+    name: &'static str,
+    help: &'static str,
+    /// Positional operands, as the usage line shows them. A command with
+    /// operands (a tool) reads only its own `flags`; one without reads
+    /// [`HARNESS_FLAGS`], the gated ones only when `flags` lists them.
+    operands: &'static [&'static str],
+    /// A tool's flags as its usage line shows them (`"[--tol FRACTION]"`),
+    /// or, by name, the gated harness flags a command without operands takes.
+    flags: &'static [&'static str],
+    /// Sweeps trials under the [`Runner`] journaled in `<out>/.runstate/`,
+    /// which is what `--resume` resumes from.
+    sweeps: bool,
+    /// `all` runs it, in table order.
+    in_all: bool,
+    entry: fn(&Invocation, &Runner) -> Result<ExitCode, CliError>,
 }
 
-/// Rejects flag combinations that would silently do nothing — `--plot`
-/// with a command that renders no figure series (e.g. `serve`), or
-/// `--resume` with a command that keeps no journal.
-///
-/// # Errors
-///
-/// A [`FlagError`] naming the command, the flag, and the reason.
-pub fn validate_flags(command: &str, plot: bool, resume: bool) -> Result<(), FlagError> {
-    if plot && !PLOTTING.contains(&command) {
-        return Err(FlagError {
-            command: command.to_string(),
-            flag: "--plot".to_string(),
-            reason: "it renders no figure series to plot",
-        });
-    }
-    if resume && !RESUMABLE.contains(&command) {
-        return Err(FlagError {
-            command: command.to_string(),
-            flag: "--resume".to_string(),
-            reason: "it keeps no trial journal to resume from",
-        });
-    }
-    Ok(())
-}
-
-/// Rejects `--suite NAME` on commands other than `bench` (the only
-/// command with named suites) and unknown suite names.
-///
-/// # Errors
-///
-/// A [`FlagError`] naming the command, the flag, and the reason.
-pub fn validate_suite(command: &str, suite: Option<&str>) -> Result<(), FlagError> {
-    match suite {
-        None => Ok(()),
-        Some(_) if command != "bench" => Err(FlagError {
-            command: command.to_string(),
-            flag: "--suite".to_string(),
-            reason: "only `bench` has named suites",
-        }),
-        Some("default") | Some("scale") => Ok(()),
-        Some(_) => Err(FlagError {
-            command: command.to_string(),
-            flag: "--suite".to_string(),
-            reason: "expected `default` or `scale`",
-        }),
+impl Command {
+    /// Whether this command takes the gated harness flag `flag`.
+    fn takes(&self, flag: &str) -> bool {
+        self.operands.is_empty()
+            && (self.flags.contains(&flag) || (flag == "--resume" && self.sweeps))
     }
 }
 
-/// Rejects `--checkpoint-every K` on commands that write no recovery
-/// snapshots, and a zero cadence.
+/// Every `repro` command, in the order the usage listing shows them.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command { name: "table1", help: "Table 1 (rate vs distance threshold) + staircase check",
+        operands: &[], flags: &[], sweeps: false, in_all: true,
+        entry: |_, _| print(table1::run()) },
+    Command { name: "fig9", help: "Figure 9 a/b/c — total load (MLA-C, MLA-D, SSA)",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.figures(fig9::run(&inv.opts, runner)) },
+    Command { name: "fig10", help: "Figure 10 a/b/c — max load (BLA-C, BLA-D, SSA)",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.figures(fig10::run(&inv.opts, runner)) },
+    Command { name: "fig11", help: "Figure 11 — satisfied users vs budget (MNU-C, MNU-D, SSA)",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.figures(fig11::run(&inv.opts, runner)) },
+    Command { name: "fig12", help: "Figure 12 a/b/c — greedy vs certified optimum",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.figures(fig12::run(&inv.opts, runner)) },
+    Command { name: "ablations", help: "rate-policy / power / MNU-augment / model-vs-realized",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.figures(ablations::run(&inv.opts, runner)) },
+    Command { name: "channels", help: "§8 interference modeling: channel budget sweep",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.figures(channels::run(&inv.opts, runner)) },
+    Command { name: "mobility", help: "quasi-static user movement: churn & repaired-load drift",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.figures(mobility::run(&inv.opts, runner)) },
+    Command { name: "faults", help: "fault injection: recovery after a coordinated AP outage",
+        operands: &[], flags: &["--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.json("faults.json", faults::run(&inv.opts, runner)) },
+    Command { name: "controller", help: "online controller: repair ladder vs full re-solve under faults",
+        operands: &[], flags: &["--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.json("controller.json", controller::run(&inv.opts, runner)) },
+    Command { name: "serve", help: "event-driven controller service; streams <out>/events.jsonl",
+        operands: &[], flags: &["--checkpoint-every", "--io-chaos"], sweeps: false, in_all: false,
+        entry: |inv, _| print(crate::serve::run_serve(&inv.opts)?) },
+    Command { name: "replay", help: "fold <out>/events.jsonl back into a report (no solvers)",
+        operands: &[], flags: &[], sweeps: false, in_all: false,
+        entry: |inv, _| print(crate::serve::run_replay(&inv.opts)?) },
+    Command { name: "revenue", help: "the §3.2 revenue models across algorithms",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: true,
+        entry: |inv, runner| inv.figures(revenue::run(&inv.opts, runner)) },
+    Command { name: "bench", help: "time fast paths vs reference, write BENCH_*.json (scale: 2M users)",
+        operands: &[], flags: &["--threads", "--suite"], sweeps: false, in_all: false,
+        entry: |inv, _| print(crate::bench::run(&inv.opts).map_err(CliError::IoDecode)?) },
+    Command { name: "gen", help: "write a generated scenario (.mcb: binary wire, else JSON)",
+        operands: &["<out.json|out.mcb>"],
+        flags: &["[--seed N]", "[--aps N]", "[--users N]", "[--sessions N]", "[--budget PERMILLE]"],
+        sweeps: false, in_all: false, entry: run_gen },
+    Command { name: "solve", help: "run one algorithm on a scenario file",
+        operands: &["<scenario.json>"], flags: &["--algo NAME", "[--assoc-out FILE]"],
+        sweeps: false, in_all: false, entry: run_solve },
+    Command { name: "compare", help: "diff two results/ CSV directories (regression check)",
+        operands: &["<dirA>", "<dirB>"], flags: &["[--tol FRACTION]"],
+        sweeps: false, in_all: false, entry: run_compare },
+    Command { name: "validate", help: "simulator vs analytic cross-checks",
+        operands: &[], flags: &[], sweeps: false, in_all: true,
+        entry: |inv, _| print(validate::run(&inv.opts)) },
+    Command { name: "all", help: "every command above that is not a tool, serve, replay or bench",
+        operands: &[], flags: &["--plot", "--threads"], sweeps: true, in_all: false,
+        entry: |inv, runner| {
+            for command in COMMANDS.iter().filter(|c| c.in_all) {
+                (command.entry)(inv, runner)?;
+            }
+            Ok(ExitCode::SUCCESS)
+        } },
+];
+
+/// A command line, read against its command's grammar.
+struct Invocation {
+    command: &'static Command,
+    /// The harness options (the defaults for a tool).
+    opts: Options,
+    operands: Vec<String>,
+    /// Each flag given, in order, with its value (`""` for a switch).
+    values: Vec<(&'static str, String)>,
+}
+
+/// The flag a usage fragment (`"[--tol FRACTION]"`) names.
+fn flag_name(usage: &'static str) -> &'static str {
+    usage
+        .trim_matches(['[', ']'])
+        .split(' ')
+        .next()
+        .unwrap_or(usage)
+}
+
+/// Reads a command line (without the program name) against [`COMMANDS`].
+/// A token that is not a known flag is an operand while the command still
+/// wants one, and an unknown flag otherwise.
 ///
 /// # Errors
 ///
-/// A [`FlagError`] naming the command, the flag, and the reason.
-pub fn validate_recovery_flags(
-    command: &str,
-    checkpoint_every: Option<usize>,
-) -> Result<(), FlagError> {
-    if let Some(k) = checkpoint_every {
-        if k == 0 {
-            return Err(FlagError {
-                command: command.to_string(),
-                flag: "--checkpoint-every".to_string(),
-                reason: "the snapshot cadence must be at least 1 epoch",
-            });
+/// [`CliError::Usage`] for an unknown command or flag, a missing operand
+/// or flag value, a value that does not parse (or fit), and a
+/// [`FlagError`] for a flag the command would ignore or cannot honour.
+fn parse(args: &[String]) -> Result<Invocation, CliError> {
+    let Some((name, rest)) = args.split_first() else {
+        return Err(CliError::Usage(usage()));
+    };
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| CliError::Usage(format!("unknown command: {name}")))?;
+    let flags: Vec<&'static str> = match command.operands {
+        [] => HARNESS_FLAGS.iter().map(|(f, _)| *f).collect(),
+        _ => command.flags.to_vec(),
+    };
+    let mut inv = Invocation {
+        command,
+        opts: Options::default(),
+        operands: Vec::new(),
+        values: Vec::new(),
+    };
+    let mut tokens = rest.iter();
+    while let Some(token) = tokens.next() {
+        match flags.iter().find(|f| flag_name(f) == token) {
+            Some(usage) => {
+                let flag = flag_name(usage);
+                let value = if usage.contains(' ') {
+                    let missing = || CliError::Usage(format!("{flag} requires a value"));
+                    tokens.next().ok_or_else(missing)?.clone()
+                } else {
+                    String::new()
+                };
+                inv.values.push((flag, value));
+            }
+            None if token.starts_with("--") || inv.operands.len() == command.operands.len() => {
+                return Err(CliError::Usage(format!("unknown flag: {token}")));
+            }
+            None => inv.operands.push(token.clone()),
         }
-        if !CHECKPOINTED.contains(&command) {
-            return Err(FlagError {
-                command: command.to_string(),
-                flag: "--checkpoint-every".to_string(),
-                reason: "it writes no recovery snapshots",
-            });
+    }
+    if inv.operands.len() < command.operands.len() {
+        return Err(inv.usage());
+    }
+    if command.operands.is_empty() {
+        inv.read_harness()?;
+    }
+    Ok(inv)
+}
+
+impl Invocation {
+    /// Whether `flag` was given.
+    fn given(&self, flag: &str) -> bool {
+        self.values.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The last value given for `flag`. Every value given must parse into
+    /// `T`, so a count wider than its type is rejected, not wrapped.
+    fn value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: Display,
+    {
+        let mut last = None;
+        for (_, v) in self.values.iter().filter(|(f, _)| *f == flag) {
+            let parsed = v
+                .parse()
+                .map_err(|e| CliError::Usage(format!("invalid value for {flag}: {v} ({e})")))?;
+            last = Some(parsed);
+        }
+        Ok(last)
+    }
+
+    /// Reads [`HARNESS_FLAGS`] into [`Options`], then rejects by name each
+    /// flag the command would silently ignore or cannot honour.
+    fn read_harness(&mut self) -> Result<(), CliError> {
+        let mut o = Options::default();
+        o.seeds = self.value("--seeds")?.unwrap_or(o.seeds);
+        o.out_dir = self.value("--out")?.unwrap_or(o.out_dir);
+        o.max_nodes = self.value("--max-nodes")?.unwrap_or(o.max_nodes);
+        o.quick = self.given("--quick");
+        o.resume = self.given("--resume");
+        o.deadline_s = self.value("--deadline")?.unwrap_or(o.deadline_s);
+        o.threads = self.value("--threads")?.unwrap_or(o.threads);
+        o.checkpoint_every = self.value("--checkpoint-every")?;
+        o.bench_suite = self.value("--suite")?;
+        o.io_chaos = self.value("--io-chaos")?;
+        // The quick cap applies after every flag is read, so it wins
+        // whatever the flag order (`--quick --seeds 100` gets 5).
+        if o.quick {
+            o.seeds = o.seeds.min(5);
+        }
+        for &(usage, reason) in HARNESS_FLAGS {
+            let flag = flag_name(usage);
+            if !self.given(flag) {
+                continue;
+            }
+            let accepted = reason.is_none() || self.command.takes(flag);
+            let rejected = match flag {
+                "--threads" if o.threads == 0 => Some("worker count must be at least 1"),
+                "--checkpoint-every" if o.checkpoint_every == Some(0) => {
+                    Some("the snapshot cadence must be at least 1 epoch")
+                }
+                _ if !accepted => reason,
+                "--suite" if !matches!(o.bench_suite.as_deref(), Some("default" | "scale")) => {
+                    Some("expected `default` or `scale`")
+                }
+                "--io-chaos" if o.checkpoint_every.is_some() => Some(
+                    "a faulted sink cannot back byte-positioned checkpoints; drop --checkpoint-every",
+                ),
+                _ => None,
+            };
+            if let Some(reason) = rejected {
+                return Err(FlagError {
+                    command: self.command.name.to_string(),
+                    flag: flag.to_string(),
+                    reason,
+                }
+                .into());
+            }
+        }
+        self.opts = o;
+        Ok(())
+    }
+
+    /// A tool's usage line, as a usage error.
+    fn usage(&self) -> CliError {
+        let c = self.command;
+        let line = format!("{} {}", c.operands.join(" "), c.flags.join(" "));
+        CliError::Usage(format!("usage: repro {} {line}", c.name))
+    }
+
+    /// Prints each figure's table (and `--plot`'s ASCII plot) and writes
+    /// its CSV under `--out`.
+    fn figures(&self, figs: Vec<Figure>) -> Result<ExitCode, CliError> {
+        for fig in figs {
+            print!("{}", render_table(&fig));
+            if self.given("--plot") {
+                println!("{}", crate::plot::render_ascii(&fig, 64, 16));
+            }
+            if let Err(e) = write_csv(&fig, &self.opts.out_dir) {
+                eprintln!("warning: failed to write CSV for {}: {e}", fig.id);
+            }
+        }
+        Ok(ExitCode::SUCCESS)
+    }
+
+    /// Writes a JSON document to `<out>/<name>` and prints it.
+    fn json(&self, name: &str, json: String) -> Result<ExitCode, CliError> {
+        write_result(&self.opts.out_dir.join(name), json.as_bytes());
+        println!("{json}");
+        Ok(ExitCode::SUCCESS)
+    }
+}
+
+/// Prints a command's text result.
+fn print(text: impl Display) -> Result<ExitCode, CliError> {
+    print!("{text}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// An unwritable result warns on stderr; the run's stdout still stands.
+fn write_result(path: &Path, bytes: &[u8]) {
+    if let Err(e) = mcast_events::journal::atomic_write(path, bytes) {
+        eprintln!("warning: failed to write {}: {e}", path.display());
+    }
+}
+
+/// The listing `repro` prints when run without a command.
+fn usage() -> String {
+    let mut s = String::from("usage: repro <command> [flags]\n\ncommands:");
+    for c in COMMANDS {
+        s.push_str(&format!("\n  {:<11} {}", c.name, c.help));
+        if !c.operands.is_empty() {
+            let grammar = format!("{} {}", c.operands.join(" "), c.flags.join(" "));
+            s.push_str(&format!("\n{:14}{grammar}", ""));
         }
     }
-    Ok(())
+    s.push_str("\n\nflags of the commands with no usage line above (gated ones name theirs):\n ");
+    for &(usage, reason) in HARNESS_FLAGS {
+        if reason.is_none() {
+            s.push_str(&format!(" [{usage}]"));
+        } else {
+            let flag = flag_name(usage);
+            let takers: Vec<&str> = COMMANDS
+                .iter()
+                .filter(|c| c.takes(flag))
+                .map(|c| c.name)
+                .collect();
+            s.push_str(&format!("\n  {usage:<21} {}", takers.join(" ")));
+        }
+    }
+    s
 }
 
-/// Rejects `--io-chaos SEED` on commands without a resilient event sink
-/// to inject into, and the `--io-chaos` + `--checkpoint-every`
-/// combination: a faulted sink cannot promise the exact byte positions
-/// checkpoints record, so the pairing would silently weaken both.
-///
-/// # Errors
-///
-/// A [`FlagError`] naming the command, the flag, and the reason.
-pub fn validate_io_chaos(
-    command: &str,
-    io_chaos: Option<u64>,
-    checkpoint_every: Option<usize>,
-) -> Result<(), FlagError> {
-    if io_chaos.is_none() {
-        return Ok(());
+/// Runs `repro` on a command line (without the program name). A failure
+/// is printed and mapped to its distinct exit code (usage 2, validation
+/// 3, IO/decode 4, divergence 5) so scripts can branch on *why* the run
+/// failed; exit 1 stays reserved for `compare`'s flagged regressions.
+pub fn main(args: &[String]) -> ExitCode {
+    match run(args) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(e.exit_code() as u8)
+        }
     }
-    if !IO_CHAOS.contains(&command) {
-        return Err(FlagError {
-            command: command.to_string(),
-            flag: "--io-chaos".to_string(),
-            reason: "it streams no event log to inject IO faults into",
-        });
-    }
-    if checkpoint_every.is_some() {
-        return Err(FlagError {
-            command: command.to_string(),
-            flag: "--io-chaos".to_string(),
-            reason:
-                "a faulted sink cannot back byte-positioned checkpoints; drop --checkpoint-every",
-        });
-    }
-    Ok(())
 }
 
-use mcast_core::{
-    run_distributed, solve_bla, solve_mla, solve_mla_with, solve_mnu, solve_ssa, Association,
-    DistributedConfig, Load, MlaAlgorithm, Objective, Policy, Solution,
-};
-use mcast_exact::{optimal_bla, optimal_mla, optimal_mnu, SearchLimits};
-use mcast_topology::{Scenario, ScenarioConfig};
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
+    let inv = parse(args)?;
+    if inv.opts.threads > 0 {
+        crate::par::set_workers(inv.opts.threads);
+    }
+    let runner = if inv.command.sweeps {
+        let journal_path = inv.opts.out_dir.join(".runstate").join("journal.jsonl");
+        let deadline = Duration::from_secs(inv.opts.deadline_s);
+        Runner::with_journal(&journal_path, inv.opts.resume, deadline).unwrap_or_else(|e| {
+            // An unusable journal degrades durability, not the run:
+            // compute everything, just without checkpoint/resume.
+            eprintln!(
+                "warning: no journal at {} ({e}); running without checkpoints",
+                journal_path.display()
+            );
+            Runner::ephemeral()
+        })
+    } else {
+        Runner::ephemeral()
+    };
+    let code = (inv.command.entry)(&inv, &runner)?;
+    if inv.command.sweeps {
+        // The run accounting goes to stderr and, as runtime state that is
+        // never part of the results diff, under `.runstate/`.
+        let report = runner.report();
+        eprint!("{}", report.render());
+        match serde_json::to_string_pretty(&report) {
+            Ok(json) => write_result(
+                &inv.opts.out_dir.join(".runstate").join("report.json"),
+                json.as_bytes(),
+            ),
+            Err(e) => eprintln!("warning: failed to serialize run report: {e}"),
+        }
+    }
+    Ok(code)
+}
+
+fn run_gen(inv: &Invocation, _: &Runner) -> Result<ExitCode, CliError> {
+    let d = GenOptions::default();
+    // Counts parse as `u32`, the width of the instance's ids.
+    let count = |flag| inv.value::<u32>(flag).map(|n| n.map(|n| n as usize));
+    let opts = GenOptions {
+        seed: inv.value("--seed")?.unwrap_or(d.seed),
+        aps: count("--aps")?.unwrap_or(d.aps),
+        users: count("--users")?.unwrap_or(d.users),
+        sessions: count("--sessions")?.unwrap_or(d.sessions),
+        budget_permille: inv.value("--budget")?.unwrap_or(d.budget_permille),
+    };
+    generate_to_file(&opts, Path::new(&inv.operands[0]))?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_solve(inv: &Invocation, _: &Runner) -> Result<ExitCode, CliError> {
+    let algo: String = inv.value("--algo")?.ok_or_else(|| inv.usage())?;
+    let assoc_out: Option<PathBuf> = inv.value("--assoc-out")?;
+    solve_file(Path::new(&inv.operands[0]), &algo, assoc_out.as_deref())?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_compare(inv: &Invocation, _: &Runner) -> Result<ExitCode, CliError> {
+    let tol = inv.value("--tol")?.unwrap_or(0.05);
+    let [a, b] = [&inv.operands[0], &inv.operands[1]].map(Path::new);
+    let flagged = compare_results(a, b, tol).map_err(CliError::IoDecode)?;
+    // Exit 1 means "compared fine, regressions flagged": deliberately
+    // distinct from every CliError code.
+    Ok(match flagged {
+        0 => ExitCode::SUCCESS,
+        _ => ExitCode::FAILURE,
+    })
+}
 
 /// Options for `repro gen`.
 #[derive(Debug, Clone)]
@@ -383,81 +624,27 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
     Ok(scenario)
 }
 
-// Structural validation of a deserialized `Scenario` lives next to the
-// wire formats now (`mcast_topology::validate_scenario`) so the binary
-// and JSON read paths funnel through the same helper; re-exported here
-// because this is where every CLI call site and test historically found
-// it.
-pub use mcast_topology::validate_scenario;
-
-/// Runs `algo` on a loaded scenario and prints a summary; optionally
-/// writes the association JSON.
+/// Runs the algorithm `repro solve --algo` names on a scenario file and
+/// prints a summary; optionally writes the association JSON.
 ///
 /// # Errors
 ///
 /// Unknown algorithm names ([`CliError::Usage`]), solver failures
 /// ([`CliError::Validation`]), or I/O failures ([`CliError::IoDecode`]).
 pub fn solve_file(path: &Path, algo: &str, assoc_out: Option<&Path>) -> Result<(), CliError> {
+    let algo = Algo::from_name(algo).ok_or_else(|| {
+        let names: Vec<&str> = Algo::ALL.iter().map(|a| a.name()).collect();
+        CliError::Usage(format!(
+            "unknown algorithm '{algo}' (want {})",
+            names.join("|")
+        ))
+    })?;
     let scenario = load_scenario(path)?;
     let inst = &scenario.instance;
-    let limits = SearchLimits::default();
-    let solver = |e: &dyn std::fmt::Display| CliError::Validation(e.to_string());
-    let (solution, note): (Solution, Option<String>) = match algo {
-        "ssa" => (solve_ssa(inst, Objective::Mla), None),
-        "mla" => (solve_mla(inst).map_err(|e| solver(&e))?, None),
-        "mla-pd" => (
-            solve_mla_with(inst, MlaAlgorithm::PrimalDual).map_err(|e| solver(&e))?,
-            None,
-        ),
-        "bla" => (solve_bla(inst).map_err(|e| solver(&e))?, None),
-        "mnu" => (solve_mnu(inst), None),
-        "mla-d" | "mnu-d" => {
-            let out = run_distributed(
-                inst,
-                &DistributedConfig::default(),
-                Association::empty(inst.n_users()),
-            );
-            let objective = if algo == "mla-d" { Objective::Mla } else { Objective::Mnu };
-            (
-                Solution::evaluate(objective, out.association, inst, None),
-                Some(format!("converged: {} in {} rounds", out.converged, out.rounds)),
-            )
-        }
-        "bla-d" => {
-            let out = run_distributed(
-                inst,
-                &DistributedConfig {
-                    policy: Policy::MinMaxVector,
-                    ..DistributedConfig::default()
-                },
-                Association::empty(inst.n_users()),
-            );
-            (
-                Solution::evaluate(Objective::Bla, out.association, inst, None),
-                Some(format!("converged: {} in {} rounds", out.converged, out.rounds)),
-            )
-        }
-        "opt-mla" => {
-            let out = optimal_mla(inst, limits).map_err(|e| solver(&e))?;
-            (out.solution, Some(format!("certified optimal: {}", out.proved_optimal)))
-        }
-        "opt-bla" => {
-            let out = optimal_bla(inst, limits).map_err(|e| solver(&e))?;
-            (out.solution, Some(format!("certified optimal: {}", out.proved_optimal)))
-        }
-        "opt-mnu" => {
-            let out = optimal_mnu(inst, limits);
-            (out.solution, Some(format!("certified optimal: {}", out.proved_optimal)))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown algorithm '{other}' (want ssa|mla|mla-pd|mla-d|bla|bla-d|mnu|mnu-d|opt-mla|opt-bla|opt-mnu)"
-            )))
-        }
-    };
-
+    let (solution, note) =
+        algos::solve(algo, inst, SearchLimits::default()).map_err(CliError::Validation)?;
     println!("scenario   : {}", path.display());
-    println!("algorithm  : {algo}");
+    println!("algorithm  : {}", algo.name());
     println!("satisfied  : {}/{}", solution.satisfied, inst.n_users());
     println!(
         "total load : {} = {:.4}",
@@ -485,9 +672,215 @@ pub fn solve_file(path: &Path, algo: &str, assoc_out: Option<&Path>) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcast_core::Association;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mcast_cli_{name}_{}", std::process::id()))
+    }
+
+    /// Parses a space-separated command line.
+    fn parse_line(line: &str) -> Result<Invocation, CliError> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    fn accept(line: &str) -> Invocation {
+        parse_line(line).unwrap_or_else(|e| panic!("`{line}` was rejected: {e}"))
+    }
+
+    /// The usage error `line` is rejected with.
+    fn reject(line: &str) -> String {
+        match parse_line(line) {
+            Ok(_) => panic!("`{line}` was accepted"),
+            Err(e) => {
+                assert_eq!(e.exit_code(), 2, "`{line}`: {e}");
+                e.to_string()
+            }
+        }
+    }
+
+    /// The error a tool's entry point fails with before it does anything.
+    fn entry_error(line: &str) -> CliError {
+        let inv = accept(line);
+        (inv.command.entry)(&inv, &Runner::ephemeral()).unwrap_err()
+    }
+
+    /// Every command against every harness flag. Which gated flags each
+    /// command takes is written out here, not read from [`COMMANDS`], and
+    /// each rejection is checked to the letter: CI greps these texts.
+    #[test]
+    fn every_command_and_harness_flag_pair() {
+        let takes: &[(&str, Option<&str>)] = &[
+            ("table1", Some("")),
+            ("fig9", Some("--plot --resume --threads")),
+            ("fig10", Some("--plot --resume --threads")),
+            ("fig11", Some("--plot --resume --threads")),
+            ("fig12", Some("--plot --resume --threads")),
+            ("ablations", Some("--plot --resume --threads")),
+            ("channels", Some("--plot --resume --threads")),
+            ("mobility", Some("--plot --resume --threads")),
+            ("faults", Some("--resume --threads")),
+            ("controller", Some("--resume --threads")),
+            ("serve", Some("--checkpoint-every --io-chaos")),
+            ("replay", Some("")),
+            ("revenue", Some("--plot --resume --threads")),
+            ("bench", Some("--threads --suite")),
+            // The tools have a grammar of their own.
+            ("gen", None),
+            ("solve", None),
+            ("compare", None),
+            ("validate", Some("")),
+            ("all", Some("--plot --resume --threads")),
+        ];
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(names, takes.iter().map(|(c, _)| *c).collect::<Vec<_>>());
+        let reason = |flag: &str| match flag {
+            "--plot" => Some("it renders no figure series to plot"),
+            "--resume" => Some("it keeps no trial journal to resume from"),
+            "--threads" => Some("it runs no parallel work"),
+            "--checkpoint-every" => Some("it writes no recovery snapshots"),
+            "--suite" => Some("only `bench` has named suites"),
+            "--io-chaos" => Some("it streams no event log to inject IO faults into"),
+            _ => None,
+        };
+        let value = |flag: &str| match flag {
+            "--seeds" | "--threads" => " 2",
+            "--out" => " out",
+            "--max-nodes" | "--checkpoint-every" | "--deadline" => " 4",
+            "--suite" => " scale",
+            "--io-chaos" => " 7",
+            _ => "",
+        };
+        for &(command, gated) in takes {
+            for &(usage, _) in HARNESS_FLAGS {
+                let flag = flag_name(usage);
+                let line = format!("{command} {flag}{}", value(flag));
+                match (gated, reason(flag)) {
+                    (None, _) => assert_eq!(reject(&line), format!("unknown flag: {flag}")),
+                    (Some(g), Some(why)) if !g.split(' ').any(|f| f == flag) => assert_eq!(
+                        reject(&line),
+                        format!("invalid flags: {command} does not support {flag} ({why})")
+                    ),
+                    _ => {
+                        accept(&line);
+                    }
+                }
+            }
+        }
+        for (line, want) in [
+            (
+                "bench --threads 0",
+                "invalid flags: bench does not support --threads (worker count must be at least 1)",
+            ),
+            (
+                "serve --checkpoint-every 0",
+                "invalid flags: serve does not support --checkpoint-every (the snapshot cadence must be at least 1 epoch)",
+            ),
+            (
+                "bench --suite nope",
+                "invalid flags: bench does not support --suite (expected `default` or `scale`)",
+            ),
+            (
+                "serve --io-chaos 7 --checkpoint-every 4",
+                "invalid flags: serve does not support --io-chaos (a faulted sink cannot back byte-positioned checkpoints; drop --checkpoint-every)",
+            ),
+            ("fig9 --quick --retries 3", "unknown flag: --retries"),
+            ("fig9 --quick --chaos 7", "unknown flag: --chaos"),
+            ("fig9 results", "unknown flag: results"),
+            ("chaos --quick", "unknown command: chaos"),
+        ] {
+            assert_eq!(reject(line), want);
+        }
+        accept("bench --suite default");
+    }
+
+    #[test]
+    fn harness_flags_reach_the_options() {
+        let inv =
+            accept("fig9 --seeds 7 --out o --max-nodes 9 --resume --deadline 3 --threads 2 --plot");
+        let o = &inv.opts;
+        assert_eq!(
+            (o.seeds, o.max_nodes, o.deadline_s, o.threads),
+            (7, 9, 3, 2)
+        );
+        assert_eq!(o.out_dir, PathBuf::from("o"));
+        assert!(o.resume && inv.given("--plot") && !o.quick);
+        // The quick cap wins whatever the flag order; the last value wins.
+        assert_eq!(accept("fig9 --seeds 100 --quick").opts.seeds, 5);
+        assert_eq!(accept("fig9 --quick --seeds 100").opts.seeds, 5);
+        assert_eq!(accept("fig9 --seeds 3 --seeds 4").opts.seeds, 4);
+        let o = accept("serve --checkpoint-every 4").opts;
+        assert_eq!((o.checkpoint_every, o.io_chaos), (Some(4), None));
+        let o = accept("bench --suite scale").opts;
+        assert_eq!(o.bench_suite.as_deref(), Some("scale"));
+    }
+
+    #[test]
+    fn unknown_flags_are_not_taken_as_operands() {
+        assert_eq!(reject("gen --bogus"), "unknown flag: --bogus");
+        assert_eq!(reject("solve --bogus --algo mla"), "unknown flag: --bogus");
+        assert_eq!(reject("compare a --bogus"), "unknown flag: --bogus");
+        assert_eq!(reject("gen a.json b.json"), "unknown flag: b.json");
+        // A tool without its operands prints its usage line.
+        assert!(reject("gen").starts_with("usage: repro gen <out.json|out.mcb>"));
+        assert!(reject("compare a").starts_with("usage: repro compare <dirA> <dirB>"));
+        let err = entry_error("solve s.json");
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().starts_with("usage: repro solve"), "{err}");
+        // No command at all prints the whole listing.
+        assert!(reject("").starts_with("usage: repro <command>"));
+    }
+
+    #[test]
+    fn missing_or_bad_flag_values_are_usage_errors() {
+        assert_eq!(reject("compare a b --tol"), "--tol requires a value");
+        assert_eq!(
+            reject("solve s.json --algo mla --assoc-out"),
+            "--assoc-out requires a value"
+        );
+        assert_eq!(reject("fig9 --seeds"), "--seeds requires a value");
+        assert!(reject("fig9 --seeds abc").starts_with("invalid value for --seeds: abc"));
+        let err = entry_error("compare a b --tol abc");
+        assert_eq!(err.exit_code(), 2);
+        assert!(
+            err.to_string().starts_with("invalid value for --tol: abc"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_gen_values_are_rejected_by_name() {
+        for (flag, v) in [
+            ("--budget", "4294968196"),
+            ("--aps", "4294967296"),
+            ("--users", "-1"),
+            ("--sessions", "99999999999"),
+            ("--seed", "18446744073709551616"),
+        ] {
+            let out = tmp("out_of_range.json");
+            let err = entry_error(&format!("gen {} {flag} {v}", out.display()));
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(
+                err.to_string()
+                    .starts_with(&format!("invalid value for {flag}: {v} (")),
+                "{err}"
+            );
+            assert!(!out.exists(), "{flag} {v} wrote a scenario");
+        }
+    }
+
+    /// `main.rs`'s module docs show the listing `repro` prints.
+    #[test]
+    fn main_docs_show_the_usage_listing() {
+        let docs: Vec<&str> = include_str!("main.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .map(|l| l.strip_prefix(' ').unwrap_or(l))
+            .skip_while(|l| *l != "```text")
+            .skip(1)
+            .take_while(|l| *l != "```")
+            .collect();
+        assert_eq!(docs.join("\n"), usage());
     }
 
     #[test]
@@ -505,7 +898,12 @@ mod tests {
         assert_eq!(scenario.instance.n_aps(), 10);
         assert_eq!(scenario.instance.n_users(), 25);
 
-        for algo in ["ssa", "mla", "mla-pd", "bla", "mnu", "mla-d", "bla-d"] {
+        let names = [
+            "ssa", "mla", "mla-pd", "mla-d", "bla", "bla-d", "mnu", "mnu-d", "opt-mla", "opt-bla",
+            "opt-mnu",
+        ];
+        assert_eq!(names, Algo::ALL.map(Algo::name));
+        for algo in names {
             solve_file(&path, algo, None).unwrap();
         }
         let out = tmp("assoc.json");
@@ -608,17 +1006,15 @@ mod tests {
     #[test]
     fn io_chaos_is_rejected_by_command_and_combination() {
         for cmd in ["bench", "fig9", "replay", "all"] {
-            let err = validate_io_chaos(cmd, Some(7), None).unwrap_err();
-            assert_eq!(err.flag, "--io-chaos");
-            assert_eq!(err.command, cmd);
+            let err = reject(&format!("{cmd} --io-chaos 7"));
+            assert!(err.starts_with(&format!("invalid flags: {cmd} does not support --io-chaos")));
         }
-        assert_eq!(validate_io_chaos("serve", Some(7), None), Ok(()));
-        // Without the flag, anything goes.
-        assert_eq!(validate_io_chaos("bench", None, Some(4)), Ok(()));
-        // With it, checkpointing is an explicit conflict.
-        let err = validate_io_chaos("serve", Some(7), Some(4)).unwrap_err();
+        accept("serve --io-chaos 7");
+        // Without the flag, checkpointing is fine; with it, an explicit conflict.
+        accept("serve --checkpoint-every 4");
+        let err = reject("serve --io-chaos 7 --checkpoint-every 4");
         assert!(
-            err.to_string().contains("--checkpoint-every"),
+            err.contains("drop --checkpoint-every"),
             "unexpected message: {err}"
         );
     }
@@ -657,70 +1053,76 @@ mod tests {
             "validate",
             "table1",
         ] {
-            let err = validate_flags(cmd, true, false).unwrap_err();
-            assert_eq!(err.command, cmd);
-            assert_eq!(err.flag, "--plot");
-            assert!(err.to_string().contains("invalid flags"), "{err}");
+            let err = reject(&format!("{cmd} --plot"));
+            assert!(err.starts_with(&format!("invalid flags: {cmd} does not support --plot")));
         }
         for cmd in ["fig9", "fig12", "mobility", "revenue", "all"] {
-            assert_eq!(validate_flags(cmd, true, false), Ok(()), "{cmd}");
+            assert!(accept(&format!("{cmd} --plot")).given("--plot"), "{cmd}");
         }
     }
 
     #[test]
     fn resume_is_rejected_for_journalless_commands() {
         for cmd in ["serve", "replay", "bench", "validate", "table1"] {
-            let err = validate_flags(cmd, false, true).unwrap_err();
-            assert_eq!(err.flag, "--resume");
+            assert!(
+                reject(&format!("{cmd} --resume")).contains("--resume"),
+                "{cmd}"
+            );
         }
         // Sweeping commands journal their trials, so --resume is valid.
         for cmd in ["faults", "controller", "fig10", "all"] {
-            assert_eq!(validate_flags(cmd, false, true), Ok(()), "{cmd}");
+            assert!(accept(&format!("{cmd} --resume")).opts.resume, "{cmd}");
         }
     }
 
     #[test]
     fn checkpoint_cadence_is_validated_by_command_and_value() {
         for cmd in ["bench", "fig9", "controller", "replay", "all"] {
-            let err = validate_recovery_flags(cmd, Some(10)).unwrap_err();
-            assert_eq!(err.flag, "--checkpoint-every");
-            assert_eq!(err.command, cmd);
+            let err = reject(&format!("{cmd} --checkpoint-every 10"));
+            assert!(err.starts_with(&format!(
+                "invalid flags: {cmd} does not support --checkpoint-every"
+            )));
         }
-        assert_eq!(validate_recovery_flags("serve", Some(10)), Ok(()));
-        let err = validate_recovery_flags("serve", Some(0)).unwrap_err();
-        assert_eq!(err.command, "serve");
-        assert!(err.to_string().contains("at least 1 epoch"), "{err}");
-        assert_eq!(validate_recovery_flags("bench", None), Ok(()));
+        assert_eq!(
+            accept("serve --checkpoint-every 10").opts.checkpoint_every,
+            Some(10)
+        );
+        let err = reject("serve --checkpoint-every 0");
+        assert!(err.contains("at least 1 epoch"), "{err}");
     }
 
     #[test]
     fn no_flags_is_always_valid() {
-        for cmd in ["serve", "replay", "bench", "fig9", "table1", "unknown"] {
-            assert_eq!(validate_flags(cmd, false, false), Ok(()), "{cmd}");
-            assert_eq!(validate_threads(cmd, None), Ok(()), "{cmd}");
+        for cmd in ["serve", "replay", "bench", "fig9", "table1"] {
+            let inv = accept(cmd);
+            assert!(inv.values.is_empty() && !inv.opts.resume, "{cmd}");
         }
+        assert_eq!(reject("unknown"), "unknown command: unknown");
     }
 
     #[test]
     fn zero_threads_is_rejected_by_name() {
-        let err = validate_threads("bench", Some(0)).unwrap_err();
-        assert_eq!(err.flag, "--threads");
-        assert_eq!(err.command, "bench");
-        assert!(
-            err.to_string().contains("at least 1"),
-            "unexpected message: {err}"
-        );
+        // The value is checked before the command: no command runs zero workers.
+        for cmd in ["bench", "table1"] {
+            let err = reject(&format!("{cmd} --threads 0"));
+            assert!(err.starts_with(&format!("invalid flags: {cmd} does not support --threads")));
+            assert!(err.contains("at least 1"), "unexpected message: {err}");
+        }
     }
 
     #[test]
     fn threads_is_rejected_for_serial_commands() {
-        for cmd in ["serve", "replay", "table1", "validate", "gen"] {
-            let err = validate_threads(cmd, Some(4)).unwrap_err();
-            assert_eq!(err.flag, "--threads");
-            assert_eq!(err.command, cmd);
+        for cmd in ["serve", "replay", "table1", "validate"] {
+            let err = reject(&format!("{cmd} --threads 4"));
+            assert!(err.starts_with(&format!("invalid flags: {cmd} does not support --threads")));
         }
+        assert_eq!(reject("gen s.json --threads 4"), "unknown flag: --threads");
         for cmd in ["bench", "fig9", "mobility", "all"] {
-            assert_eq!(validate_threads(cmd, Some(4)), Ok(()), "{cmd}");
+            assert_eq!(
+                accept(&format!("{cmd} --threads 4")).opts.threads,
+                4,
+                "{cmd}"
+            );
         }
     }
 

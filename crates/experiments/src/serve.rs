@@ -435,7 +435,7 @@ fn run_serve_clean(opts: &Options) -> Result<String, CliError> {
 /// event log is written through a seeded [`IoFaultPlan`] and the
 /// retry → spill → drop ladder ([`ResilientPublisher`]). Checkpointing
 /// is off (a faulted sink cannot promise the byte positions checkpoints
-/// record — `validate_io_chaos` rejects the combination up front), and
+/// record — the command line rejects the combination up front), and
 /// the self-verification changes shape: the primary log's committed
 /// prefix concatenated with `events.spill.jsonl` must replay as one
 /// gapless, byte-identical stream — **zero decisions lost**, no matter
